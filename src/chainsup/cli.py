@@ -377,11 +377,8 @@ def main(argv=None) -> int:
 
     try:
         report = run(config, workers=max(1, args.workers))
-    except (ConfigError, jsonschema.ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (jsonschema.ValidationError, ValueError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
     out_dir = args.out or Path.cwd()

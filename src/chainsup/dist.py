@@ -11,8 +11,8 @@ in the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -30,9 +30,6 @@ __all__ = [
     "sym_weibull",
     "three_point",
     "log_concave_from_tail",
-    "moment",
-    "tail_value",
-    "sample",
     "check_alpha_regular",
     "check_speed_beta",
     "model_from_descriptor",
@@ -44,6 +41,10 @@ __all__ = [
 DEFAULT_P_GRID = (2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0, 128.0)
 
 _LN2 = math.log(2.0)
+
+# Top of the inverse-tail grid: exp(-746) underflows to 0, so no
+# exponential draw -ln(U) reaches it.
+_TAIL_GRID_TOP = 746.0
 
 
 def _gaussian_lp(p: float) -> float:
@@ -86,6 +87,7 @@ class DistributionModel:
         self._sampler = sampler
         self.support_bound = float(support_bound)
         self._even_moment_cache: dict[int, float] = {}
+        self._inverse_tail_grid = None
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -121,6 +123,25 @@ class DistributionModel:
         if np.isscalar(t) or arr.ndim == 0:
             return float(out)
         return out
+
+    def tail_quantile(self, e) -> np.ndarray:
+        """inf{t : N(t) >= e}, so tail_quantile(-ln U) has the law of |X|.
+
+        Interpolates one (N, t) grid, built on first use and reaching
+        N = 746, past every exponential draw.
+        """
+        if self._inverse_tail_grid is None:
+            hi = self.support_bound
+            if not math.isfinite(hi):
+                hi = 1.0
+                while self.tail_value(hi) < _TAIL_GRID_TOP:
+                    hi *= 2.0
+            ts = np.concatenate([[0.0], np.geomspace(hi * 1e-12, hi, 8192)])
+            ns = np.maximum.accumulate(self.tail_value(ts))  # guard roundoff dips
+            finite = np.isfinite(ns)
+            self._inverse_tail_grid = (ns[finite], ts[finite])
+        ns, ts = self._inverse_tail_grid
+        return np.interp(e, ns, ts)
 
     # -- sampling -----------------------------------------------------
 
@@ -275,44 +296,19 @@ def log_concave_from_tail(tail, name: str = "log_concave_from_tail") -> Distribu
     def moment_fn(p):
         return _tail_quad_raw_moment(tail_fn, support, p) ** (1.0 / p)
 
-    # grid-backed inverse of N for inverse-CDF sampling
-    hi = support if math.isfinite(support) else 1.0
-    if not math.isfinite(support):
-        while tail_fn(np.asarray([hi]))[0] < 746.0:
-            hi *= 2.0
-    ts = np.concatenate([[0.0], np.geomspace(hi * 1e-12, hi, 8192)])
-    ns = tail_fn(ts)
-    ns = np.maximum.accumulate(ns)  # guard tiny non-monotonicity from roundoff
-
     def sampler(rng, n):
-        e = rng.exponential(size=n)
-        mag = np.interp(e, ns, ts)
+        mag = model.tail_quantile(rng.exponential(size=n))
         sgn = rng.integers(0, 2, size=n) * 2.0 - 1.0
         return mag * sgn
 
-    return DistributionModel(
+    model = DistributionModel(
         name, {"sigma": sigma},
         moment_fn=moment_fn,
         tail_fn=tail_fn,
         sampler=sampler,
         support_bound=support,
     )
-
-
-# ----------------------------------------------------------------------
-# operations (module-level views of the model methods)
-# ----------------------------------------------------------------------
-
-def moment(model: DistributionModel, p: float) -> float:
-    return model.moment(p)
-
-
-def tail_value(model: DistributionModel, t: float):
-    return model.tail_value(t)
-
-
-def sample(model: DistributionModel, stream: RngStream, count: int) -> np.ndarray:
-    return model.sample(stream, count)
+    return model
 
 
 def moment_quadrature(model: DistributionModel, p: float) -> float:

@@ -291,7 +291,7 @@ def compute_gamma(T: IndexSet, proc: ProcessSpec, functional: str = "gammaX",
         if m > EXACT_LIMIT:
             raise ValueError(
                 f"exact mode caps |T| at {EXACT_LIMIT} (got {m}); use greedy mode")
-        if not metric_mod.is_exact_metric(proc):
+        if not metric_mod.is_exact_metric(proc, T):
             raise ValueError(
                 "exact mode requires closed-form or enumeration metrics; "
                 "this process would inject Monte-Carlo noise")

@@ -8,7 +8,6 @@ facts.  All estimators draw from an RngStream in fixed chunk order, so a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,20 +48,21 @@ class SupremumEstimate:
         return abs(self.mean - value) <= n_sigma * max(self.stderr, 1e-15)
 
 
-def _accumulate(stream: RngStream, samples: int, draw_chunk,
-                workers: int = 1) -> tuple[float, float, int]:
-    """Chunked mean/variance accumulation.
+def _accumulate(stream: RngStream, samples: int, draw_chunk, workers: int = 1):
+    """Chunked mean/stderr accumulation: (mean, stderr, n).
 
-    Each chunk draws from its own child stream and partial sums are merged
-    in chunk order, so the result is bitwise identical for any worker
-    count; workers > 1 only parallelizes the chunk computations.
+    `draw_chunk(rng, rows)` returns one value per row, or a (rows, k)
+    array for k means at once; sums run along axis 0.  Each chunk draws
+    from its own child stream and partial sums are merged in chunk order,
+    so the result is bitwise identical for any worker count; workers > 1
+    only parallelizes the chunk computations.
     """
     sizes = [min(_CHUNK, samples - i * _CHUNK)
              for i in range((samples + _CHUNK - 1) // _CHUNK)]
 
-    def work(i: int) -> tuple[float, float]:
+    def work(i: int):
         vals = draw_chunk(stream.child(i + 1).generator(), sizes[i])
-        return float(vals.sum()), float((vals * vals).sum())
+        return vals.sum(axis=0), (vals * vals).sum(axis=0)
 
     if workers <= 1:
         parts = [work(i) for i in range(len(sizes))]
@@ -77,8 +77,8 @@ def _accumulate(stream: RngStream, samples: int, draw_chunk,
         total_sq += s2
     n = sum(sizes)
     mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n), n
+    var = np.maximum(total_sq / n - mean * mean, 0.0)
+    return mean, np.sqrt(var / n), n
 
 
 def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
@@ -108,7 +108,7 @@ def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
         return v.max(axis=1)
 
     mean, stderr, n = _accumulate(stream, samples, draw, workers=workers)
-    return SupremumEstimate(mean, stderr, n, stream.master_seed,
+    return SupremumEstimate(float(mean), float(stderr), n, stream.master_seed,
                             stream.stream_id, target)
 
 
@@ -126,7 +126,7 @@ def estimate_mean(proc: ProcessSpec, T: IndexSet, samples: int, stream: RngStrea
         return transform(x @ pts_T)
 
     mean, stderr, _ = _accumulate(stream, samples, draw, workers=workers)
-    return mean, stderr
+    return float(mean), float(stderr)
 
 
 def order_stat_means(model: DistributionModel, n: int, ks: Sequence[int],
@@ -141,30 +141,20 @@ def order_stat_means(model: DistributionModel, n: int, ks: Sequence[int],
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"order statistic k={k} out of range 1..{n}")
-    rng = stream.generator()
-    sums = {k: 0.0 for k in ks}
-    sq = {k: 0.0 for k in ks}
-    total = 0
-    while total < samples:
-        chunk = min(_CHUNK, samples - total)
+    cols = n - np.array(ks, dtype=int)  # k-th largest sits at column n - k of a sorted row
+
+    def draw(rng, chunk):
         x = np.abs(model.sample_with(rng, chunk * n).reshape(chunk, n))
         x.sort(axis=1)
-        for k in ks:
-            vals = x[:, n - k]  # k-th largest
-            sums[k] += float(vals.sum())
-            sq[k] += float((vals * vals).sum())
-        total += chunk
-    out = []
-    for k in ks:
-        mean = sums[k] / total
-        var = max(sq[k] / total - mean * mean, 0.0)
-        out.append({
-            "k": k,
-            "estimate": mean,
-            "stderr": math.sqrt(var / total),
-            "bounds": {q: 2.0 * (n / k) ** (1.0 / q) * model.moment(q) for q in qs},
-        })
-    return out
+        return x[:, cols]
+
+    means, stderrs, _ = _accumulate(stream, samples, draw)
+    return [{
+        "k": k,
+        "estimate": float(mean),
+        "stderr": float(err),
+        "bounds": {q: 2.0 * (n / k) ** (1.0 / q) * model.moment(q) for q in qs},
+    } for k, mean, err in zip(ks, means, stderrs)]
 
 
 def paley_zygmund_check(values=None, probs=None, samples=None,

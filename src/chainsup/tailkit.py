@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -338,7 +338,7 @@ class SurrogateCoordinate:
         u_filler = rng.random(count)                    # filler's own uniform
         sgn_filler = rng.integers(0, 2, size=count) * 2.0 - 1.0
 
-        x_abs = self._base_quantile(e)
+        x_abs = self.model.tail_quantile(e)
         xt_abs = np.maximum(x_abs, self.constants.T_alpha)
         y_abs = self.envelope_inverse(e)
         u_abs = -np.log(u_filler * (1.0 - self.p_i) + self.p_i) / self.lambda_i
@@ -351,18 +351,6 @@ class SurrogateCoordinate:
             "U": sgn_filler * u_abs,
             "Z": z,
         }
-
-    def _base_quantile(self, e: np.ndarray) -> np.ndarray:
-        """inf{t : N(t) >= e} for the base model."""
-        hi = self.model.support_bound
-        if not math.isfinite(hi):
-            hi = 1.0
-            while self.model.tail_value(hi) < float(np.max(e, initial=1.0)) and hi < 1e9:
-                hi *= 2.0
-        ts = np.concatenate([[0.0], np.geomspace(hi * 1e-12, hi, 8192)])
-        ns = np.maximum.accumulate(np.asarray(self.model.tail_value(ts), dtype=float))
-        finite = np.isfinite(ns)
-        return np.interp(e, ns[finite], ts[finite])
 
 
 @dataclass

@@ -9,7 +9,7 @@ underlying results, only desk-scale regression floors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,7 +64,7 @@ def sudakov_experiment(proc: ProcessSpec, T: IndexSet, p: float, u: float,
     k = int(np.argmin(vals))
     min_sep = float(vals[k])
     worst_pair = (int(iu[0][k]), int(iu[1][k]))
-    tol = 1e-9 if metric_mod.is_exact_metric(proc) else 0.05 * u
+    tol = 1e-9 if metric_mod.is_exact_metric(proc, T) else 0.05 * u
     separation_ok = min_sep >= u - tol
     esup = estimate_sup(proc, T, samples, stream, workers=workers)
     return SudakovReport(
@@ -129,7 +129,7 @@ def two_sided_experiment(proc: ProcessSpec, T: IndexSet, samples: int,
     else:
         cert_val, cert_tree = gamma_mod.compute_gamma(
             T, proc, "gammaX", mode="greedy", samples=samples, seed=stream.master_seed)
-    if len(T) <= gamma_mod.EXACT_LIMIT and metric_mod.is_exact_metric(proc):
+    if len(T) <= gamma_mod.EXACT_LIMIT and metric_mod.is_exact_metric(proc, T):
         exact_val, _ = gamma_mod.compute_gamma(T, proc, "gammaX", mode="exact",
                                                seed=stream.master_seed)
         if mode == "exact":

@@ -179,6 +179,20 @@ class TestEndToEnd:
         assert r.stderr.startswith("error: config invalid at $.process.family"), \
             r.stderr
 
+    @pytest.mark.parametrize("exc", [RuntimeError("failed to bracket the root"),
+                                     MemoryError()])
+    def test_runtime_failure_exit_one(self, tmp_path, monkeypatch, capsys, exc):
+        cfg = self._write_config(tmp_path, {"index_set": {"type": "basis", "n": 2}})
+
+        def fail(config, workers=1):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert cli.main(["gamma", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(exc) in err
+
     def test_missing_config_exit_one(self, tmp_path, run_cli):
         r = run_cli(["gamma", "--config", str(tmp_path / "none.json")], tmp_path)
         assert r.returncode == 1

@@ -173,6 +173,13 @@ class TestComputeGamma:
         with pytest.raises(ValueError):
             gamma.compute_gamma(IndexSet.basis(2), proc, mode="exact")
 
+    def test_exact_rademacher_basis_beyond_enumeration_dimension(self):
+        # every pair differs in 2 of 22 coordinates, so the metric is enumerated
+        T = IndexSet(np.eye(22)[:6])
+        v, tree = gamma.compute_gamma(T, rad_proc(22), "gammaX", mode="exact")
+        tree.validate(6)
+        assert v == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
+
     def test_greedy_rademacher_basis(self):
         # equidistant basis: greedy must hit the uniform-space optimum
         n = 17

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,20 +102,9 @@ class TestIncrementNorm:
             vals = [increment_norm(proc, s, t, p).value for p in (1, 2, 4, 8, 16)]
             assert all(hi >= lo - 1e-12 for lo, hi in zip(vals, vals[1:]))
 
-    def test_enumeration_cap(self):
-        n = 25
-        with pytest.raises(ValueError):
-            increment_norm(rad_proc(n), np.ones(n), np.zeros(n), 2.0,
-                           method="enumeration")
-
     def test_mc_p_cap(self):
         with pytest.raises(ValueError):
             increment_norm(exp_proc(2), np.ones(2), np.zeros(2), 200.0)
-
-    def test_method_mismatch(self):
-        with pytest.raises(ValueError):
-            increment_norm(exp_proc(2), np.ones(2), np.zeros(2), 2.0,
-                           method="closed_form")
 
     def test_metric_axioms_exact(self):
         rng = np.random.default_rng(7)
@@ -157,6 +147,27 @@ class TestDistanceMatrix:
         dm = metric.distance_matrix(rad_proc(4), T, 2.0)
         off = dm[~np.eye(4, dtype=bool)]
         assert np.allclose(off, math.sqrt(2.0))
+
+    @pytest.mark.parametrize("make_proc", [gauss_proc, rad_proc, exp_proc])
+    def test_pair_equals_increment_norm(self, make_proc):
+        # one backend: a pair's matrix entry is its increment norm, bit for bit
+        s, t = np.array([1.0, -2.0, 0.5]), np.array([0.0, 1.0, 0.0])
+        proc = make_proc(3)
+        r = increment_norm(proc, s, t, 3.0, samples=30_000, seed=4)
+        dm = metric.distance_matrix(proc, IndexSet(np.stack([s, t])), 3.0,
+                                    samples=30_000, seed=4)
+        assert r.value == dm[0, 1] == dm[1, 0]
+
+    def test_mc_memory_bounded_in_pairs(self):
+        # 19,900 pairs: a (samples x pairs) array alone would take 300 MiB
+        T = IndexSet(np.random.default_rng(9).standard_normal((200, 3)))
+        tracemalloc.start()
+        try:
+            metric.distance_matrix(exp_proc(3), T, 3.0, samples=2_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestDiameter:
@@ -254,7 +265,7 @@ def test_gaussian_norm_scales_euclidean(p):
 
 
 def test_is_exact_metric():
-    assert metric.is_exact_metric(gauss_proc(100))
-    assert metric.is_exact_metric(rad_proc(8))
-    assert not metric.is_exact_metric(rad_proc(24))
-    assert not metric.is_exact_metric(exp_proc(2))
+    assert metric.is_exact_metric(gauss_proc(100), IndexSet.basis(100))
+    assert metric.is_exact_metric(rad_proc(8), IndexSet.basis(8))
+    assert not metric.is_exact_metric(rad_proc(24), IndexSet.with_origin(np.ones((1, 24))))
+    assert not metric.is_exact_metric(exp_proc(2), IndexSet.basis(2))
