@@ -22,6 +22,7 @@ from .streams import RngStream
 
 __all__ = [
     "DistributionModel",
+    "TailFunction",
     "RegularityWitness",
     "DEFAULT_P_GRID",
     "gaussian",
@@ -72,6 +73,26 @@ class RegularityWitness:
         return self.passed
 
 
+@dataclass
+class TailFunction:
+    """Nondecreasing map t -> N(t) in [0, inf], +inf beyond support_bound."""
+
+    evaluator: Callable[[np.ndarray], np.ndarray]
+    support_bound: float = math.inf
+
+    def __call__(self, t):
+        arr = np.asarray(t, dtype=float)
+        out = np.asarray(self.evaluator(arr), dtype=float)
+        out = np.where(arr >= self.support_bound, np.inf, out)
+        if np.isscalar(t) or arr.ndim == 0:
+            return float(out)
+        return out
+
+    def export_grid(self, ts: np.ndarray) -> np.ndarray:
+        """Two-column (t, N(t)) array, CSV-ready."""
+        return np.column_stack([ts, self(np.asarray(ts, dtype=float))])
+
+
 class DistributionModel:
     """A standardized symmetric law: moments, tail exponent, sampler."""
 
@@ -115,14 +136,9 @@ class DistributionModel:
 
     def tail_value(self, t):
         """N(t) = -ln P(|X| > t) as an extended real, t >= 0."""
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0):
+        if np.any(np.asarray(t, dtype=float) < 0):
             raise ValueError("tail_value requires t >= 0")
-        out = np.asarray(self._tail_fn(arr), dtype=float)
-        out = np.where(arr >= self.support_bound, np.inf, out)
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
+        return TailFunction(self._tail_fn, self.support_bound)(t)
 
     def tail_quantile(self, e) -> np.ndarray:
         """inf{t : N(t) >= e}, so tail_quantile(-ln U) has the law of |X|.
@@ -278,7 +294,7 @@ def log_concave_from_tail(tail, name: str = "log_concave_from_tail") -> Distribu
     """Model defined by a tail exponent t -> N(t), rescaled to variance 1.
 
     `tail` is any object with an `evaluator` callable and a
-    `support_bound` attribute (see tailkit.TailFunction), or a bare
+    `support_bound` attribute (see TailFunction), or a bare
     callable with unbounded support.
     """
     raw_fn = getattr(tail, "evaluator", tail)

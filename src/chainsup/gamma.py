@@ -1,9 +1,11 @@
 """Admissible partition sequences and the chaining functionals.
 
 A PartitionTree is a certificate: evaluating it gives a valid upper bound
-on gamma_2 or gamma_X.  Exact minimization is enumerated at desk scale
-(|T| <= 10); beyond that a deterministic farthest-point greedy produces
-certificates under the level-cardinality caps.
+on gamma_2 or gamma_X.  Exact minimization runs at desk scale (|T| <= 10)
+as a depth-first branch-and-bound over the level-1 partitions in
+restricted-growth order, which returns the first minimiser in that order;
+beyond that a deterministic farthest-point greedy produces certificates
+under the level-cardinality caps.
 """
 
 from __future__ import annotations
@@ -151,25 +153,6 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
 # exact mode
 # ----------------------------------------------------------------------
 
-def _partitions_into_at_most(items: list, k: int):
-    """All partitions of `items` into at most k nonempty blocks,
-    in canonical (restricted-growth) order."""
-    def rec(i, blocks):
-        if i == len(items):
-            yield [list(b) for b in blocks]
-            return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([x])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-    yield from rec(0, [])
-
-
 def _exact_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
                  seed: int) -> tuple[float, PartitionTree]:
     m = len(T)
@@ -184,19 +167,41 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
     base = w0 * float(dm0.max())
 
     # Splitting to singletons as early as the caps allow dominates any
-    # slower schedule, so only the level-1 partition needs enumeration
-    # (level 2 holds up to 16 >= |T| singletons).
+    # slower schedule, so only the level-1 partition needs a search
+    # (level 2 holds up to 16 >= |T| singletons).  Depth-first in
+    # restricted-growth order (point i joins each open block, then opens
+    # one), each block carrying its weighted diameter: max and scaling by
+    # w1 > 0 are exact and monotone, so `worst` equals a full rescore bit
+    # for bit and never falls along a branch.  Cutting a branch once
+    # base + worst >= best_val keeps the first strict minimiser.
+    k = level_cap(1)
+    blocks, diams = [], []
     best_val = math.inf
     best_part = None
-    for part in _partitions_into_at_most(list(range(m)), level_cap(1)):
-        worst = 0.0
-        for block in part:
-            if len(block) > 1:
-                idx = np.array(block)
-                worst = max(worst, w1 * float(dm1[np.ix_(idx, idx)].max()))
-        if base + worst < best_val:
+
+    def search(i: int, worst: float) -> None:
+        nonlocal best_val, best_part
+        if base + worst >= best_val:
+            return
+        if i == m:
             best_val = base + worst
-            best_part = [list(b) for b in part]
+            best_part = [list(b) for b in blocks]
+            return
+        for b, block in enumerate(blocks):
+            old = diams[b]
+            diams[b] = max(old, w1 * float(dm1[i, block].max()))
+            block.append(i)
+            search(i + 1, max(worst, diams[b]))
+            block.pop()
+            diams[b] = old
+        if len(blocks) < k:
+            blocks.append([i])
+            diams.append(0.0)
+            search(i + 1, worst)
+            blocks.pop()
+            diams.pop()
+
+    search(0, 0.0)
     levels = [[list(range(m))], best_part]
     if any(len(b) > 1 for b in best_part):
         levels.append([[i] for i in range(m)])
@@ -254,7 +259,9 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
             idx = np.array(block)
             diams.append(float(dm[np.ix_(idx, idx)].max()) if len(block) > 1 else 0.0)
         # every block keeps one child; spare capacity goes to the block
-        # with the largest diameter per child, ties to the lowest index
+        # with the largest diameter per child, ties to the lowest index,
+        # and blocks of repeated points (diameter 0) still take what is
+        # left, or they would never reach singletons
         alloc = [1] * len(current)
         spare = cap - len(current)
         while spare > 0:
@@ -265,7 +272,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
                 score = diams[bi] / alloc[bi]
                 if best is None or score > best[0] + 1e-15:
                     best = (score, bi)
-            if best is None or best[0] <= 0.0:
+            if best is None:
                 break
             alloc[best[1]] += 1
             spare -= 1

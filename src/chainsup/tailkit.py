@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import dist
-from .dist import DistributionModel
+from .dist import DistributionModel, TailFunction
 
 __all__ = [
     "TailFunction",
@@ -37,26 +36,6 @@ _LN2 = math.log(2.0)
 
 # grid density for the running-sup integration (points per decade)
 _PTS_PER_DECADE = 4096
-
-
-@dataclass
-class TailFunction:
-    """Nondecreasing map t -> N(t) in [0, inf], +inf beyond support_bound."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    support_bound: float = math.inf
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        out = np.asarray(self.evaluator(arr), dtype=float)
-        out = np.where(arr >= self.support_bound, np.inf, out)
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
-
-    def export_grid(self, ts: np.ndarray) -> np.ndarray:
-        """Two-column (t, N(t)) array, CSV-ready."""
-        return np.column_stack([ts, self(np.asarray(ts, dtype=float))])
 
 
 class SublinearityError(ValueError):

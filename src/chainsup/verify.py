@@ -292,7 +292,7 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
     step_sums = np.zeros(m)
     skipped = 0
     max_cap = 0.0
-    seen_steps = {}
+    step_of = {}  # (level, a, b) -> the chain point emitted for that step
     for n in range(1, depth):
         level_count = 0
         for i in range(m):
@@ -300,11 +300,10 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
             if a == b:
                 skipped += 1
                 continue
-            if (n, a, b) in seen_steps:
-                step_sums[i] += seen_steps[(n, a, b)]
+            if (n, a, b) in step_of:
+                step_sums[i] += step_of[(n, a, b)]["step_norm"]
                 continue
             d = float(dms[n][a, b])
-            seen_steps[(n, a, b)] = d
             step_sums[i] += d
             level_count += 1
             k = (caps[n - 1] if n >= 1 else 0) + level_count
@@ -313,17 +312,19 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
             cap = increment_norm(proc, vec, np.zeros(proc.dimension),
                                  max(p_k, 1.0), samples=samples, seed=seed).value
             max_cap = max(max_cap, cap)
-            chain_points.append({"level": n, "k": k, "vector": vec,
-                                 "step_norm": d, "norm_cap": cap})
-        # fix shared steps also contributing to other points of the block
-    # telescoping residuals: s - t vs sum of chain steps
+            step_of[(n, a, b)] = {"level": n, "k": k, "vector": vec,
+                                  "step_norm": d, "norm_cap": cap}
+            chain_points.append(step_of[(n, a, b)])
+    # telescoping residuals: s - t vs the sum of the emitted steps, each
+    # rebuilt as vector * step_norm, so a wrong vector or step norm shows
     max_resid = 0.0
     recon = np.zeros_like(pts)
     for i in range(m):
         acc = pts[reps[0][i]].copy()
         for n in range(1, depth):
-            a, b = reps[n][i], reps[n - 1][i]
-            acc = acc + (pts[a] - pts[b])
+            step = step_of.get((n, reps[n][i], reps[n - 1][i]))
+            if step is not None:
+                acc = acc + step["vector"] * step["step_norm"]
         recon[i] = acc
     for i in range(m):
         for j in range(m):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainsup import dist, gamma, metric
 from chainsup.gamma import PartitionTree, TreeValidationError
@@ -189,6 +190,14 @@ class TestComputeGamma:
         oracle = gamma.uniform_space_gamma(n, lambda p: 2.0 * 2.0 ** (-1.0 / p))
         assert v == pytest.approx(oracle, rel=1e-12)
 
+    def test_greedy_splits_repeated_points(self):
+        # a block of identical points has diameter 0 but must still split
+        T = IndexSet(np.array([[0.0]] * 5 + [[1.0]]))
+        v, tree = gamma.compute_gamma(T, gauss_proc(1), "gammaX", mode="greedy")
+        tree.validate(6)
+        assert tree.depth == 3
+        assert v == gamma.compute_gamma(T, gauss_proc(1), "gammaX", mode="exact")[0]
+
     def test_gamma2_vs_gammaX_gaussian_comparable(self):
         # for gaussians the two functionals agree within universal factors
         T = IndexSet(np.random.default_rng(8).standard_normal((8, 4)))
@@ -196,6 +205,90 @@ class TestComputeGamma:
         g2, _ = gamma.compute_gamma(T, proc, "gamma2", mode="exact")
         gx, _ = gamma.compute_gamma(T, proc, "gammaX", mode="exact")
         assert 0.1 * g2 <= gx <= 10.0 * g2
+
+
+def _partitions_into_at_most(items: list, k: int):
+    """All partitions of `items` into at most k nonempty blocks,
+    in canonical (restricted-growth) order."""
+    def rec(i, blocks):
+        if i == len(items):
+            yield [list(b) for b in blocks]
+            return
+        x = items[i]
+        for b in blocks:
+            b.append(x)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        if len(blocks) < k:
+            blocks.append([x])
+            yield from rec(i + 1, blocks)
+            blocks.pop()
+    yield from rec(0, [])
+
+
+def brute_force_exact_gamma(T, proc, functional):
+    """Oracle: score every level-1 partition, keep the first strict minimiser."""
+    m = len(T)
+    dm0 = metric.distance_matrix(proc, T, gamma._level_p(functional, 0))
+    dm1 = metric.distance_matrix(proc, T, gamma._level_p(functional, 1))
+    base = gamma._level_weight(functional, 0) * float(dm0.max())
+    w1 = gamma._level_weight(functional, 1)
+    best_val, best_part = math.inf, None
+    for part in _partitions_into_at_most(list(range(m)), gamma.level_cap(1)):
+        worst = 0.0
+        for block in part:
+            if len(block) > 1:
+                idx = np.array(block)
+                worst = max(worst, w1 * float(dm1[np.ix_(idx, idx)].max()))
+        if base + worst < best_val:
+            best_val, best_part = base + worst, part
+    levels = [[list(range(m))], best_part]
+    if any(len(b) > 1 for b in best_part):
+        levels.append([[i] for i in range(m)])
+    return best_val, PartitionTree(levels=levels)
+
+
+@st.composite
+def exact_cases(draw):
+    """(T, proc, functional): random, integer-lattice (heavily tied) or
+    basis sets of 2..8 points under a gaussian or rademacher process."""
+    m = draw(st.integers(min_value=2, max_value=8))
+    kind = draw(st.sampled_from(["random", "lattice", "basis"]))
+    if kind == "basis":
+        dim = draw(st.integers(min_value=m, max_value=m + 2))
+        pts = np.eye(dim)[:m]
+    else:
+        dim = draw(st.integers(min_value=1, max_value=5))
+        if kind == "lattice":
+            pts = np.array(draw(st.lists(
+                st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                min_size=m, max_size=m)), dtype=float)
+        else:
+            seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+            pts = np.random.default_rng(seed).standard_normal((m, dim))
+    make_proc = draw(st.sampled_from([gauss_proc, rad_proc]))
+    functional = draw(st.sampled_from(["gammaX", "gamma2"]))
+    return IndexSet(pts), make_proc(dim), functional
+
+
+@given(case=exact_cases())
+@settings(max_examples=120, deadline=None)
+def test_exact_search_matches_brute_force(case):
+    T, proc, functional = case
+    value, tree = gamma.compute_gamma(T, proc, functional, mode="exact")
+    oracle_value, oracle_tree = brute_force_exact_gamma(T, proc, functional)
+    assert value == oracle_value
+    assert tree.to_json() == oracle_tree.to_json()
+
+
+@given(case=exact_cases())
+@settings(max_examples=60, deadline=None)
+def test_greedy_certificate_bounds_exact(case):
+    T, proc, functional = case
+    exact, _ = gamma.compute_gamma(T, proc, functional, mode="exact")
+    greedy, tree = gamma.compute_gamma(T, proc, functional, mode="greedy")
+    tree.validate(len(T))
+    assert greedy >= exact
 
 
 class TestUniformSpaceGamma:

@@ -193,6 +193,24 @@ class TestHullDecomposition:
         hull = verify.convex_hull_decomposition(T, tree, proc)
         assert hull.max_residual <= 1e-9
 
+    def test_residual_sees_a_corrupted_step_vector(self, monkeypatch):
+        # the first emitted vector is bumped in place while its norm cap is
+        # taken, after it was computed and before the residuals are summed
+        T, tree, proc = self._make()
+        norm = verify.increment_norm
+        calls = []
+
+        def corrupting_norm(proc, s, t, p, **kw):
+            if not calls:
+                s[0] += 1e-3
+            calls.append(p)
+            return norm(proc, s, t, p, **kw)
+
+        monkeypatch.setattr(verify, "increment_norm", corrupting_norm)
+        hull = verify.convex_hull_decomposition(T, tree, proc)
+        assert len(calls) == len(hull.chain_points) > 1
+        assert hull.max_residual > 1e-9
+
     def test_norm_caps(self):
         T, tree, proc = self._make()
         hull = verify.convex_hull_decomposition(T, tree, proc)
