@@ -2,8 +2,13 @@
 
 d_p(s, t) = ||sum_i (s_i - t_i) X_i||_p, computed exactly where the
 coordinate laws allow (gaussian closed form, rademacher sign enumeration)
-and by chunked Monte Carlo with a CLT error bound otherwise.  Also hosts
-the product-moment functional |||(a_i X_i)|||_r solved by bisection.
+and by chunked Monte Carlo with a CLT error bound otherwise.  The Monte
+Carlo kernel shares one stream of draws across all pairs of a point set
+and reduces it in place, tile by tile, in one scratch buffer sized from a
+fixed element budget; integer p is raised by repeated squaring and
+multiplication, so p = 4 or 8 costs two or three multiplies per sample.
+Also hosts the product-moment functional |||(a_i X_i)|||_r solved by
+bisection.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ ENUMERATION_LIMIT = 20        # nonzero rademacher coords per enumerated increme
 MC_DEFAULT_SAMPLES = 100_000
 MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
+_MC_TILE_ELEMS = 1 << 18      # elements of the pair-by-sample scratch buffer (2 MiB)
 
 
 @dataclass(frozen=True)
@@ -132,15 +138,47 @@ def _method(proc: ProcessSpec, diffs: np.ndarray) -> str:
     return "monte_carlo"
 
 
+def _abs_power(d: np.ndarray, p: float, spare: Optional[np.ndarray]) -> np.ndarray:
+    """|d| ** p, overwriting `d`; returns `d` or the view of `spare` holding it.
+
+    Integer p >= 1 goes by repeated squaring, multiplying into `spare` the
+    squares its binary digits pick (even p needs no abs); any other p by an
+    in-place np.power.
+    """
+    if p != int(p) or p < 1:
+        return np.power(np.abs(d, out=d), p, out=d)
+    k = int(p)
+    if k % 2:
+        np.abs(d, out=d)
+    acc = None
+    while k > 1:
+        if k % 2:
+            if acc is None:
+                acc = spare[:d.size].reshape(d.shape)
+                np.copyto(acc, d)
+            else:
+                np.multiply(acc, d, out=acc)
+        np.multiply(d, d, out=d)
+        k //= 2
+    return d if acc is None else np.multiply(acc, d, out=acc)
+
+
 def _pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
                 seed: int) -> tuple[np.ndarray, np.ndarray, str]:
     """d_p over the pairs i < j of `pts` in row-major order: values, 3-sigma
     errors and the method.
 
-    Monte Carlo shares one sample pass across all pairs: each chunk is
-    projected once onto the points and reduced one row of pairs at a
-    time, so the sample buffers stay O(chunk * |pts|) whatever the pair
-    count.
+    Monte Carlo shares one sample pass across all pairs: each chunk of
+    `_MC_CHUNK` draws from one derived stream is projected once onto the
+    points and reduced one row of pairs at a time, so the sample buffers
+    stay O(chunk * |pts|) whatever the pair count.  The reduction runs in
+    place in one scratch buffer of (|pts| - 1) x tile, reused for every
+    row, tile and chunk; the tile width is the fixed element budget
+    `_MC_TILE_ELEMS` divided by |pts| - 1, capped at the chunk, so the
+    buffer stays cache-sized and a two-point call makes one tile per chunk.
+    |d|^p goes by `_abs_power` (integer p by multiplication) and the sum
+    of |d|^(2p) by a row-wise dot product.  The draws do not depend on the
+    tile; only the summation order does.
     """
     diffs = _pair_diffs(pts)
     method = _method(proc, diffs)
@@ -154,18 +192,27 @@ def _pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
     rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
+    k = len(pts) - 1
     # pairs (i, j > i) occupy rows[i]:rows[i + 1] of the row-major order
-    rows = np.concatenate([[0], np.cumsum(np.arange(len(pts) - 1, 0, -1))])
+    rows = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
     total = np.zeros(len(diffs))
     total_sq = np.zeros(len(diffs))
+    tile = max(1, min(_MC_CHUNK, samples, _MC_TILE_ELEMS // k))
+    scratch = np.empty(k * tile)
+    # an integer p that is not a power of two keeps a running product
+    spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
     n = 0
     while n < samples:
         chunk = min(_MC_CHUNK, samples - n)
         v = pts @ proc.sample_matrix(rng, chunk).T      # (|pts|, chunk)
-        for i in range(len(pts) - 1):
-            block = np.abs(v[i + 1:] - v[i]) ** p
-            total[rows[i]:rows[i + 1]] += block.sum(axis=1)
-            total_sq[rows[i]:rows[i + 1]] += (block * block).sum(axis=1)
+        for lo in range(0, chunk, tile):
+            w = min(tile, chunk - lo)
+            for i in range(k):
+                d = scratch[:(k - i) * w].reshape(k - i, w)
+                np.subtract(v[i + 1:, lo:lo + w], v[i, lo:lo + w], out=d)
+                d = _abs_power(d, p, spare)
+                total[rows[i]:rows[i + 1]] += d.sum(axis=1)
+                total_sq[rows[i]:rows[i + 1]] += np.einsum("ij,ij->i", d, d)
         n += chunk
     mean = total / n
     stderr = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)

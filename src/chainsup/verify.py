@@ -291,13 +291,13 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
     chain_points = []
     step_sums = np.zeros(m)
     skipped = 0
-    max_cap = 0.0
     step_of = {}  # (level, a, b) -> the chain point emitted for that step
     for n in range(1, depth):
         level_count = 0
         for i in range(m):
             a, b = reps[n][i], reps[n - 1][i]
-            if a == b:
+            # a step between equal points has length 0 and adds nothing
+            if a == b or dms[n][a, b] == 0.0:
                 skipped += 1
                 continue
             if (n, a, b) in step_of:
@@ -311,13 +311,11 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
             p_k = math.log(k + 2)
             cap = increment_norm(proc, vec, np.zeros(proc.dimension),
                                  max(p_k, 1.0), samples=samples, seed=seed).value
-            max_cap = max(max_cap, cap)
             step_of[(n, a, b)] = {"level": n, "k": k, "vector": vec,
                                   "step_norm": d, "norm_cap": cap}
             chain_points.append(step_of[(n, a, b)])
     # telescoping residuals: s - t vs the sum of the emitted steps, each
     # rebuilt as vector * step_norm, so a wrong vector or step norm shows
-    max_resid = 0.0
     recon = np.zeros_like(pts)
     for i in range(m):
         acc = pts[reps[0][i]].copy()
@@ -326,10 +324,10 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
             if step is not None:
                 acc = acc + step["vector"] * step["step_norm"]
         recon[i] = acc
-    for i in range(m):
-        for j in range(m):
-            resid = np.max(np.abs((pts[i] - pts[j]) - (recon[i] - recon[j])))
-            max_resid = max(max_resid, float(resid))
+    # np.max, unlike Python max, propagates a NaN, so a NaN never passes
+    max_resid = float(np.max([np.abs((pts[i] - pts) - (recon[i] - recon)).max()
+                              for i in range(m)]))
+    max_cap = float(np.max([cp["norm_cap"] for cp in chain_points], initial=0.0))
 
     R = 2.0 * float(step_sums.max(initial=0.0))
     return HullDecomposition(

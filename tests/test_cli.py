@@ -141,6 +141,19 @@ class TestRun:
         assert report["passed"]
         assert report["result"]["report"]["max_residual"] <= 1e-9
 
+    def test_hull_repeated_points(self):
+        report = cli.run({
+            "experiment": "hull",
+            "process": {"family": "gaussian"},
+            "index_set": {"type": "explicit", "points": [
+                [0, 0], [0, 0], [1, 0], [0, 1], [1, 1], [2, 0]]},
+            "params": {"mode": "exact"},
+        })
+        assert report["passed"]
+        rep = report["result"]["report"]
+        assert all(math.isfinite(cp["norm_cap"]) for cp in rep["chain_points"])
+        assert rep["max_residual"] <= 1e-12
+
 
 class TestEndToEnd:
     def _write_config(self, tmp_path, doc):

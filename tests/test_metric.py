@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainsup import dist, metric
 from chainsup.metric import IndexSet, ProcessSpec, increment_norm, latala_norm
+from chainsup.streams import derived_stream
 
 E = math.e
 
@@ -168,6 +169,59 @@ class TestDistanceMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestMonteCarloKernel:
+    """The in-place, tiled kernel against a naive reduction of the same draws."""
+
+    @staticmethod
+    def naive(proc, pts, p, samples, seed):
+        diffs = metric._pair_diffs(pts)
+        rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
+        sizes = [min(metric._MC_CHUNK, samples - n) for n in range(0, samples, metric._MC_CHUNK)]
+        v = np.hstack([pts @ proc.sample_matrix(rng, c).T for c in sizes])
+        values, errors = [], []
+        for i in range(len(pts) - 1):
+            for j in range(i + 1, len(pts)):
+                x = np.abs(v[i] - v[j]) ** p
+                mean = np.mean(x)
+                values.append(mean ** (1.0 / p))
+                errors.append(3.0 * np.std(x) / math.sqrt(samples)
+                              / (p * mean ** (1.0 - 1.0 / p)))
+        return np.array(values), np.array(errors)
+
+    @pytest.mark.parametrize("m", [2, 3, 70])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 8.0, math.log(5.0)])
+    def test_matches_naive_reduction(self, m, p):
+        # 21,234 samples: neither a multiple of the chunk nor of any tile
+        samples = 21_234
+        assert samples % metric._MC_CHUNK and samples > metric._MC_CHUNK
+        # at 70 points the budget splits each chunk into several tiles
+        assert metric._MC_TILE_ELEMS // 69 < metric._MC_CHUNK
+        make = dist.sym_exponential if m != 3 else (lambda: dist.three_point(2.0))
+        proc = ProcessSpec.homogeneous(make(), 4)
+        pts = np.random.default_rng(m).standard_normal((m, 4))
+        values, errors, method = metric._pair_norms(proc, pts, p, samples, 5)
+        assert method == "monte_carlo"
+        want_values, want_errors = self.naive(proc, pts, p, samples, 5)
+        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(errors, want_errors, rtol=1e-12, atol=0)
+
+
+@given(pts=st.lists(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
+                    min_size=3, max_size=5),
+       family=st.sampled_from(["sym_exponential", "three_point"]),
+       p=st.sampled_from([1.0, 2.0, 3.0, 4.0, 8.0, math.log(5.0), 2.5]),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_mc_distance_matrix_triangle_inequality(pts, family, p, seed):
+    # one empirical measure under every pair: Minkowski holds up to rounding
+    model = dist.sym_exponential() if family == "sym_exponential" else dist.three_point(2.0)
+    proc = ProcessSpec.homogeneous(model, 3)
+    dm = metric.distance_matrix(proc, IndexSet(np.array(pts)), p, samples=2_000, seed=seed)
+    via = dm[:, :, None] + dm[None, :, :]          # d(i, j) + d(j, k) at [i, j, k]
+    direct = dm[:, None, :]                          # d(i, k) at [i, j, k]
+    assert np.all(direct <= via * (1.0 + 1e-12))
 
 
 class TestDiameter:

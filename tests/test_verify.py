@@ -234,6 +234,34 @@ class TestHullDecomposition:
             n = cp["level"]
             assert caps[n - 1] < cp["k"] <= caps[n]
 
+    REPEATED = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]]
+
+    def test_repeated_points_skip_the_zero_step(self):
+        # the exact tree puts the two copies of (0, 0) in one block, so one
+        # step joins distinct indices of equal points
+        T = IndexSet(np.array(self.REPEATED))
+        proc = gauss_proc(2)
+        _, tree = gamma.compute_gamma(T, proc, "gammaX", mode="exact")
+        hull = verify.convex_hull_decomposition(T, tree, proc)
+        assert hull.skipped_steps > 0
+        for cp in hull.chain_points:
+            assert cp["step_norm"] > 0.0
+            assert np.all(np.isfinite(cp["vector"])) and math.isfinite(cp["norm_cap"])
+        assert hull.max_residual <= 1e-12
+        assert hull.max_norm_cap <= 1.0 + 1e-9
+
+    def test_a_nan_fails_the_checks(self, monkeypatch):
+        T, tree, proc = self._make()
+        norm = verify.increment_norm
+
+        def nan_norm(*args, **kw):
+            r = norm(*args, **kw)
+            return type(r)(math.nan, r.error_bound, r.method)
+
+        monkeypatch.setattr(verify, "increment_norm", nan_norm)
+        hull = verify.convex_hull_decomposition(T, tree, proc)
+        assert math.isnan(hull.max_norm_cap)
+
     def test_trivial_tree_two_points(self):
         T = IndexSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
         proc = gauss_proc(2)
