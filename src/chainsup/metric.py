@@ -66,9 +66,16 @@ class ProcessSpec:
         return fams.pop() if len(fams) == 1 else None
 
     def sample_matrix(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """(count, dimension) matrix of coordinate draws, column order fixed."""
-        cols = [m.sample_with(rng, count) for m in self.models]
-        return np.column_stack(cols)
+        """(count, dimension) matrix of coordinate draws, column order fixed.
+
+        Column j is one `sample_with(rng, count)` call of coordinate j, in
+        order, written into a Fortran-ordered buffer so that each column
+        lands contiguously; a row slice of it is still a BLAS operand.
+        """
+        out = np.empty((count, self.dimension), order="F")
+        for j, m in enumerate(self.models):
+            out[:, j] = m.sample_with(rng, count)
+        return out
 
     def descriptors(self) -> list:
         return [dist.model_descriptor(m) for m in self.models]

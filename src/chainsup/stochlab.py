@@ -4,6 +4,13 @@ Estimates E sup of canonical-process increments and order-statistic
 means, and checks the Paley-Zygmund, contraction and symmetrization
 facts.  All estimators draw from an RngStream in fixed chunk order, so a
 (master seed, stream id) pair reproduces results bitwise.
+
+Each chunk of coordinate draws comes as one Fortran-ordered matrix
+(`ProcessSpec.sample_matrix`) and is projected onto T one row tile at a
+time; each tile is reduced straight to its per-row values, so no
+(chunk x |T|) matrix of process values exists.  The tile holds
+`metric._MC_TILE_ELEMS` values, the budget of the Monte-Carlo metric
+kernel, so memory stays flat in |T|.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from . import dist
 from .dist import DistributionModel
-from .metric import IndexSet, ProcessSpec, increment_norm
+from .metric import _MC_TILE_ELEMS, IndexSet, ProcessSpec, increment_norm
 from .streams import RngStream
 
 __all__ = [
@@ -32,7 +39,13 @@ _CHUNK = 65_536
 DEFAULT_SAMPLES = 100_000
 ACCEPTANCE_SAMPLES = 1_000_000
 
-TARGETS = ("sup_increments", "sup_abs", "max_only")
+# per-row reductions of a (rows, |T|) matrix of process values
+_REDUCERS = {
+    "sup_increments": lambda v: v.max(axis=1) - v.min(axis=1),
+    "sup_abs": lambda v: np.abs(v).max(axis=1),
+    "max_only": lambda v: v.max(axis=1),
+}
+TARGETS = tuple(_REDUCERS)
 
 
 @dataclass(frozen=True)
@@ -81,10 +94,36 @@ def _accumulate(stream: RngStream, samples: int, draw_chunk, workers: int = 1):
     return mean, np.sqrt(var / n), n
 
 
+def _tiled_draw(proc: ProcessSpec, pts: np.ndarray, reduce):
+    """`draw_chunk(rng, rows)` giving reduce(x @ pts.T) for draws x.
+
+    `reduce` maps a (tile, |pts|) matrix of process values to one value
+    per row.  The draws x of a chunk are projected and reduced in row
+    tiles of `_MC_TILE_ELEMS // |pts|` rows (at least one), each written
+    straight into the (rows,) output; the draws do not depend on the tile.
+    """
+    pts_T = pts.T
+    tile = max(1, _MC_TILE_ELEMS // len(pts))
+
+    def draw(rng, rows):
+        x = proc.sample_matrix(rng, rows)
+        out = np.empty(rows)
+        for lo in range(0, rows, tile):
+            out[lo:lo + tile] = reduce(x[lo:lo + tile] @ pts_T)
+        return out
+
+    return draw
+
+
 def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
                  stream: RngStream, target: str = "sup_increments",
                  workers: int = 1) -> SupremumEstimate:
-    """Monte-Carlo estimate of E sup_{s,t in T}(X_s - X_t) (or variants)."""
+    """Monte-Carlo estimate of E sup_{s,t in T}(X_s - X_t) (or variants).
+
+    `target` picks sup_{s,t}(X_s - X_t), sup_t |X_t| or sup_t X_t.  Each
+    chunk of draws is projected onto T and reduced one row tile at a time
+    (`_tiled_draw`), so memory stays O(chunk * dimension) whatever |T|.
+    """
     if len(T) == 0:
         raise ValueError("index set is empty")
     if samples < 100:
@@ -96,17 +135,7 @@ def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
     if len(T) == 1 and target == "sup_increments":
         return SupremumEstimate(0.0, 0.0, samples, stream.master_seed,
                                 stream.stream_id, target)
-    pts_T = T.points.T  # (dim, |T|)
-
-    def draw(rng, chunk):
-        x = proc.sample_matrix(rng, chunk)
-        v = x @ pts_T
-        if target == "sup_increments":
-            return v.max(axis=1) - v.min(axis=1)
-        if target == "sup_abs":
-            return np.abs(v).max(axis=1)
-        return v.max(axis=1)
-
+    draw = _tiled_draw(proc, T.points, _REDUCERS[target])
     mean, stderr, n = _accumulate(stream, samples, draw, workers=workers)
     return SupremumEstimate(float(mean), float(stderr), n, stream.master_seed,
                             stream.stream_id, target)
@@ -116,15 +145,11 @@ def estimate_mean(proc: ProcessSpec, T: IndexSet, samples: int, stream: RngStrea
                   transform, workers: int = 1) -> tuple[float, float]:
     """Mean and stderr of transform(values matrix) per sample row.
 
-    `transform` maps the (chunk, |T|) matrix of process values to one
-    number per row; used for weak/strong-moment experiments.
+    `transform` maps a (rows, |T|) matrix of process values to one
+    number per row; it is applied to row tiles of each chunk, as in
+    `estimate_sup`.  Used for weak/strong-moment experiments.
     """
-    pts_T = T.points.T
-
-    def draw(rng, chunk):
-        x = proc.sample_matrix(rng, chunk)
-        return transform(x @ pts_T)
-
+    draw = _tiled_draw(proc, T.points, transform)
     mean, stderr, _ = _accumulate(stream, samples, draw, workers=workers)
     return float(mean), float(stderr)
 
@@ -236,8 +261,7 @@ def symmetrization_check(proc: ProcessSpec, T: IndexSet, p: float,
 
         def sampler(rng, cnt, base=base):
             vals = base.sample_with(rng, cnt)
-            sgn = rng.integers(0, 2, size=cnt) * 2.0 - 1.0
-            return vals * sgn
+            return vals * dist._signs(rng, cnt)
 
         sym_models.append(DistributionModel(
             base.family + "_symmetrized", base.params,

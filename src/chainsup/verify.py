@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gamma as gamma_mod
 from . import metric as metric_mod
+from . import stochlab
 from .gamma import PartitionTree
 from .metric import IndexSet, ProcessSpec, distance_matrix, increment_norm
 from .stochlab import RngStream, SupremumEstimate, estimate_mean, estimate_sup
@@ -206,18 +207,13 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     ex = estimate_sup(procX, T, samples, stream.child(0), workers=workers)
     ey = estimate_sup(procY, T, samples, stream.child(1), workers=workers)
 
-    # empirical sup samples for the tail curves
+    # empirical sup samples for the tail curves, chunk after chunk from
+    # one generator
     def collect(proc, sub):
         rng = sub.generator()
-        out = []
-        n = 0
-        while n < samples:
-            chunk = min(65_536, samples - n)
-            x = proc.sample_matrix(rng, chunk)
-            v = x @ pts.T
-            out.append(v.max(axis=1) - v.min(axis=1))
-            n += chunk
-        return np.concatenate(out)
+        draw = stochlab._tiled_draw(proc, pts, stochlab._REDUCERS["sup_increments"])
+        return np.concatenate([draw(rng, min(stochlab._CHUNK, samples - n))
+                               for n in range(0, samples, stochlab._CHUNK)])
 
     sx = collect(procX, stream.child(2))
     sy = collect(procY, stream.child(3))

@@ -96,6 +96,15 @@ class TestSampling:
         vals = dist.rademacher().sample(RngStream(1, 2), 4)
         assert set(np.unique(vals)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("n", [0, 1, 65_537])
+    def test_signs_match_the_direct_map(self, n):
+        # the in-place map keeps the draws and the bytes of the direct one
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = dist._signs(rng, n)
+        want = ref.integers(0, 2, size=n) * 2.0 - 1.0
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
+
     def test_determinism(self, model):
         s = RngStream(123, 7)
         a = model.sample(s, 1000)

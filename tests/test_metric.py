@@ -39,6 +39,17 @@ class TestProcessSpec:
         x = gauss_proc(4).sample_matrix(npr.default_rng(0), 100)
         assert x.shape == (100, 4)
 
+    @pytest.mark.parametrize("count", [1, 7, 20_003])
+    def test_sample_matrix_matches_sequential_draws(self, count):
+        # one sample_with call per column, in column order, from one generator
+        models = (dist.gaussian(), dist.rademacher(), dist.sym_exponential(),
+                  dist.sym_weibull(1.5), dist.three_point(3.0))
+        x = ProcessSpec(models=models).sample_matrix(np.random.default_rng(17), count)
+        rng = np.random.default_rng(17)
+        want = np.column_stack([m.sample_with(rng, count) for m in models])
+        assert x.shape == want.shape
+        assert x.tobytes() == want.tobytes()
+
 
 class TestIndexSet:
     def test_basis(self):

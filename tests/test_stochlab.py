@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,65 @@ class TestEstimateSup:
         with pytest.raises(ValueError):
             stochlab.estimate_sup(gauss_proc(2), IndexSet.basis(2), 10,
                                   RngStream(0, 0))
+
+
+class TestTiledProjection:
+    """Row-tiled projection against a naive reduction of the same draws."""
+
+    @staticmethod
+    def naive(proc, pts, samples, stream, reduce):
+        # re-derive each chunk's child stream and reduce the full value matrix
+        total = total_sq = 0.0
+        for i, lo in enumerate(range(0, samples, stochlab._CHUNK)):
+            rng = stream.child(i + 1).generator()
+            count = min(stochlab._CHUNK, samples - lo)
+            x = np.column_stack([m.sample_with(rng, count) for m in proc.models])
+            vals = reduce(x @ pts.T)
+            total += vals.sum()
+            total_sq += (vals * vals).sum()
+        mean = total / samples
+        return mean, np.sqrt(np.maximum(total_sq / samples - mean * mean, 0.0) / samples)
+
+    @pytest.fixture
+    def uneven_tiles(self, monkeypatch):
+        # 7 points: tiles of 142 rows, partial at the end of both chunks
+        monkeypatch.setattr(stochlab, "_MC_TILE_ELEMS", 1000)
+        assert stochlab._CHUNK % 142 and (70_001 - stochlab._CHUNK) % 142
+
+    def setup_method(self):
+        self.proc = ProcessSpec(models=(dist.gaussian(), dist.rademacher(),
+                                        dist.sym_exponential(), dist.sym_weibull(1.5),
+                                        dist.three_point(3.0)))
+        self.pts = np.random.default_rng(21).standard_normal((7, 5))
+        self.samples = 70_001
+
+    @pytest.mark.parametrize("target", stochlab.TARGETS)
+    def test_estimate_sup(self, uneven_tiles, target):
+        stream = RngStream(22, 3)
+        est = stochlab.estimate_sup(self.proc, IndexSet(self.pts), self.samples,
+                                    stream, target=target)
+        mean, stderr = self.naive(self.proc, self.pts, self.samples, stream,
+                                  stochlab._REDUCERS[target])
+        assert est.samples == self.samples
+        assert (est.mean, est.stderr) == (mean, stderr)
+
+    def test_estimate_mean(self, uneven_tiles):
+        stream = RngStream(23, 4)
+        transform = lambda v: np.abs(v).max(axis=1) ** 3  # noqa: E731
+        got = stochlab.estimate_mean(self.proc, IndexSet(self.pts), self.samples,
+                                     stream, transform)
+        assert got == self.naive(self.proc, self.pts, self.samples, stream, transform)
+
+    def test_memory_flat_in_index_set_size(self):
+        # a (65,536 x 1,000) matrix of process values alone would take 500 MiB
+        T = IndexSet(np.random.default_rng(24).standard_normal((1000, 4)))
+        tracemalloc.start()
+        try:
+            stochlab.estimate_sup(gauss_proc(4), T, 65_536, RngStream(25, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestOrderStats:
