@@ -105,10 +105,13 @@ class ConfigError(ValueError):
     pass
 
 
+# built once: jsonschema.validate would re-check the constant schema on every call
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def validate_config(config: dict) -> None:
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if exc is not None:
         raise ConfigError(f"config invalid at {exc.json_path}: {exc.message}") from exc
     if config["experiment"] in _SAMPLED_EXPERIMENTS:
         if "seed" not in config.get("params", {}):

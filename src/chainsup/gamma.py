@@ -83,9 +83,9 @@ class PartitionTree:
                 raise TreeValidationError(
                     f"level {n} has {len(level)} blocks, cap is {level_cap(n)}")
             if n > 0:
-                parents = self.levels[n - 1]
+                parent = {i: k for k, par in enumerate(self.levels[n - 1]) for i in par}
                 for block in level:
-                    if not any(set(block) <= set(par) for par in parents):
+                    if len({parent[i] for i in block}) > 1:
                         raise TreeValidationError(
                             f"level {n} block {block} does not refine level {n - 1}")
         if any(len(b) != 1 for b in self.levels[-1]):

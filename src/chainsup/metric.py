@@ -187,6 +187,8 @@ def _pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
     of |d|^(2p) by a row-wise dot product.  The draws do not depend on the
     tile; only the summation order does.
     """
+    if p < 1:
+        raise ValueError("increment norm requires p >= 1")
     diffs = _pair_diffs(pts)
     method = _method(proc, diffs)
     if method == "closed_form":
@@ -232,8 +234,6 @@ def _pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
 def increment_norm(proc: ProcessSpec, s, t, p: float,
                    samples: int = MC_DEFAULT_SAMPLES, seed: int = 0) -> IncrementNormResult:
     """||X_s - X_t||_p; equals distance_matrix over {s, t} at (samples, seed)."""
-    if p < 1:
-        raise ValueError("increment norm requires p >= 1")
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if s.shape != (proc.dimension,) or t.shape != (proc.dimension,):

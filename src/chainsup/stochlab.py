@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dist
+from . import dist, metric
 from .dist import DistributionModel
 from .metric import _MC_TILE_ELEMS, IndexSet, ProcessSpec, increment_norm
 from .streams import RngStream
@@ -252,9 +252,6 @@ def symmetrization_check(proc: ProcessSpec, T: IndexSet, p: float,
                          samples: int, stream: RngStream) -> dict:
     """Factor-2 moment bracket and E sup comparisons between X_t and its
     independently sign-randomized version."""
-    n = proc.dimension
-    pts_T = T.points.T
-
     sym_models = []
     for m in proc.models:
         base = m
@@ -269,19 +266,13 @@ def symmetrization_check(proc: ProcessSpec, T: IndexSet, p: float,
             sampler=sampler, support_bound=base.support_bound))
     sproc = ProcessSpec(models=tuple(sym_models))
 
-    # moment bracket at p over all pairs of a subsample of T
-    ratios = []
-    pts = T.points
-    for i in range(len(T)):
-        for j in range(i + 1, len(T)):
-            dx = increment_norm(proc, pts[i], pts[j], p, samples=samples,
-                                seed=stream.master_seed)
-            dxs = increment_norm(sproc, pts[i], pts[j], p, samples=samples,
-                                 seed=stream.master_seed + 1)
-            if dx.value > 0:
-                ratios.append((dxs.value, dx.value, dxs.error_bound + dx.error_bound))
-    bracket_ok = all(
-        0.5 * dx - err <= dxs <= 2.0 * dx + err for dxs, dx, err in ratios)
+    # moment bracket at p over all pairs of T with a nonzero increment, one
+    # pair-norm pass per process
+    dx, err_x, _ = metric._pair_norms(proc, T.points, p, samples, stream.master_seed)
+    dxs, err_s, _ = metric._pair_norms(sproc, T.points, p, samples, stream.master_seed + 1)
+    keep = dx > 0
+    dx, dxs, err = dx[keep], dxs[keep], (err_s + err_x)[keep]
+    bracket_ok = bool(np.all((0.5 * dx - err <= dxs) & (dxs <= 2.0 * dx + err)))
 
     e_x = estimate_sup(proc, T, samples, stream.child(0))
     e_sym = estimate_sup(sproc, T, samples, stream.child(1))

@@ -141,12 +141,10 @@ def convex_minorant(f, c: float, t0: float = 0.0,
         raise ValueError("convex minorant requires c >= 2")
     if t0 < 0:
         raise ValueError("t0 must be >= 0")
-    fn = getattr(f, "evaluator", None)
-    eval_f = f if fn is None else f  # TailFunction is itself callable
     support = float(getattr(f, "support_bound", math.inf))
     if check_precondition:
-        _check_sublinear(eval_f, c, t0)
-    integral = _RunningSupIntegral(eval_f, c, start=c * t0, support_bound=support)
+        _check_sublinear(f, c, t0)
+    integral = _RunningSupIntegral(f, c, start=c * t0, support_bound=support)
     return TailFunction(
         evaluator=lambda t: np.asarray(integral(t), dtype=float),
         support_bound=c * support,
@@ -313,9 +311,9 @@ class SurrogateCoordinate:
     def sample_coupled(self, rng: np.random.Generator, count: int) -> dict:
         """Pathwise-coupled draws of X, X~, Y, U, Z (shared uniforms/signs)."""
         e = rng.exponential(size=count)                 # shared: -ln U
-        sgn = rng.integers(0, 2, size=count) * 2.0 - 1.0
+        sgn = dist._signs(rng, count)
         u_filler = rng.random(count)                    # filler's own uniform
-        sgn_filler = rng.integers(0, 2, size=count) * 2.0 - 1.0
+        sgn_filler = dist._signs(rng, count)
 
         x_abs = self.model.tail_quantile(e)
         xt_abs = np.maximum(x_abs, self.constants.T_alpha)

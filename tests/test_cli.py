@@ -1,8 +1,10 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from chainsup import cli
 
@@ -34,6 +36,26 @@ class TestValidation:
         with pytest.raises(cli.ConfigError, match=r"\$\.params"):
             cli.validate_config({"experiment": "gamma",
                                  "params": {"samples": 1}})
+
+    def test_config_schema_is_valid(self):
+        validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("config", [
+        {"experiment": "gamma", "process": {"family": "cauchy"}},
+        {"experiment": "gamma", "bogus": 1},
+        {"experiment": "gamma", "params": {"mode": "fast"}},
+        {"experiment": "gamma",
+         "index_set": {"type": "interleave_of", "inner": {"type": "grid"}}},
+        {"experiment": "gamma", "params": {"samples": 99}},
+        {"experiment": "magic"},
+    ])
+    def test_same_message_as_jsonschema_validate(self, config):
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(config, cli.CONFIG_SCHEMA)
+        with pytest.raises(cli.ConfigError) as got:
+            cli.validate_config(config)
+        assert str(got.value) == (
+            f"config invalid at {ref.value.json_path}: {ref.value.message}")
 
 
 class TestIndexSetBuilders:

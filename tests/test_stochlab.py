@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chainsup import dist, stochlab
+from chainsup import dist, metric, stochlab
 from chainsup.metric import IndexSet, ProcessSpec
 from chainsup.streams import RngStream
 
@@ -239,3 +239,38 @@ class TestSymmetrization:
                                             samples=60_000, stream=RngStream(14, 0))
         ex, es = out["esup_base"], out["esup_sym"]
         assert abs(ex.mean - es.mean) <= 4 * (ex.stderr + es.stderr)
+
+    @staticmethod
+    def _patch_pair_norms(monkeypatch, scale_second=1.0):
+        real = metric._pair_norms
+        calls = []
+
+        def counting(proc, pts, p, samples, seed):
+            calls.append((len(pts), p, seed))
+            values, errors, method = real(proc, pts, p, samples, seed)
+            return (values * (scale_second if len(calls) == 2 else 1.0),
+                    errors, method)
+
+        def no_pair_loop(*args, **kw):
+            raise AssertionError("per-pair increment_norm call")
+
+        monkeypatch.setattr(metric, "_pair_norms", counting)
+        monkeypatch.setattr(metric, "increment_norm", no_pair_loop)
+        monkeypatch.setattr(stochlab, "increment_norm", no_pair_loop)
+        return calls
+
+    def test_moment_bracket_takes_two_pair_norm_passes(self, monkeypatch):
+        calls = self._patch_pair_norms(monkeypatch)
+        pts = np.random.default_rng(15).standard_normal((4, 3))
+        out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
+                                            samples=20_000, stream=RngStream(16, 0))
+        assert calls == [(4, 3.0, 16), (4, 3.0, 17)]
+        assert out["moment_bracket_ok"]
+
+    def test_moment_bracket_can_fail(self, monkeypatch):
+        # symmetrized norms three times too large break the factor-2 bracket
+        self._patch_pair_norms(monkeypatch, scale_second=3.0)
+        pts = np.random.default_rng(15).standard_normal((4, 3))
+        out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
+                                            samples=20_000, stream=RngStream(16, 0))
+        assert not out["moment_bracket_ok"] and not out["passed"]

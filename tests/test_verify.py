@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chainsup import dist, gamma, verify
+from chainsup import dist, gamma, metric, verify
 from chainsup.metric import IndexSet, ProcessSpec
 from chainsup.streams import RngStream
 
@@ -177,6 +177,74 @@ class TestComparison:
             # gaussian increments dominate rademacher ones at p = 4
             verify.comparison_experiment(rad_proc(2), gauss_proc(2), T,
                                          p_grid=(4.0,), samples=20_000,
+                                         stream=RngStream(26, 1))
+
+    def test_one_pair_norm_pass_per_process_and_p(self, monkeypatch):
+        T = IndexSet(np.random.default_rng(40).standard_normal((4, 3)))
+        procX = ProcessSpec.homogeneous(dist.sym_exponential(), 3)
+        procY = gauss_proc(3)
+        real = metric._pair_norms
+        calls = []
+
+        def counting(proc, pts, p, samples, seed):
+            calls.append((proc, len(pts), p, seed))
+            return real(proc, pts, p, samples, seed)
+
+        def no_pair_loop(*args, **kw):
+            raise AssertionError("per-pair increment_norm call")
+
+        monkeypatch.setattr(metric, "_pair_norms", counting)
+        monkeypatch.setattr(metric, "increment_norm", no_pair_loop)
+        monkeypatch.setattr(verify, "increment_norm", no_pair_loop)
+        out = verify.comparison_experiment(procX, procY, T, p_grid=(3.0, 4.0),
+                                           samples=20_000, stream=RngStream(41, 0))
+        assert calls == [(procX, 4, 3.0, 41), (procY, 4, 3.0, 42),
+                         (procX, 4, 4.0, 41), (procY, 4, 4.0, 42)]
+        assert out["domination_checked_pairs"] == 2 * 6
+
+    @staticmethod
+    def _first_violation(procX, procY, T, p_grid):
+        # per-pair oracle: the domination check pair by pair
+        pts = T.points
+        for p in p_grid:
+            for i in range(len(T)):
+                for j in range(i + 1, len(T)):
+                    dx = metric.increment_norm(procX, pts[i], pts[j], p)
+                    dy = metric.increment_norm(procY, pts[i], pts[j], p)
+                    tol = dx.error_bound + dy.error_bound + 1e-9 * (1.0 + dx.value)
+                    if dy.value > dx.value + tol:
+                        return f"(s={i}, t={j}, p={p})"
+        return None
+
+    def test_exact_check_matches_the_per_pair_oracle(self):
+        rng = np.random.default_rng(42)
+        sets = [IndexSet.with_origin(np.eye(2)),
+                IndexSet(np.array([[1.0, 1.0], [0.0, 0.0], [1.0, -1.0], [2.0, 0.0]])),
+                *(IndexSet(rng.standard_normal((5, 3))) for _ in range(3))]
+        outcomes = set()
+        for T in sets:
+            n = T.dimension
+            for procX, procY in ((gauss_proc(n), rad_proc(n)), (rad_proc(n), gauss_proc(n))):
+                for p_grid in ((1.5,), (3.0,), (4.0,), (1.5, 3.0, 4.0), (4.0, 1.5)):
+                    expect = self._first_violation(procX, procY, T, p_grid)
+                    outcomes.add(expect)
+                    if expect is None:
+                        verify.comparison_experiment(procX, procY, T, p_grid,
+                                                     samples=1_000, stream=RngStream(43, 0))
+                        continue
+                    with pytest.raises(ValueError) as info:
+                        verify.comparison_experiment(procX, procY, T, p_grid,
+                                                     samples=1_000, stream=RngStream(43, 0))
+                    assert expect in str(info.value)
+        # both verdicts occur, and some first violation is past the first pair
+        assert None in outcomes
+        assert any(o and not o.startswith("(s=0, t=1,") for o in outcomes)
+
+    def test_first_violation_named(self):
+        T = IndexSet.with_origin(np.eye(2))
+        with pytest.raises(ValueError, match=r"\(s=0, t=1, p=4\.0\)"):
+            verify.comparison_experiment(rad_proc(2), gauss_proc(2), T,
+                                         p_grid=(4.0,), samples=1_000,
                                          stream=RngStream(26, 1))
 
 
