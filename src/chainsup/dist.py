@@ -11,7 +11,7 @@ in the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,20 +85,50 @@ class RegularityWitness:
         return self.passed
 
 
+def _scalar_or_array(t, out):
+    """`out` as a float when `t` is a scalar, else as a float array."""
+    if np.isscalar(t) or np.ndim(t) == 0:
+        return np.asarray(out, dtype=float).item()
+    return np.asarray(out, dtype=float)
+
+
 @dataclass
 class TailFunction:
-    """Nondecreasing map t -> N(t) in [0, inf], +inf beyond support_bound."""
+    """Nondecreasing map t -> N(t) in [0, inf], +inf beyond support_bound.
+
+    `start` is where the inverse grid begins: N is flat up to it, so
+    `quantile` returns `start` for every e <= N(start).
+    """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_bound: float = math.inf
+    start: float = 0.0
+    _inverse_grid: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        out = np.asarray(self.evaluator(arr), dtype=float)
-        out = np.where(arr >= self.support_bound, np.inf, out)
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
+        out = np.where(arr >= self.support_bound, np.inf, self.evaluator(arr))
+        return _scalar_or_array(t, out)
+
+    def quantile(self, e):
+        """inf{t : N(t) >= e}, so quantile(-ln U) has the tail exponent N.
+
+        Interpolates one (N, t) grid, built on first use and reaching
+        N = 746, past every exponential draw.
+        """
+        if self._inverse_grid is None:
+            hi = self.support_bound
+            if not math.isfinite(hi):
+                hi = 1.0
+                while self(hi) < _TAIL_GRID_TOP:
+                    hi *= 2.0
+            ts = np.concatenate([[self.start],
+                                 np.geomspace(max(self.start, hi * 1e-12), hi, 8192)])
+            ns = np.maximum.accumulate(self(ts))  # guard roundoff dips
+            finite = np.isfinite(ns)
+            self._inverse_grid = (ns[finite], ts[finite])
+        ns, ts = self._inverse_grid
+        return np.interp(e, ns, ts)
 
     def export_grid(self, ts: np.ndarray) -> np.ndarray:
         """Two-column (t, N(t)) array, CSV-ready."""
@@ -116,11 +146,10 @@ class DistributionModel:
         self.family = family
         self.params = dict(params)
         self._moment_fn = moment_fn
-        self._tail_fn = tail_fn
         self._sampler = sampler
         self.support_bound = float(support_bound)
+        self.tail = TailFunction(tail_fn, self.support_bound)
         self._even_moment_cache: dict[int, float] = {}
-        self._inverse_tail_grid = None
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -150,26 +179,7 @@ class DistributionModel:
         """N(t) = -ln P(|X| > t) as an extended real, t >= 0."""
         if np.any(np.asarray(t, dtype=float) < 0):
             raise ValueError("tail_value requires t >= 0")
-        return TailFunction(self._tail_fn, self.support_bound)(t)
-
-    def tail_quantile(self, e) -> np.ndarray:
-        """inf{t : N(t) >= e}, so tail_quantile(-ln U) has the law of |X|.
-
-        Interpolates one (N, t) grid, built on first use and reaching
-        N = 746, past every exponential draw.
-        """
-        if self._inverse_tail_grid is None:
-            hi = self.support_bound
-            if not math.isfinite(hi):
-                hi = 1.0
-                while self.tail_value(hi) < _TAIL_GRID_TOP:
-                    hi *= 2.0
-            ts = np.concatenate([[0.0], np.geomspace(hi * 1e-12, hi, 8192)])
-            ns = np.maximum.accumulate(self.tail_value(ts))  # guard roundoff dips
-            finite = np.isfinite(ns)
-            self._inverse_tail_grid = (ns[finite], ts[finite])
-        ns, ts = self._inverse_tail_grid
-        return np.interp(e, ns, ts)
+        return self.tail(t)
 
     # -- sampling -----------------------------------------------------
 
@@ -302,7 +312,7 @@ def _tail_quad_raw_moment(tail_fn, support_bound: float, p: float,
         lo, hi = hi, hi * 2.0
 
 
-def log_concave_from_tail(tail, name: str = "log_concave_from_tail") -> DistributionModel:
+def log_concave_from_tail(tail) -> DistributionModel:
     """Model defined by a tail exponent t -> N(t), rescaled to variance 1.
 
     `tail` is any object with an `evaluator` callable and a
@@ -325,12 +335,12 @@ def log_concave_from_tail(tail, name: str = "log_concave_from_tail") -> Distribu
         return _tail_quad_raw_moment(tail_fn, support, p) ** (1.0 / p)
 
     def sampler(rng, n):
-        mag = model.tail_quantile(rng.exponential(size=n))
+        mag = model.tail.quantile(rng.exponential(size=n))
         sgn = _signs(rng, n)
         return mag * sgn
 
     model = DistributionModel(
-        name, {"sigma": sigma},
+        "log_concave_from_tail", {"sigma": sigma},
         moment_fn=moment_fn,
         tail_fn=tail_fn,
         sampler=sampler,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from . import dist
 from .dist import DistributionModel
@@ -86,13 +87,10 @@ class IndexSet:
     """Finite set of coefficient vectors in R^n."""
 
     points: np.ndarray
-    labels: Optional[tuple] = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
-        if self.labels is not None and len(self.labels) != len(pts):
-            raise ValueError("labels length must match point count")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -254,11 +252,9 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     Monte-Carlo processes share one sample pass across all pairs, which
     keeps the matrix symmetric and the run deterministic.
     """
-    m = len(T)
-    out = np.zeros((m, m))
-    ii, jj = np.triu_indices(m, 1)
-    out[ii, jj] = out[jj, ii] = _pair_norms(proc, T.points, p, samples, seed)[0]
-    return out
+    if len(T) == 0:
+        raise ValueError("distance matrix of an empty index set is undefined")
+    return squareform(_pair_norms(proc, T.points, p, samples, seed)[0])
 
 
 def diameter(T: IndexSet, proc: ProcessSpec, p: float,
@@ -271,13 +267,12 @@ def diameter(T: IndexSet, proc: ProcessSpec, p: float,
     return float(distance_matrix(proc, T, p, samples=samples, seed=seed).max())
 
 
-def latala_norm(coeffs, proc: ProcessSpec, r: int,
-                rel_tol: float = 1e-10) -> float:
+def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:
     """|||(a_i X_i)|||_r = inf{u > 0 : prod_i E|1 + a_i X_i / u|^r <= e^r}.
 
     For symmetric coordinates and even r the product expands into even
     moments and is strictly decreasing in u, so the threshold is a unique
-    root found by bisection.
+    root found by bisection to 1e-10 relative.
     """
     r = int(r)
     if r < 2 or r % 2 != 0:
@@ -321,7 +316,7 @@ def latala_norm(coeffs, proc: ProcessSpec, r: int,
             u /= 2.0
     if lo is None or hi is None:
         raise RuntimeError("failed to bracket the product-moment root")
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if log_product(mid) > target:
             lo = mid

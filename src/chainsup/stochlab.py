@@ -262,7 +262,7 @@ def symmetrization_check(proc: ProcessSpec, T: IndexSet, p: float,
 
         sym_models.append(DistributionModel(
             base.family + "_symmetrized", base.params,
-            moment_fn=base._moment_fn, tail_fn=base._tail_fn,
+            moment_fn=base._moment_fn, tail_fn=base.tail.evaluator,
             sampler=sampler, support_bound=base.support_bound))
     sproc = ProcessSpec(models=tuple(sym_models))
 
@@ -270,7 +270,7 @@ def symmetrization_check(proc: ProcessSpec, T: IndexSet, p: float,
     # pair-norm pass per process
     dx, err_x, _ = metric._pair_norms(proc, T.points, p, samples, stream.master_seed)
     dxs, err_s, _ = metric._pair_norms(sproc, T.points, p, samples, stream.master_seed + 1)
-    keep = dx > 0
+    keep = dx != 0  # a NaN distance stays in, and fails the bracket
     dx, dxs, err = dx[keep], dxs[keep], (err_s + err_x)[keep]
     bracket_ok = bool(np.all((0.5 * dx - err <= dxs) & (dxs <= 2.0 * dx + err)))
 

@@ -109,9 +109,6 @@ class _RunningSupIntegral:
                 h_t = np.maximum(base_h, self._integrand(arr[live]))
             vals = self.G[idx] + 0.5 * (base_h + h_t) * (arr[live] - base_t)
             out[live] = vals
-        out[arr >= finite_sup] = np.inf
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return float(out[0])
         return out
 
 
@@ -145,10 +142,7 @@ def convex_minorant(f, c: float, t0: float = 0.0,
     if check_precondition:
         _check_sublinear(f, c, t0)
     integral = _RunningSupIntegral(f, c, start=c * t0, support_bound=support)
-    return TailFunction(
-        evaluator=lambda t: np.asarray(integral(t), dtype=float),
-        support_bound=c * support,
-    )
+    return TailFunction(integral, c * support, start=c * t0)
 
 
 @dataclass(frozen=True)
@@ -189,19 +183,16 @@ def log_concave_envelope(model: DistributionModel, alpha: float,
         )
     consts = regularity_constants(alpha)
     g = convex_minorant(
-        TailFunction(lambda t: np.asarray(model.tail_value(np.maximum(t, 0.0))),
-                     support_bound=model.support_bound),
+        model.tail,
         c=consts.kappa_alpha,
         t0=consts.t0,
         check_precondition=False,  # guaranteed by alpha-regularity
     )
 
     def evaluator(t):
-        arr = np.asarray(t, dtype=float)
-        return np.where(arr <= consts.T_alpha, 0.0,
-                        np.asarray(g(np.maximum(arr, consts.T_alpha)), dtype=float))
+        return np.where(t <= consts.T_alpha, 0.0, g(np.maximum(t, consts.T_alpha)))
 
-    return TailFunction(evaluator=evaluator, support_bound=g.support_bound)
+    return TailFunction(evaluator, g.support_bound, start=consts.T_alpha)
 
 
 def growth_constant(alpha: float, beta: float, r: float) -> tuple[float, int]:
@@ -219,19 +210,17 @@ def growth_constant(alpha: float, beta: float, r: float) -> tuple[float, int]:
     return c, k
 
 
-def check_moderate_growth(tail, r: float, C: float, t_min: float = 2.0,
-                          n_points: int = 256, span: float = 1e3):
-    """Check N(r*t) <= C*N(t) on a log grid of t >= t_min.
+def check_moderate_growth(tail, r: float, C: float, t_min: float = 2.0):
+    """Check N(r*t) <= C*N(t) on 256 log-spaced t in [t_min, 1000 t_min].
 
     Returns (passed, worst_ratio); a zero N(t) with positive N(r*t) counts
     as an infinite ratio.
     """
     if t_min < 2.0:
         raise ValueError("t_min must be >= 2")
-    eval_t = tail if callable(tail) else tail.evaluator
-    ts = np.geomspace(t_min, t_min * span, n_points)
-    n_t = np.asarray(eval_t(ts), dtype=float)
-    n_rt = np.asarray(eval_t(r * ts), dtype=float)
+    ts = np.geomspace(t_min, t_min * 1e3, 256)
+    n_t = np.asarray(tail(ts), dtype=float)
+    n_rt = np.asarray(tail(r * ts), dtype=float)
     finite = np.isfinite(n_t) & np.isfinite(n_rt)
     if not np.all(finite):
         return False, math.inf
@@ -264,38 +253,13 @@ class SurrogateCoordinate:
     lambda_i: float
     p_i: float
     gamma_tilde: float
-    _inv_grid_t: np.ndarray = None
-    _inv_grid_m: np.ndarray = None
-
-    def envelope_inverse(self, e: np.ndarray) -> np.ndarray:
-        """Generalized inverse inf{t : M(t) >= e} on a cached grid."""
-        e = np.asarray(e, dtype=float)
-        need = float(np.max(e, initial=0.0))
-        if need > self._inv_grid_m[-1]:
-            self._grow_inverse_grid(need)
-        return np.interp(e, self._inv_grid_m, self._inv_grid_t)
-
-    def _grow_inverse_grid(self, need: float) -> None:
-        hi = self._inv_grid_t[-1]
-        while self._inv_grid_m[-1] < need:
-            hi *= 2.0
-            ts = np.geomspace(self.constants.T_alpha, hi, 16384)
-            ms = np.maximum.accumulate(np.asarray(self.envelope(ts), dtype=float))
-            finite = np.isfinite(ms)
-            self._inv_grid_t, self._inv_grid_m = ts[finite], ms[finite]
-            if not math.isfinite(self.envelope.support_bound) and not np.all(finite):
-                break
-            if math.isfinite(self.envelope.support_bound) and hi >= self.envelope.support_bound:
-                break
 
     def m_tilde(self, t):
         """Repaired envelope: linear on [0, t_alpha], M beyond."""
         arr = np.asarray(t, dtype=float)
         out = np.where(arr <= self.t_alpha, self.lambda_i * arr,
-                       np.asarray(self.envelope(np.maximum(arr, self.t_alpha)), dtype=float))
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
+                       self.envelope(np.maximum(arr, self.t_alpha)))
+        return dist._scalar_or_array(t, out)
 
     def u_tail(self, t):
         """P(|U| > t) for the truncated-exponential filler."""
@@ -303,10 +267,7 @@ class SurrogateCoordinate:
         lam, p = self.lambda_i, self.p_i
         out = np.where(arr > self.t_alpha, 0.0,
                        (np.exp(-lam * arr) - p) / (1.0 - p))
-        out = np.clip(out, 0.0, 1.0)
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
+        return dist._scalar_or_array(t, np.clip(out, 0.0, 1.0))
 
     def sample_coupled(self, rng: np.random.Generator, count: int) -> dict:
         """Pathwise-coupled draws of X, X~, Y, U, Z (shared uniforms/signs)."""
@@ -315,9 +276,9 @@ class SurrogateCoordinate:
         u_filler = rng.random(count)                    # filler's own uniform
         sgn_filler = dist._signs(rng, count)
 
-        x_abs = self.model.tail_quantile(e)
+        x_abs = self.model.tail.quantile(e)
         xt_abs = np.maximum(x_abs, self.constants.T_alpha)
-        y_abs = self.envelope_inverse(e)
+        y_abs = self.envelope.quantile(e)
         u_abs = -np.log(u_filler * (1.0 - self.p_i) + self.p_i) / self.lambda_i
         big = y_abs > self.t_alpha
         z = np.where(big, sgn * y_abs, sgn_filler * u_abs)
@@ -362,9 +323,6 @@ def build_surrogates(proc, alpha: float, beta: float,
         m_at = float(envelope(t_alpha))
         if not (m_at > 0):
             raise ValueError(f"degenerate envelope: M(t_alpha) = {m_at} at coordinate {i}")
-        ts = np.geomspace(consts.T_alpha, max(2.0 * t_alpha, 10.0 * consts.T_alpha), 16384)
-        ms = np.maximum.accumulate(np.asarray(envelope(ts), dtype=float))
-        finite = np.isfinite(ms)
         coords.append(SurrogateCoordinate(
             model=model,
             envelope=envelope,
@@ -373,8 +331,6 @@ def build_surrogates(proc, alpha: float, beta: float,
             lambda_i=m_at / t_alpha,
             p_i=math.exp(-m_at),
             gamma_tilde=gamma_tilde,
-            _inv_grid_t=ts[finite],
-            _inv_grid_m=ms[finite],
         ))
     return SurrogateFamily(coordinates=coords, alpha=float(alpha),
                            beta=float(beta), gamma_tilde=gamma_tilde)

@@ -38,6 +38,11 @@ __all__ = [
 # universal constant is unspecified, observed ratios are first-class.
 UPPER_BOUND_POLICY_CONSTANT = 40.0
 
+# where comparison_experiment reads its empirical tail-domination curves:
+# quantiles u of sup X, and the scales c in P(sup Y >= u) vs P(sup X >= u/c)
+_TAIL_QUANTILES = (0.5, 0.75, 0.9, 0.95, 0.99)
+_TAIL_SCALES = (1.0, 2.0, 4.0, 8.0)
+
 
 @dataclass
 class SudakovReport:
@@ -121,20 +126,22 @@ def two_sided_experiment(proc: ProcessSpec, T: IndexSet, samples: int,
                          workers: int = 1) -> TwoSidedReport:
     """gamma_X certificate (exact when affordable) vs the MC E sup.
 
-    `gamma_value` overrides the search when an analytic oracle value is
-    available (uniform spaces)."""
+    `gamma_value` overrides the greedy search when an analytic oracle value
+    is available (uniform spaces).  In exact mode an affordable exact search
+    gives both the value and the certificate tree."""
     cert_tree = None
     exact_val = None
-    if gamma_value is not None:
+    affordable = len(T) <= gamma_mod.EXACT_LIMIT and metric_mod.is_exact_metric(proc, T)
+    if affordable:
+        exact_val, exact_tree = gamma_mod.compute_gamma(T, proc, "gammaX", mode="exact",
+                                                        seed=stream.master_seed)
+    if affordable and mode == "exact":
+        cert_val, cert_tree = exact_val, exact_tree
+    elif gamma_value is not None:
         cert_val = float(gamma_value)
     else:
         cert_val, cert_tree = gamma_mod.compute_gamma(
             T, proc, "gammaX", mode="greedy", samples=samples, seed=stream.master_seed)
-    if len(T) <= gamma_mod.EXACT_LIMIT and metric_mod.is_exact_metric(proc, T):
-        exact_val, _ = gamma_mod.compute_gamma(T, proc, "gammaX", mode="exact",
-                                               seed=stream.master_seed)
-        if mode == "exact":
-            cert_val = exact_val
     esup = estimate_sup(proc, T, samples, stream, workers=workers)
     degenerate = len(T) == 1
     if degenerate:
@@ -183,8 +190,6 @@ def weak_strong_experiment(proc: ProcessSpec, T: IndexSet, p: float,
 
 def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
                           p_grid: Sequence[float], samples: int, stream: RngStream,
-                          quantiles: Sequence[float] = (0.5, 0.75, 0.9, 0.95, 0.99),
-                          scale_grid: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
                           workers: int = 1) -> dict:
     """Comparison harness: check increment domination on the grid, then
     report E sup ratios and empirical tail-domination curves.
@@ -200,7 +205,8 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
         dx, err_x, _ = metric_mod._pair_norms(procX, pts, p, samples, stream.master_seed)
         dy, err_y, _ = metric_mod._pair_norms(procY, pts, p, samples,
                                               stream.master_seed + 1)
-        bad = np.flatnonzero(dy > dx + (err_x + err_y + 1e-9 * (1.0 + dx)))
+        # written so that a NaN on either side counts as a violation
+        bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * (1.0 + dx))))
         if bad.size:
             k = bad[0]
             raise ValueError(
@@ -221,10 +227,10 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     sx = collect(procX, stream.child(2))
     sy = collect(procY, stream.child(3))
     curves = []
-    for q in quantiles:
+    for q in _TAIL_QUANTILES:
         u = float(np.quantile(sx, q))
         py = float(np.mean(sy >= u))
-        for c in scale_grid:
+        for c in _TAIL_SCALES:
             px = float(np.mean(sx >= u / c))
             curves.append({"quantile": q, "u": u, "c": c,
                            "p_supY_ge_u": py, "p_supX_ge_u_over_c": px,

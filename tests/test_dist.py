@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special as sp, stats
 
 from chainsup import dist
 from chainsup.streams import RngStream
@@ -83,6 +84,24 @@ class TestTails:
         ts = np.linspace(0, hi * 0.999, 100)
         vals = np.asarray(model.tail_value(ts))
         assert np.all(np.diff(vals) >= -1e-12)
+
+    @pytest.mark.parametrize("make,inverse,rel", [
+        # 1.5e-6 for the gaussian: linear interpolation of t = N^-1 on the
+        # 8,192-point geometric grid errs by up to (r^2 - 1)^2 / 32 = 1.43e-6
+        # where N grows like t^2/2 (r = 1e12^(1/8191)); below e = 1e-9 the
+        # cancellation in -ln(2 Phi(-t)) would dominate instead
+        (dist.gaussian,
+         lambda e: np.where(e < 1.0, math.sqrt(2.0) * sp.erfinv(-np.expm1(-e)),
+                            stats.norm.isf(np.exp(-e) / 2.0)), 1.5e-6),
+        (dist.sym_exponential, lambda e: e / math.sqrt(2.0), 1e-6),
+        (lambda: dist.sym_weibull(1.5),
+         lambda e: math.exp(-0.5 * math.lgamma(1.0 + 2.0 / 1.5)) * e ** (1.0 / 1.5), 1e-6),
+    ], ids=["gaussian", "sym_exponential", "sym_weibull_1.5"])
+    def test_quantile_inverts_closed_forms(self, make, inverse, rel):
+        es = np.geomspace(1e-9, 40.0, 4001)
+        got = make().tail.quantile(es)
+        want = inverse(es)
+        assert np.max(np.abs(got - want) / want) <= rel
 
     def test_tail_moment_identity(self, model):
         # moment(p)^p = int p t^(p-1) exp(-N(t)) dt

@@ -62,10 +62,6 @@ class TestIndexSet:
         assert len(T) == 2
         assert np.allclose(T.points[0], 0.0)
 
-    def test_label_mismatch(self):
-        with pytest.raises(ValueError):
-            IndexSet(np.eye(2), labels=("a",))
-
 
 class TestIncrementNorm:
     def test_gaussian_closed_form(self):
@@ -153,6 +149,10 @@ class TestDistanceMatrix:
         a = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)
         b = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)
         assert np.array_equal(a, b)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((0, 2))), 2.0)
 
     def test_rademacher_enumeration_path(self):
         T = IndexSet.basis(4)

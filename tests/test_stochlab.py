@@ -274,3 +274,17 @@ class TestSymmetrization:
         out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
                                             samples=20_000, stream=RngStream(16, 0))
         assert not out["moment_bracket_ok"] and not out["passed"]
+
+    def test_nan_distance_fails_the_bracket(self, monkeypatch):
+        real = metric._pair_norms
+
+        def with_nan(proc, pts, p, samples, seed):
+            values, errors, method = real(proc, pts, p, samples, seed)
+            values[0] = math.nan
+            return values, errors, method
+
+        monkeypatch.setattr(metric, "_pair_norms", with_nan)
+        pts = np.random.default_rng(15).standard_normal((4, 3))
+        out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
+                                            samples=20_000, stream=RngStream(16, 0))
+        assert not out["moment_bracket_ok"] and not out["passed"]

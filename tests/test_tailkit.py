@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from chainsup import dist, tailkit
 from chainsup.metric import ProcessSpec
@@ -142,6 +143,22 @@ class TestEnvelope:
     def test_irregular_model_rejected(self):
         with pytest.raises(ValueError):
             tailkit.log_concave_envelope(dist.three_point(100.0), 2.0)
+
+    def test_quantile_matches_root_finder(self):
+        env = tailkit.log_concave_envelope(dist.gaussian(), 1.0)
+        T = tailkit.regularity_constants(1.0).T_alpha
+        for e in np.geomspace(1e-6, 40.0, 60):
+            hi = 2.0 * T
+            while env(hi) < e:
+                hi *= 2.0
+            root = brentq(lambda t: env(t) - e, T, hi, xtol=1e-13, rtol=1e-15)
+            assert env.quantile(e) == pytest.approx(root, rel=1e-7)
+
+    @pytest.mark.parametrize("make", [dist.gaussian, dist.sym_exponential])
+    def test_quantile_starts_at_threshold(self, make):
+        # M is 0 on [0, T_alpha]: no draw lands below T_alpha
+        env = tailkit.log_concave_envelope(make(), 1.0)
+        assert env.quantile(1e-12) >= tailkit.regularity_constants(1.0).T_alpha
 
 
 class TestGrowthConstant:

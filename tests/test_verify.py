@@ -110,6 +110,15 @@ class TestTwoSided:
         assert not rep.degenerate
         rep.certificate.validate(6)
 
+    @pytest.mark.parametrize("seed", [22, 39])
+    def test_exact_mode_certificate_is_the_exact_tree(self, seed):
+        T = IndexSet(np.random.default_rng(seed).standard_normal((10, 4)))
+        proc = gauss_proc(4)
+        rep = verify.two_sided_experiment(proc, T, samples=1_000,
+                                          stream=RngStream(seed, 0), mode="exact")
+        assert rep.gamma_upper_cert == rep.gamma_exact
+        assert gamma.evaluate_certificate(rep.certificate, T, proc) == rep.gamma_upper_cert
+
     def test_oracle_override(self):
         n = 257
         oracle = gamma.uniform_space_gamma(n, lambda p: 2.0 * 2.0 ** (-1.0 / p))
@@ -239,6 +248,23 @@ class TestComparison:
         # both verdicts occur, and some first violation is past the first pair
         assert None in outcomes
         assert any(o and not o.startswith("(s=0, t=1,") for o in outcomes)
+
+    def test_nan_distance_raises(self, monkeypatch):
+        real = metric._pair_norms
+
+        def with_nan(proc, pts, p, samples, seed):
+            values, errors, method = real(proc, pts, p, samples, seed)
+            values[0] = math.nan
+            return values, errors, method
+
+        monkeypatch.setattr(metric, "_pair_norms", with_nan)
+        T = IndexSet.with_origin(np.eye(2))
+        # rademacher increments are dominated by gaussian ones, so only the
+        # NaN can fail the check
+        with pytest.raises(ValueError, match=r"\(s=0, t=1, p=4\.0\)"):
+            verify.comparison_experiment(gauss_proc(2), rad_proc(2), T,
+                                         p_grid=(4.0,), samples=1_000,
+                                         stream=RngStream(26, 1))
 
     def test_first_violation_named(self):
         T = IndexSet.with_origin(np.eye(2))
