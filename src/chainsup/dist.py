@@ -199,8 +199,11 @@ class DistributionModel:
 
 def gaussian() -> DistributionModel:
     def tail(t):
-        # P(|g| > t) = 2*sf(t); log_ndtr(-t) = log sf(t), stable far out
-        return -(_LN2 + sp.log_ndtr(-t))
+        # P(|g| > t) = 2*sf(t) = 1 - erf(t/sqrt2).  log_ndtr(-t) = log sf(t)
+        # is stable far out, but ln 2 + log_ndtr(-t) cancels near t = 0;
+        # below t = 1 the log1p form keeps full relative accuracy.
+        near = -np.log1p(-sp.erf(np.minimum(t, 1.0) / math.sqrt(2.0)))
+        return np.where(t < 1.0, near, -(_LN2 + sp.log_ndtr(-t)))
 
     return DistributionModel(
         "gaussian", {},

@@ -11,6 +11,11 @@ time; each tile is reduced straight to its per-row values, so no
 (chunk x |T|) matrix of process values exists.  The tile holds
 `metric._MC_TILE_ELEMS` values, the budget of the Monte-Carlo metric
 kernel, so memory stays flat in |T|.
+
+A coordinate selection (every point of T has at most one nonzero
+coefficient, as the basis) is projected by a scaled column gather plus
+0.0, which turns -0.0 into +0.0 as the matmul's +0 accumulator does, so
+the values equal the matmul's bit for bit (see `_tiled_draw`).
 """
 
 from __future__ import annotations
@@ -94,6 +99,19 @@ def _accumulate(stream: RngStream, samples: int, draw_chunk, workers: int = 1):
     return mean, np.sqrt(var / n), n
 
 
+def _selection(pts: np.ndarray):
+    """(cols, coef) when row r of pts is coef[r] * e_cols[r], else None.
+
+    Every row must have at most one nonzero entry; an all-zero row gets
+    column 0 and coefficient 0.
+    """
+    nonzero = pts != 0
+    if np.any(nonzero.sum(axis=1) > 1):
+        return None
+    cols = nonzero.argmax(axis=1)
+    return cols, pts[np.arange(len(pts)), cols]
+
+
 def _tiled_draw(proc: ProcessSpec, pts: np.ndarray, reduce):
     """`draw_chunk(rng, rows)` giving reduce(x @ pts.T) for draws x.
 
@@ -101,18 +119,52 @@ def _tiled_draw(proc: ProcessSpec, pts: np.ndarray, reduce):
     per row.  The draws x of a chunk are projected and reduced in row
     tiles of `_MC_TILE_ELEMS // |pts|` rows (at least one), each written
     straight into the (rows,) output; the draws do not depend on the tile.
+
+    When pts is a coordinate selection (`_selection`), a tile is the
+    column gather x[:, cols], times coef unless every coefficient is 1,
+    plus 0.0.  That equals the matmul bit for bit: the matmul adds one
+    product, rounded once, to exact zeros in a +0 accumulator, so a -0.0
+    product (say a zero draw times a negative coefficient) comes out
+    +0.0, and `+ 0.0` does the same.  The gathered tile keeps the
+    draws' Fortran order; every reduction used here (max, min, abs,
+    powers) is exact, so it gives the same bits as on the C-ordered
+    matmul tile.
     """
-    pts_T = pts.T
     tile = max(1, _MC_TILE_ELEMS // len(pts))
+    selection = _selection(pts)
+    if selection is None:
+        pts_T = pts.T
+
+        def project(xs):
+            return xs @ pts_T
+    else:
+        cols, coef = selection
+        scaled = bool(np.any(coef != 1.0))
+
+        def project(xs):
+            v = xs[:, cols]
+            if scaled:
+                v *= coef
+            v += 0.0
+            return v
 
     def draw(rng, rows):
         x = proc.sample_matrix(rng, rows)
         out = np.empty(rows)
         for lo in range(0, rows, tile):
-            out[lo:lo + tile] = reduce(x[lo:lo + tile] @ pts_T)
+            out[lo:lo + tile] = reduce(project(x[lo:lo + tile]))
         return out
 
     return draw
+
+
+def _check_inputs(proc: ProcessSpec, T: IndexSet, samples: int) -> None:
+    if len(T) == 0:
+        raise ValueError("index set is empty")
+    if samples < 100:
+        raise ValueError("at least 100 samples required")
+    if T.dimension != proc.dimension:
+        raise ValueError("index set dimension does not match the process")
 
 
 def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
@@ -124,14 +176,9 @@ def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
     chunk of draws is projected onto T and reduced one row tile at a time
     (`_tiled_draw`), so memory stays O(chunk * dimension) whatever |T|.
     """
-    if len(T) == 0:
-        raise ValueError("index set is empty")
-    if samples < 100:
-        raise ValueError("at least 100 samples required")
+    _check_inputs(proc, T, samples)
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}")
-    if T.dimension != proc.dimension:
-        raise ValueError("index set dimension does not match the process")
     if len(T) == 1 and target == "sup_increments":
         return SupremumEstimate(0.0, 0.0, samples, stream.master_seed,
                                 stream.stream_id, target)
@@ -149,6 +196,7 @@ def estimate_mean(proc: ProcessSpec, T: IndexSet, samples: int, stream: RngStrea
     number per row; it is applied to row tiles of each chunk, as in
     `estimate_sup`.  Used for weak/strong-moment experiments.
     """
+    _check_inputs(proc, T, samples)
     draw = _tiled_draw(proc, T.points, transform)
     mean, stderr, _ = _accumulate(stream, samples, draw, workers=workers)
     return float(mean), float(stderr)

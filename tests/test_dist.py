@@ -75,6 +75,36 @@ class TestTails:
     def test_gaussian_zero(self):
         assert dist.gaussian().tail_value(0.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_gaussian_small_t(self):
+        # N(t) = a t + a^2 t^2 / 2 + O(t^3), a = sqrt(2/pi); ln 2 + log_ndtr(-t)
+        # cancels here and was off by 1.3e-5 relative at t = 1e-11
+        a = math.sqrt(2.0 / math.pi)
+        ts = np.geomspace(1e-13, 1e-7, 61)
+        got = dist.gaussian().tail_value(ts)
+        assert np.max(np.abs(got / (a * ts + 0.5 * a * a * ts * ts) - 1.0)) <= 1e-12
+
+    def test_gaussian_continuous_at_switch(self):
+        # the log1p(-erf) form below t = 1 meets the log_ndtr form at t = 1
+        g = dist.gaussian()
+        ts = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+        vals = g.tail_value(ts)
+        assert np.all(np.diff(vals) >= 0.0)
+        assert vals[2] - vals[0] <= 4 * np.spacing(vals[1])
+
+    def test_gaussian_quantile_near_zero(self):
+        g = dist.gaussian()
+        es = np.geomspace(1e-14, 1e-9, 501)
+        got = g.tail.quantile(es)
+        want = math.sqrt(2.0) * sp.erfinv(-np.expm1(-es))
+        rel = np.abs(got - want) / want
+        ns, ts = g.tail._inverse_grid
+        resolved = es >= ns[1]
+        assert resolved.any() and not resolved.all()
+        assert np.max(rel[resolved]) <= 1e-12
+        # below N(t1), t1 = ts[1] = 6.4e-11 the first grid point past 0, the
+        # grid's first interval is a chord of N: off by t1 / sqrt(2 pi) relative
+        assert np.max(rel[~resolved]) <= 1.01 * ts[1] / math.sqrt(2.0 * math.pi)
+
     def test_negative_rejected(self, model):
         with pytest.raises(ValueError):
             model.tail_value(-0.1)
@@ -88,8 +118,8 @@ class TestTails:
     @pytest.mark.parametrize("make,inverse,rel", [
         # 1.5e-6 for the gaussian: linear interpolation of t = N^-1 on the
         # 8,192-point geometric grid errs by up to (r^2 - 1)^2 / 32 = 1.43e-6
-        # where N grows like t^2/2 (r = 1e12^(1/8191)); below e = 1e-9 the
-        # cancellation in -ln(2 Phi(-t)) would dominate instead
+        # where N grows like t^2/2 (r = 1e12^(1/8191)); e below 1e-9 is
+        # covered by test_gaussian_quantile_near_zero
         (dist.gaussian,
          lambda e: np.where(e < 1.0, math.sqrt(2.0) * sp.erfinv(-np.expm1(-e)),
                             stats.norm.isf(np.exp(-e) / 2.0)), 1.5e-6),

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chainsup import dist, metric, stochlab
+from chainsup import dist, metric, stochlab, verify
 from chainsup.metric import IndexSet, ProcessSpec
 from chainsup.streams import RngStream
 
@@ -15,6 +16,34 @@ def gauss_proc(n):
 
 def rad_proc(n):
     return ProcessSpec.homogeneous(dist.rademacher(), n)
+
+
+# gaussian, rademacher, sym_exponential, sym_weibull(1.5), three_point(3):
+# the three_point zero atom times a negative coefficient is -0.0
+_FAMILIES = (dist.gaussian(), dist.rademacher(), dist.sym_exponential(),
+             dist.sym_weibull(1.5), dist.three_point(3.0))
+
+
+def mixed_proc(n):
+    return ProcessSpec(models=tuple(_FAMILIES[j % 5] for j in range(n)))
+
+
+def _sphere(n, dim, seed):
+    pts = np.random.default_rng(seed).standard_normal((n, dim))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+# index sets in R^5: coordinate selections (gathered) and dense sets (matmul)
+_SELECTIONS = {
+    "basis_with_origin": np.vstack([np.zeros(5), np.eye(5), np.eye(5)[2]]),
+    "permuted_repeated": np.eye(5)[[3, 1, 4, 1, 0, 2, 3]],
+    "signed_scaled": np.eye(5)[[4, 0, 4, 2, 1, 3, 4]] * np.array(
+        [[-1.0], [2.5], [-0.3], [-0.0], [-7.0], [1e-3], [0.0]]),
+}
+_NOT_SELECTIONS = {
+    "packing": verify.packing_set(2, 5).points,
+    "sphere": _sphere(7, 5, 26),
+}
 
 
 class TestEstimateSup:
@@ -79,6 +108,36 @@ class TestEstimateSup:
             stochlab.estimate_sup(gauss_proc(2), IndexSet.basis(2), 10,
                                   RngStream(0, 0))
 
+    def test_worker_count_invariance_on_basis(self):
+        # a basis is projected by column gather; threads must not move it
+        a = stochlab.estimate_sup(rad_proc(64), IndexSet.basis(64),
+                                  200_000, RngStream(17, 0), workers=1)
+        b = stochlab.estimate_sup(rad_proc(64), IndexSet.basis(64),
+                                  200_000, RngStream(17, 0), workers=2)
+        assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+
+class TestEstimateMeanInputs:
+    """`estimate_mean` refuses what `estimate_sup` refuses."""
+
+    @staticmethod
+    def run(proc, T, samples):
+        return stochlab.estimate_mean(proc, T, samples, RngStream(0, 0),
+                                      lambda v: v.max(axis=1))
+
+    def test_empty_index_set(self):
+        with pytest.raises(ValueError, match="empty"):
+            self.run(gauss_proc(2), IndexSet(np.empty((0, 2))), 1000)
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError, match="100 samples"):
+            self.run(gauss_proc(2), IndexSet.basis(2), 10)
+
+    def test_dimension_mismatch(self):
+        # a column gather would silently read only the first two coordinates
+        with pytest.raises(ValueError, match="dimension"):
+            self.run(gauss_proc(3), IndexSet.basis(2), 1000)
+
 
 class TestTiledProjection:
     """Row-tiled projection against a naive reduction of the same draws."""
@@ -104,9 +163,7 @@ class TestTiledProjection:
         assert stochlab._CHUNK % 142 and (70_001 - stochlab._CHUNK) % 142
 
     def setup_method(self):
-        self.proc = ProcessSpec(models=(dist.gaussian(), dist.rademacher(),
-                                        dist.sym_exponential(), dist.sym_weibull(1.5),
-                                        dist.three_point(3.0)))
+        self.proc = mixed_proc(5)
         self.pts = np.random.default_rng(21).standard_normal((7, 5))
         self.samples = 70_001
 
@@ -126,6 +183,73 @@ class TestTiledProjection:
         got = stochlab.estimate_mean(self.proc, IndexSet(self.pts), self.samples,
                                      stream, transform)
         assert got == self.naive(self.proc, self.pts, self.samples, stream, transform)
+
+    @pytest.mark.parametrize("name", [*_SELECTIONS, *_NOT_SELECTIONS])
+    @pytest.mark.parametrize("target", stochlab.TARGETS)
+    def test_estimate_sup_on_selections(self, uneven_tiles, name, target):
+        pts = {**_SELECTIONS, **_NOT_SELECTIONS}[name]
+        assert (stochlab._selection(pts) is None) == (name in _NOT_SELECTIONS)
+        stream = RngStream(27, 5)
+        est = stochlab.estimate_sup(self.proc, IndexSet(pts), self.samples,
+                                    stream, target=target)
+        assert (est.mean, est.stderr) == self.naive(
+            self.proc, pts, self.samples, stream, stochlab._REDUCERS[target])
+
+    @pytest.mark.parametrize("name", [*_SELECTIONS, *_NOT_SELECTIONS])
+    def test_estimate_mean_on_selections(self, uneven_tiles, name):
+        pts = {**_SELECTIONS, **_NOT_SELECTIONS}[name]
+        stream = RngStream(28, 6)
+        transform = lambda v: np.abs(v).max(axis=1) ** 4  # noqa: E731
+        got = stochlab.estimate_mean(self.proc, IndexSet(pts), self.samples,
+                                     stream, transform)
+        assert got == self.naive(self.proc, pts, self.samples, stream, transform)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gathered_tiles_equal_the_matmul_bytes(self, data):
+        # signed zeros included: tobytes tells -0.0 from +0.0, == does not
+        dim = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 12))
+        cols = data.draw(st.lists(st.integers(0, dim - 1), min_size=n, max_size=n))
+        coef = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0])
+            | st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False),
+            min_size=n, max_size=n))
+        pts = np.zeros((n, dim))
+        pts[np.arange(n), cols] = coef
+        dense = dim > 1 and data.draw(st.booleans())
+        if dense:  # a second nonzero in one row: not a selection
+            r = data.draw(st.integers(0, n - 1))
+            pts[r, cols[r]] = pts[r, cols[r]] or 1.5
+            pts[r, (cols[r] + 1) % dim] = data.draw(st.sampled_from([0.5, -2.0]))
+        assert (stochlab._selection(pts) is None) == dense
+        proc = mixed_proc(dim)
+        rows = data.draw(st.integers(1, 600))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        tiles = []
+
+        def keep(v):
+            tiles.append(np.array(v, order="C"))
+            return v[:, 0]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stochlab, "_MC_TILE_ELEMS", 256)
+            stochlab._tiled_draw(proc, pts, keep)(np.random.default_rng(seed), rows)
+        x = proc.sample_matrix(np.random.default_rng(seed), rows)
+        assert np.vstack(tiles).tobytes() == (x @ pts.T).tobytes()
+
+    def test_memory_flat_for_a_scaled_basis(self):
+        # 1,000 scaled coordinate vectors in R^4, projected by column gather
+        pts = np.zeros((1000, 4))
+        pts[np.arange(1000), np.arange(1000) % 4] = np.linspace(0.5, 2.0, 1000)
+        assert stochlab._selection(pts) is not None
+        tracemalloc.start()
+        try:
+            stochlab.estimate_sup(gauss_proc(4), IndexSet(pts), 65_536, RngStream(25, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_memory_flat_in_index_set_size(self):
         # a (65,536 x 1,000) matrix of process values alone would take 500 MiB
