@@ -275,12 +275,11 @@ def _run_tails(config, T, proc, tables, workers=1):
 
 def _run_hull(config, T, proc, tables, workers=1):
     par = _params(config)
-    mode = par.get("mode", "greedy")
-    _, tree = gamma.compute_gamma(T, proc, "gammaX", mode=mode,
-                                  samples=par.get("samples", metric.MC_DEFAULT_SAMPLES),
-                                  seed=par.get("seed", 0))
-    rep = verify.convex_hull_decomposition(T, tree, proc,
-                                           seed=par.get("seed", 0))
+    samples = par.get("samples", metric.MC_DEFAULT_SAMPLES)
+    seed = par.get("seed", 0)
+    _, tree = gamma.compute_gamma(T, proc, "gammaX", mode=par.get("mode", "greedy"),
+                                  samples=samples, seed=seed)
+    rep = verify.convex_hull_decomposition(T, tree, proc, samples=samples, seed=seed)
     passed = rep.max_residual <= 1e-9 and rep.max_norm_cap <= 1.0 + 1e-9
     out = dataclasses.asdict(rep)
     return {"report": out, "passed": passed}
@@ -380,7 +379,8 @@ def main(argv=None) -> int:
 
     try:
         report = run(config, workers=max(1, args.workers))
-    except (jsonschema.ValidationError, ValueError, RuntimeError, MemoryError) as exc:
+    except (jsonschema.ValidationError, ValueError, RuntimeError, MemoryError,
+            ArithmeticError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

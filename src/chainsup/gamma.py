@@ -213,7 +213,8 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
 # ----------------------------------------------------------------------
 
 def _farthest_point_split(block: list, k: int, dm: np.ndarray) -> list:
-    """Split `block` into at most k pieces by farthest-point seeding.
+    """Split the sorted `block` into at most k pieces by farthest-point
+    seeding (Gonzalez 1985).
 
     Seeds start from the lowest index; each new seed maximizes the
     distance to the existing seeds (ties to the lowest index), and points
@@ -222,25 +223,22 @@ def _farthest_point_split(block: list, k: int, dm: np.ndarray) -> list:
     if k <= 1 or len(block) == 1:
         return [list(block)]
     k = min(k, len(block))
-    seeds = [block[0]]
-    rest = block[1:]
+    idx = np.array(block)
+    seeds = [0]  # positions in block
+    # distance to the nearest seed; -inf marks a seed, which no scan picks
+    near = dm[idx, block[0]]
+    near[0] = -math.inf
     while len(seeds) < k:
-        best = None
-        for i in rest:
-            if i in seeds:
-                continue
-            dmin = min(dm[i, s] for s in seeds)
-            if best is None or dmin > best[0] + 1e-15:
-                best = (dmin, i)
-        seeds.append(best[1])
-        rest = [i for i in rest if i != best[1]]
-    children = {s: [s] for s in seeds}
-    for i in block:
-        if i in seeds:
-            continue
-        nearest = min(seeds, key=lambda s: (dm[i, s], seeds.index(s)))
-        children[nearest].append(i)
-    return [sorted(children[s]) for s in seeds]
+        best, best_d = None, -math.inf
+        for pos, d in enumerate(near.tolist()):
+            if d > best_d + 1e-15:
+                best, best_d = pos, d
+        seeds.append(best)
+        near = np.minimum(near, dm[idx, block[best]])
+        near[best] = -math.inf
+    owner = np.argmin(dm[np.ix_(idx, idx[seeds])], axis=1)
+    owner[seeds] = np.arange(k)  # a seed keeps itself, even against an equal seed
+    return [idx[owner == j].tolist() for j in range(k)]
 
 
 def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,

@@ -8,6 +8,7 @@ underlying results, only desk-scale regression floors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -78,7 +79,8 @@ def sudakov_experiment(proc: ProcessSpec, T: IndexSet, p: float, u: float,
         min_observed_separation=min_sep,
         separation_ok=separation_ok,
         worst_pair=None if separation_ok else worst_pair,
-        cardinality_ok=len(T) >= math.exp(p),
+        # |T| >= e^p, in log space: e^p overflows a float from p = 710
+        cardinality_ok=math.log(len(T)) >= p,
         esup=esup,
         kappa_obs=esup.mean / u,
     )
@@ -100,12 +102,8 @@ def interleave(T: IndexSet) -> IndexSet:
     pts = T.points
     m, n = pts.shape
     out = np.zeros((m * m, 2 * n))
-    row = 0
-    for i in range(m):
-        for j in range(m):
-            out[row, 0::2] = pts[i]
-            out[row, 1::2] = pts[j]
-            row += 1
+    out[:, 0::2] = np.repeat(pts, m, axis=0)
+    out[:, 1::2] = np.tile(pts, (m, 1))
     return IndexSet(out)
 
 
@@ -253,82 +251,55 @@ class HullDecomposition:
     skipped_steps: int
 
 
-def _cumulative_caps(depth: int) -> list:
-    # M_n = sum_{j<=n} N_j with N_0 = 1; chain points at level n occupy
-    # indices M_{n-1} < k <= M_n
-    caps = []
-    total = 0
-    for n in range(depth):
-        total += gamma_mod.level_cap(n)
-        caps.append(total)
-    return caps
-
-
 def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
                               proc: ProcessSpec,
                               samples: int = metric_mod.MC_DEFAULT_SAMPLES,
                               seed: int = 0) -> HullDecomposition:
     """Chain decomposition of T - T into normalized increments.
 
-    Representatives are the lowest-index point of each block.  Steps are
-    normalized by their d_{2^(n+1)} length; the telescoping sum must
-    reconstruct s - t exactly and every normalized step must satisfy
-    ||X_step||_{ln(k+2)} <= 1 under the level bookkeeping.
+    Representatives are the lowest-index point of each block.  Each block
+    of level n >= 1 steps from its representative to its parent's, one
+    chain point per block, normalized by the d_{2^(n+1)} length of the
+    step; the telescoping sum must reconstruct s - t exactly and every
+    normalized step must satisfy ||X_step||_{ln(k+2)} <= 1 under the level
+    bookkeeping.
     """
     tree.validate(len(T))
     pts = T.points
     m = len(T)
-    depth = tree.depth
-    caps = _cumulative_caps(depth)
-
-    reps = []  # reps[n][i] = representative index of A_n(point i)
-    for n in range(depth):
-        level_rep = np.zeros(m, dtype=int)
-        for block in tree.levels[n]:
-            r = min(block)
-            for i in block:
-                level_rep[i] = r
-        reps.append(level_rep)
-
-    dms = {n: distance_matrix(proc, T, float(2 ** (n + 1)), samples=samples, seed=seed)
-           for n in range(1, depth)}
+    # M_n = sum_{j<=n} N_j with N_0 = 1; chain points at level n occupy
+    # indices M_{n-1} < k <= M_n
+    caps = list(itertools.accumulate(gamma_mod.level_cap(n) for n in range(tree.depth)))
 
     chain_points = []
     step_sums = np.zeros(m)
     skipped = 0
-    step_of = {}  # (level, a, b) -> the chain point emitted for that step
-    for n in range(1, depth):
-        level_count = 0
-        for i in range(m):
-            a, b = reps[n][i], reps[n - 1][i]
+    rep = np.zeros(m, dtype=int)  # representative of each point's block so far
+    # s - t is rebuilt as the difference of two chains from the root
+    # representative, each step added as vector * step_norm, so a wrong
+    # vector or step norm shows in the residuals
+    recon = np.repeat(pts[:1], m, axis=0)
+    for n in range(1, tree.depth):
+        dm = distance_matrix(proc, T, float(2 ** (n + 1)), samples=samples, seed=seed)
+        k = caps[n - 1]
+        for block in tree.levels[n]:
+            a = block[0]
+            b = rep[a]
+            rep[block] = a
             # a step between equal points has length 0 and adds nothing
-            if a == b or dms[n][a, b] == 0.0:
-                skipped += 1
+            if a == b or dm[a, b] == 0.0:
+                skipped += len(block)
                 continue
-            if (n, a, b) in step_of:
-                step_sums[i] += step_of[(n, a, b)]["step_norm"]
-                continue
-            d = float(dms[n][a, b])
-            step_sums[i] += d
-            level_count += 1
-            k = (caps[n - 1] if n >= 1 else 0) + level_count
+            d = float(dm[a, b])
+            k += 1
             vec = (pts[a] - pts[b]) / d
-            p_k = math.log(k + 2)
             cap = increment_norm(proc, vec, np.zeros(proc.dimension),
-                                 max(p_k, 1.0), samples=samples, seed=seed).value
-            step_of[(n, a, b)] = {"level": n, "k": k, "vector": vec,
-                                  "step_norm": d, "norm_cap": cap}
-            chain_points.append(step_of[(n, a, b)])
-    # telescoping residuals: s - t vs the sum of the emitted steps, each
-    # rebuilt as vector * step_norm, so a wrong vector or step norm shows
-    recon = np.zeros_like(pts)
-    for i in range(m):
-        acc = pts[reps[0][i]].copy()
-        for n in range(1, depth):
-            step = step_of.get((n, reps[n][i], reps[n - 1][i]))
-            if step is not None:
-                acc = acc + step["vector"] * step["step_norm"]
-        recon[i] = acc
+                                 max(math.log(k + 2), 1.0), samples=samples,
+                                 seed=seed).value
+            chain_points.append({"level": n, "k": k, "vector": vec,
+                                 "step_norm": d, "norm_cap": cap})
+            step_sums[block] += d
+            recon[block] += vec * d
     # np.max, unlike Python max, propagates a NaN, so a NaN never passes
     max_resid = float(np.max([np.abs((pts[i] - pts) - (recon[i] - recon)).max()
                               for i in range(m)]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from chainsup import cli
+from chainsup import cli, metric
 
 
 class TestValidation:
@@ -176,6 +176,24 @@ class TestRun:
         assert all(math.isfinite(cp["norm_cap"]) for cp in rep["chain_points"])
         assert rep["max_residual"] <= 1e-12
 
+    def test_hull_samples_reach_every_pair_norm_pass(self, monkeypatch):
+        # the tree search and the decomposition both draw params.samples
+        seen = []
+        pair_norms = metric._pair_norms
+
+        def spy(proc, pts, p, samples, seed):
+            seen.append(samples)
+            return pair_norms(proc, pts, p, samples, seed)
+
+        monkeypatch.setattr(metric, "_pair_norms", spy)
+        cli.run({
+            "experiment": "hull",
+            "process": {"family": "sym_exponential"},
+            "index_set": {"type": "sphere_random", "count": 6, "n": 3, "seed": 4},
+            "params": {"seed": 3, "samples": 1_000},
+        })
+        assert len(seen) > 1 and set(seen) == {1_000}
+
 
 class TestEndToEnd:
     def _write_config(self, tmp_path, doc):
@@ -206,6 +224,31 @@ class TestEndToEnd:
         r = run_cli(["sudakov", "--config", str(cfg), "--out",
                      str(tmp_path / "o")], tmp_path)
         assert r.returncode == 2
+
+    def test_sudakov_past_float_exp_exits_two(self, tmp_path, run_cli):
+        # e^800 overflows a float; |T| = 4 < e^800 must fail, not crash
+        cfg = self._write_config(tmp_path, {
+            "process": {"family": "gaussian"},
+            "index_set": {"type": "basis", "n": 4},
+            "params": {"seed": 1, "p": 800, "u": 1.0, "samples": 1_000},
+        })
+        out = tmp_path / "o"
+        r = run_cli(["sudakov", "--config", str(cfg), "--out", str(out)], tmp_path)
+        assert r.returncode == 2, r.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["result"]["report"]["cardinality_ok"] is False
+
+    def test_arithmetic_error_exit_one(self, tmp_path, run_cli):
+        # the moments of a Weibull of shape 0.001 overflow math.exp
+        cfg = self._write_config(tmp_path, {
+            "process": {"family": "sym_weibull", "shape": 0.001},
+            "index_set": {"type": "basis", "n": 1},
+            "params": {"alpha": 1.0},
+        })
+        r = run_cli(["tails", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                    tmp_path)
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr, r.stderr
 
     def test_invalid_config_exit_one(self, tmp_path, run_cli):
         cfg = self._write_config(tmp_path, {"process": {"family": "nope"}})

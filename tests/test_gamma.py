@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -289,6 +290,74 @@ def test_greedy_certificate_bounds_exact(case):
     greedy, tree = gamma.compute_gamma(T, proc, functional, mode="greedy")
     tree.validate(len(T))
     assert greedy >= exact
+
+
+def reference_farthest_point_split(block: list, k: int, dm: np.ndarray) -> list:
+    """Oracle: the list-based farthest-point split, which recomputes each
+    candidate's distance to every seed on each round."""
+    if k <= 1 or len(block) == 1:
+        return [list(block)]
+    k = min(k, len(block))
+    seeds = [block[0]]
+    rest = block[1:]
+    while len(seeds) < k:
+        best = None
+        for i in rest:
+            if i in seeds:
+                continue
+            dmin = min(dm[i, s] for s in seeds)
+            if best is None or dmin > best[0] + 1e-15:
+                best = (dmin, i)
+        seeds.append(best[1])
+        rest = [i for i in rest if i != best[1]]
+    children = {s: [s] for s in seeds}
+    for i in block:
+        if i in seeds:
+            continue
+        nearest = min(seeds, key=lambda s: (dm[i, s], seeds.index(s)))
+        children[nearest].append(i)
+    return [sorted(children[s]) for s in seeds]
+
+
+@st.composite
+def split_cases(draw):
+    """(T, proc, dm, block, k): random, small-lattice (repeated points,
+    exact ties) or ulp-jittered lattice (near ties) sets under a gaussian
+    or Monte-Carlo sym_exponential metric, a sorted sub-block and a piece
+    count up to past its size."""
+    m = draw(st.integers(min_value=2, max_value=14))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "lattice", "jittered"]))
+    if kind == "random":
+        pts = rng.standard_normal((m, dim))
+    else:
+        pts = rng.integers(-1, 2, size=(m, dim)).astype(float)
+    if kind == "jittered":  # distances a few ulps apart, inside the 1e-15 slack
+        pts += rng.integers(-2, 3, size=(m, dim)) * 2.0 ** -52
+    family = draw(st.sampled_from([dist.gaussian, dist.sym_exponential]))
+    proc = ProcessSpec.homogeneous(family(), dim)
+    T = IndexSet(pts)
+    dm = metric.distance_matrix(proc, T, float(2 ** draw(st.integers(0, 3))),
+                                samples=2_000, seed=draw(st.integers(0, 9)))
+    block = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    k = draw(st.integers(min_value=1, max_value=len(block) + 2))
+    return T, proc, dm, block, k
+
+
+@given(case=split_cases())
+@settings(max_examples=150, deadline=None)
+def test_split_matches_the_list_based_oracle(case):
+    T, proc, dm, block, k = case
+    assert gamma._farthest_point_split(block, k, dm) == \
+        reference_farthest_point_split(block, k, dm)
+    value, tree = gamma.compute_gamma(T, proc, mode="greedy", samples=2_000)
+    with mock.patch.object(gamma, "_farthest_point_split",
+                           reference_farthest_point_split):
+        oracle_value, oracle_tree = gamma.compute_gamma(T, proc, mode="greedy",
+                                                        samples=2_000)
+    assert value == oracle_value
+    assert tree.to_json() == oracle_tree.to_json()
 
 
 class TestUniformSpaceGamma:

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainsup import dist, gamma, metric, verify
 from chainsup.metric import IndexSet, ProcessSpec
@@ -274,6 +276,108 @@ class TestComparison:
                                          stream=RngStream(26, 1))
 
 
+def reference_hull(T, tree, proc, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
+    """Oracle: the per-point hull decomposition, with a representative
+    table per level, a step dedup dict and one telescoping sum per point."""
+    tree.validate(len(T))
+    pts = T.points
+    m = len(T)
+    depth = tree.depth
+    caps = list(itertools.accumulate(gamma.level_cap(n) for n in range(depth)))
+    reps = []
+    for n in range(depth):
+        level_rep = np.zeros(m, dtype=int)
+        for block in tree.levels[n]:
+            for i in block:
+                level_rep[i] = min(block)
+        reps.append(level_rep)
+    dms = {n: metric.distance_matrix(proc, T, float(2 ** (n + 1)), samples=samples,
+                                     seed=seed)
+           for n in range(1, depth)}
+    chain_points = []
+    step_sums = np.zeros(m)
+    skipped = 0
+    step_of = {}
+    for n in range(1, depth):
+        level_count = 0
+        for i in range(m):
+            a, b = reps[n][i], reps[n - 1][i]
+            if a == b or dms[n][a, b] == 0.0:
+                skipped += 1
+                continue
+            if (n, a, b) in step_of:
+                step_sums[i] += step_of[(n, a, b)]["step_norm"]
+                continue
+            d = float(dms[n][a, b])
+            step_sums[i] += d
+            level_count += 1
+            k = caps[n - 1] + level_count
+            vec = (pts[a] - pts[b]) / d
+            cap = metric.increment_norm(proc, vec, np.zeros(proc.dimension),
+                                        max(math.log(k + 2), 1.0), samples=samples,
+                                        seed=seed).value
+            step_of[(n, a, b)] = {"level": n, "k": k, "vector": vec,
+                                  "step_norm": d, "norm_cap": cap}
+            chain_points.append(step_of[(n, a, b)])
+    recon = np.zeros_like(pts)
+    for i in range(m):
+        acc = pts[reps[0][i]].copy()
+        for n in range(1, depth):
+            step = step_of.get((n, reps[n][i], reps[n - 1][i]))
+            if step is not None:
+                acc = acc + step["vector"] * step["step_norm"]
+        recon[i] = acc
+    max_resid = float(np.max([np.abs((pts[i] - pts) - (recon[i] - recon)).max()
+                              for i in range(m)]))
+    max_cap = float(np.max([cp["norm_cap"] for cp in chain_points], initial=0.0))
+    return verify.HullDecomposition(chain_points=chain_points,
+                                    R=2.0 * float(step_sums.max(initial=0.0)),
+                                    max_residual=max_resid, max_norm_cap=max_cap,
+                                    skipped_steps=skipped)
+
+
+@st.composite
+def hull_cases(draw):
+    """(T, tree, proc): random, small-lattice (repeated points, exact
+    ties) or ulp-jittered lattice (near ties) sets under a gaussian or
+    Monte-Carlo sym_exponential process, with a greedy tree, or the exact
+    tree when the metric allows it."""
+    m = draw(st.integers(min_value=1, max_value=14))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "lattice", "jittered"]))
+    if kind == "random":
+        pts = rng.standard_normal((m, dim))
+    else:
+        pts = rng.integers(-1, 2, size=(m, dim)).astype(float)
+    if kind == "jittered":  # distances a few ulps apart, inside the 1e-15 slack
+        pts += rng.integers(-2, 3, size=(m, dim)) * 2.0 ** -52
+    family = draw(st.sampled_from([dist.gaussian, dist.sym_exponential]))
+    proc = ProcessSpec.homogeneous(family(), dim)
+    T = IndexSet(pts)
+    exact = (family is dist.gaussian and m <= gamma.EXACT_LIMIT
+             and draw(st.booleans()))
+    _, tree = gamma.compute_gamma(T, proc, mode="exact" if exact else "greedy",
+                                  samples=2_000)
+    return T, tree, proc
+
+
+@given(case=hull_cases())
+@settings(max_examples=80, deadline=None)
+def test_hull_matches_the_per_point_oracle(case):
+    T, tree, proc = case
+    hull = verify.convex_hull_decomposition(T, tree, proc, samples=2_000)
+    oracle = reference_hull(T, tree, proc, samples=2_000)
+    assert len(hull.chain_points) == len(oracle.chain_points)
+    for cp, ref in zip(hull.chain_points, oracle.chain_points):
+        assert (cp["level"], cp["k"], cp["step_norm"]) == \
+            (ref["level"], ref["k"], ref["step_norm"])
+        assert cp["vector"].tobytes() == ref["vector"].tobytes()
+        assert cp["norm_cap"] == ref["norm_cap"]
+    assert (hull.skipped_steps, hull.R, hull.max_residual, hull.max_norm_cap) == \
+        (oracle.skipped_steps, oracle.R, oracle.max_residual, oracle.max_norm_cap)
+
+
 class TestHullDecomposition:
     def _make(self, seed=27, m=8):
         pts = np.random.default_rng(seed).standard_normal((m, 3))
@@ -323,7 +427,7 @@ class TestHullDecomposition:
     def test_k_indices_respect_level_bookkeeping(self):
         T, tree, proc = self._make(seed=28)
         hull = verify.convex_hull_decomposition(T, tree, proc)
-        caps = verify._cumulative_caps(tree.depth)
+        caps = list(itertools.accumulate(gamma.level_cap(n) for n in range(tree.depth)))
         for cp in hull.chain_points:
             n = cp["level"]
             assert caps[n - 1] < cp["k"] <= caps[n]
