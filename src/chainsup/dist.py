@@ -43,6 +43,10 @@ DEFAULT_P_GRID = (2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64
 
 _LN2 = math.log(2.0)
 
+# Smallest sym_weibull shape: below about 0.0117 the moment of order 128,
+# the top of DEFAULT_P_GRID, overflows a float.
+_WEIBULL_MIN_SHAPE = 0.012
+
 # Top of the inverse-tail grid: exp(-746) underflows to 0, so no
 # exponential draw -ln(U) reaches it.
 _TAIL_GRID_TOP = 746.0
@@ -245,8 +249,10 @@ def sym_exponential() -> DistributionModel:
 
 def sym_weibull(shape: float) -> DistributionModel:
     """P(|X| > t) = exp(-(t/s)^shape) with s set so that Var = 1."""
-    if shape <= 0:
-        raise ValueError("weibull shape must be > 0")
+    if not shape >= _WEIBULL_MIN_SHAPE:
+        raise ValueError(f"sym_weibull shape {shape} is out of range: it must be at least "
+                         f"{_WEIBULL_MIN_SHAPE}, below which the moments up to "
+                         f"p = {DEFAULT_P_GRID[-1]:g} overflow a float")
     w = float(shape)
     s = math.exp(-0.5 * math.lgamma(1.0 + 2.0 / w))  # Gamma(1+2/w)^(-1/2)
 

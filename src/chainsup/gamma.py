@@ -146,6 +146,7 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
             idx = np.array(block)
             diam = float(dm[np.ix_(idx, idx)].max())
             totals[idx] += w * diam
+        del dm  # one |T| x |T| matrix alive at a time
     return float(totals.max())
 
 
@@ -278,6 +279,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         for block, k in zip(current, alloc):
             nxt.extend(_farthest_point_split(block, k, dm))
         levels.append(nxt)
+        del dm  # one |T| x |T| matrix alive at a time, evaluation included
     tree = PartitionTree(levels=levels)
     value = evaluate_certificate(tree, T, proc, functional, samples=samples, seed=seed)
     return value, tree

@@ -2,7 +2,9 @@
 
 d_p(s, t) = ||sum_i (s_i - t_i) X_i||_p, computed exactly where the
 coordinate laws allow (gaussian closed form, rademacher sign enumeration)
-and by chunked Monte Carlo with a CLT error bound otherwise.  The Monte
+and by chunked Monte Carlo with a CLT error bound otherwise.  The gaussian
+closed form is ||g||_p |s - t|_2, so every p scales one vector of
+Euclidean pair lengths that an IndexSet computes once, row by row.  The Monte
 Carlo kernel shares one stream of draws across all pairs of a point set
 and reduces it in place, tile by tile, in one scratch buffer sized from a
 fixed element budget; integer p is raised by repeated squaring and
@@ -14,7 +16,7 @@ bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -84,12 +86,20 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Finite set of coefficient vectors in R^n."""
+    """Finite set of coefficient vectors in R^n.
+
+    Holds a read-only copy of the points it is given, so the pair lengths
+    cached on first use cannot go stale and the caller's array stays
+    writable.
+    """
 
     points: np.ndarray
+    _lengths: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.atleast_2d(np.array(self.points, dtype=float))
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -98,6 +108,26 @@ class IndexSet:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
+
+    def pair_lengths(self) -> np.ndarray:
+        """Read-only |t_i - t_j|_2 over the pairs i < j, row-major.
+
+        Computed once, one row of pairs at a time, so no (pairs x dim)
+        array is built; each row's norms are the bytes that
+        np.linalg.norm(_pair_diffs(points), axis=1) gives for it.
+        """
+        if self._lengths is None:
+            pts = self.points
+            m = len(pts)
+            out = np.empty(m * (m - 1) // 2)
+            lo = 0
+            for i in range(m - 1):
+                hi = lo + m - 1 - i
+                out[lo:hi] = np.linalg.norm(pts[i] - pts[i + 1:], axis=1)
+                lo = hi
+            out.flags.writeable = False
+            object.__setattr__(self, "_lengths", out)
+        return self._lengths
 
     @classmethod
     def basis(cls, n: int) -> "IndexSet":
@@ -133,12 +163,19 @@ def _pair_diffs(pts: np.ndarray) -> np.ndarray:
     return pts[ii] - pts[jj]
 
 
-def _method(proc: ProcessSpec, diffs: np.ndarray) -> str:
-    """How the d_p norms of the increments `diffs` (one per row) are computed."""
+def _method(proc: ProcessSpec, pts: np.ndarray) -> str:
+    """How the d_p norms of the pair increments of `pts` are computed.
+
+    Reads the increments one row of pairs at a time: the points are all
+    equal iff every pts[j] - pts[0] is zero, and rademacher enumerates
+    while no increment has more than ENUMERATION_LIMIT nonzeros.
+    """
     fam = proc.family
-    if fam == "gaussian" or not np.any(diffs):
+    if fam == "gaussian" or not np.any(pts[1:] - pts[:1]):
         return "closed_form"
-    if fam == "rademacher" and np.count_nonzero(diffs, axis=1).max() <= ENUMERATION_LIMIT:
+    if fam == "rademacher" and all(
+            np.count_nonzero(pts[i] - pts[i + 1:], axis=1).max() <= ENUMERATION_LIMIT
+            for i in range(len(pts) - 1)):
         return "enumeration"
     return "monte_carlo"
 
@@ -168,10 +205,13 @@ def _abs_power(d: np.ndarray, p: float, spare: Optional[np.ndarray]) -> np.ndarr
     return d if acc is None else np.multiply(acc, d, out=acc)
 
 
-def _pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
+def _pair_norms(proc: ProcessSpec, pts: IndexSet | np.ndarray, p: float, samples: int,
                 seed: int) -> tuple[np.ndarray, np.ndarray, str]:
     """d_p over the pairs i < j of `pts` in row-major order: values, 3-sigma
     errors and the method.
+
+    `pts` is an IndexSet or an array of points, one per row.  The gaussian
+    closed form scales the index set's cached pair lengths by ||g||_p.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
     `_MC_CHUNK` draws from one derived stream is projected once onto the
@@ -187,11 +227,13 @@ def _pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
     """
     if p < 1:
         raise ValueError("increment norm requires p >= 1")
-    diffs = _pair_diffs(pts)
-    method = _method(proc, diffs)
+    T = pts if isinstance(pts, IndexSet) else IndexSet(pts)
+    pts = T.points
+    method = _method(proc, pts)
     if method == "closed_form":
-        values = np.linalg.norm(diffs, axis=1) * dist.gaussian().moment(p)
-        return values, np.zeros(len(diffs)), method
+        lengths = T.pair_lengths()
+        return lengths * dist.gaussian().moment(p), np.zeros(len(lengths)), method
+    diffs = _pair_diffs(pts)
     if method == "enumeration":
         values = np.array([np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0])) ** p)
                            ** (1.0 / p) for d in diffs])
@@ -242,7 +284,7 @@ def increment_norm(proc: ProcessSpec, s, t, p: float,
 
 def is_exact_metric(proc: ProcessSpec, T: IndexSet) -> bool:
     """Whether the d_p distances over T avoid Monte-Carlo noise."""
-    return _method(proc, _pair_diffs(T.points)) != "monte_carlo"
+    return _method(proc, T.points) != "monte_carlo"
 
 
 def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
@@ -254,7 +296,7 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     """
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
-    return squareform(_pair_norms(proc, T.points, p, samples, seed)[0])
+    return squareform(_pair_norms(proc, T, p, samples, seed)[0])
 
 
 def diameter(T: IndexSet, proc: ProcessSpec, p: float,

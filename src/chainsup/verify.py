@@ -200,8 +200,8 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     pts = T.points
     ii, jj = np.triu_indices(len(T), 1)
     for p in p_grid:
-        dx, err_x, _ = metric_mod._pair_norms(procX, pts, p, samples, stream.master_seed)
-        dy, err_y, _ = metric_mod._pair_norms(procY, pts, p, samples,
+        dx, err_x, _ = metric_mod._pair_norms(procX, T, p, samples, stream.master_seed)
+        dy, err_y, _ = metric_mod._pair_norms(procY, T, p, samples,
                                               stream.master_seed + 1)
         # written so that a NaN on either side counts as a violation
         bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * (1.0 + dx))))

@@ -239,7 +239,7 @@ class TestEndToEnd:
         assert report["result"]["report"]["cardinality_ok"] is False
 
     def test_arithmetic_error_exit_one(self, tmp_path, run_cli):
-        # the moments of a Weibull of shape 0.001 overflow math.exp
+        # a Weibull shape too small for its moments to fit a float
         cfg = self._write_config(tmp_path, {
             "process": {"family": "sym_weibull", "shape": 0.001},
             "index_set": {"type": "basis", "n": 1},
@@ -250,6 +250,19 @@ class TestEndToEnd:
         assert r.returncode == 1
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr, r.stderr
 
+    def test_tiny_weibull_shape_named_in_the_error(self, tmp_path, run_cli):
+        cfg = self._write_config(tmp_path, {
+            "process": {"family": "sym_weibull", "shape": 0.001},
+            "index_set": {"type": "basis", "n": 1},
+            "params": {"alpha": 1.0},
+        })
+        r = run_cli(["tails", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                    tmp_path)
+        assert r.returncode == 1
+        assert r.stderr.strip() == (
+            "error: sym_weibull shape 0.001 is out of range: it must be at least 0.012, "
+            "below which the moments up to p = 128 overflow a float"), r.stderr
+
     def test_invalid_config_exit_one(self, tmp_path, run_cli):
         cfg = self._write_config(tmp_path, {"process": {"family": "nope"}})
         r = run_cli(["gamma", "--config", str(cfg)], tmp_path)
@@ -258,7 +271,7 @@ class TestEndToEnd:
             r.stderr
 
     @pytest.mark.parametrize("exc", [RuntimeError("failed to bracket the root"),
-                                     MemoryError()])
+                                     MemoryError(), OverflowError("math range error")])
     def test_runtime_failure_exit_one(self, tmp_path, monkeypatch, capsys, exc):
         cfg = self._write_config(tmp_path, {"index_set": {"type": "basis", "n": 2}})
 

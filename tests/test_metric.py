@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainsup import dist, metric
 from chainsup.metric import IndexSet, ProcessSpec, increment_norm, latala_norm
@@ -61,6 +61,23 @@ class TestIndexSet:
         T = IndexSet.with_origin([[1.0, 2.0]])
         assert len(T) == 2
         assert np.allclose(T.points[0], 0.0)
+
+    def test_points_are_a_read_only_copy(self):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0]])
+        T = IndexSet(pts)
+        lengths = T.pair_lengths()
+        with pytest.raises(ValueError):
+            T.points[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            lengths[0] = 0.0
+        pts[0, 0] = 5.0  # the caller's array is not frozen, and not shared
+        assert pts.flags.writeable and T.points[0, 0] == 0.0
+        assert T.pair_lengths() is lengths and lengths[0] == math.sqrt(8.0)
+
+    def test_pair_lengths_of_tiny_sets(self):
+        assert IndexSet(np.zeros((0, 3))).pair_lengths().shape == (0,)
+        assert IndexSet([1.0, 2.0]).pair_lengths().shape == (0,)
+        assert IndexSet([[3.0, 0.0], [0.0, 4.0]]).pair_lengths().tolist() == [5.0]
 
 
 class TestIncrementNorm:
@@ -169,6 +186,32 @@ class TestDistanceMatrix:
         dm = metric.distance_matrix(proc, IndexSet(np.stack([s, t])), 3.0,
                                     samples=30_000, seed=4)
         assert r.value == dm[0, 1] == dm[1, 0]
+
+    def test_gaussian_memory_bounded_in_pairs(self):
+        # 179,700 pairs in R^128: the (pairs x dim) difference array alone
+        # would take 184 MB; lengths, the scaled copy and the square take 6 MB
+        T = IndexSet(np.random.default_rng(8).standard_normal((600, 128)))
+        tracemalloc.start()
+        try:
+            metric.distance_matrix(gauss_proc(128), T, 4.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_exact_paths_build_no_difference_array(self, monkeypatch):
+        def no_diffs(pts):
+            raise AssertionError("(pairs x dim) difference array built")
+
+        T = IndexSet(np.random.default_rng(6).standard_normal((40, 24)))
+        monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
+        dm = metric.distance_matrix(gauss_proc(24), T, 8.0)
+        assert dm[0, 1] == np.linalg.norm(T.points[0] - T.points[1]) * \
+            dist.gaussian().moment(8.0)
+        assert metric.is_exact_metric(gauss_proc(24), T)
+        assert not metric.is_exact_metric(rad_proc(24), T)
+        assert not metric.is_exact_metric(exp_proc(24), T)
+        assert metric.is_exact_metric(exp_proc(24), IndexSet(np.ones((40, 24))))
 
     def test_mc_memory_bounded_in_pairs(self):
         # 19,900 pairs: a (samples x pairs) array alone would take 300 MiB
@@ -327,6 +370,60 @@ def test_gaussian_norm_scales_euclidean(p):
     s = np.array([3.0, 4.0])
     r = increment_norm(gauss_proc(2), s, np.zeros(2), p)
     assert r.value == pytest.approx(5.0 * dist.gaussian().moment(p), rel=1e-12)
+
+
+_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(min_value=-1e6, max_value=1e6))
+
+
+@st.composite
+def point_sets(draw, coords=_COORDS, dims=(1, 2, 3, 9, 17, 130)):
+    """Small point sets with repeated points: rows drawn with replacement."""
+    dim = draw(st.sampled_from(dims))
+    rows = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                         min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=7))
+    return np.array([rows[k] for k in picks])
+
+
+@given(pts=point_sets())
+@example(pts=np.array([[-0.0, 0.0]]))
+@example(pts=np.array([[0.0, -0.0], [-0.0, 0.0]]))
+@example(pts=np.array([[1.5, -0.0, 2.0], [1.5, 0.0, 2.0], [1.5, -0.0, 2.0]]))
+@settings(max_examples=200, deadline=None)
+def test_pair_lengths_equal_norms_of_the_difference_array(pts):
+    want = np.linalg.norm(metric._pair_diffs(pts), axis=1)
+    assert IndexSet(pts).pair_lengths().tobytes() == want.tobytes()
+
+
+def _method_from_diffs(proc, pts):
+    """The dispatch rule read off the whole (pairs x dim) difference array."""
+    diffs = metric._pair_diffs(pts)
+    fam = proc.family
+    if fam == "gaussian" or not np.any(diffs):
+        return "closed_form"
+    if fam == "rademacher" and \
+            np.count_nonzero(diffs, axis=1).max() <= metric.ENUMERATION_LIMIT:
+        return "enumeration"
+    return "monte_carlo"
+
+
+@given(pts=point_sets(coords=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                      dims=(1, 3, 20, 21, 24)),
+       zero_rows=st.integers(0, 2),
+       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential, None]))
+# increments with exactly ENUMERATION_LIMIT and ENUMERATION_LIMIT + 1 nonzeros
+@example(pts=np.ones((1, 20)), zero_rows=1, make=dist.rademacher)
+@example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher)
+@settings(max_examples=300, deadline=None)
+def test_method_matches_the_difference_array_rule(pts, zero_rows, make):
+    pts = np.vstack([pts, np.zeros((zero_rows, pts.shape[1]))])
+    n = pts.shape[1]
+    if make is None:  # no common family
+        proc = ProcessSpec(models=(dist.rademacher(),) * (n - 1) + (dist.gaussian(),))
+    else:
+        proc = ProcessSpec.homogeneous(make(), n)
+    assert metric._method(proc, pts) == _method_from_diffs(proc, pts)
 
 
 def test_is_exact_metric():
