@@ -158,8 +158,12 @@ def config_hash(config: dict) -> str:
 
 
 def _to_jsonable(obj):
+    """JSON-ready copy of `obj`; a PartitionTree serializes as its levels."""
+    if isinstance(obj, gamma.PartitionTree):
+        return _to_jsonable(obj.levels)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _to_jsonable(dataclasses.asdict(obj))
+        return {f.name: _to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -179,35 +183,34 @@ def _to_jsonable(obj):
 # ----------------------------------------------------------------------
 
 def _params(config):
-    return config.get("params", {})
+    """The config's params with the sample budget and seed defaults filled
+    in: a new dict, since the report embeds and hashes `config` as given."""
+    return {"samples": metric.MC_DEFAULT_SAMPLES, "seed": 0, **config.get("params", {})}
 
 
 def _run_gamma(config, T, proc, tables, workers=1):
     par = _params(config)
     mode = par.get("mode", "greedy")
     functional = par.get("functional", "gammaX")
-    value, tree = gamma.compute_gamma(
-        T, proc, functional, mode=mode,
-        samples=par.get("samples", metric.MC_DEFAULT_SAMPLES),
-        seed=par.get("seed", 0))
+    value, tree = gamma.compute_gamma(T, proc, functional, mode=mode,
+                                      samples=par["samples"], seed=par["seed"])
     return {"functional": functional, "mode": mode, "value": value,
-            "certificate": tree.levels, "passed": True}
+            "certificate": tree, "passed": True}
 
 
 def _run_supremum(config, T, proc, tables, workers=1):
     par = _params(config)
     est = stochlab.estimate_sup(
-        proc, T, par.get("samples", stochlab.DEFAULT_SAMPLES),
-        RngStream(par["seed"], 0), target=par.get("target", "sup_increments"),
-        workers=workers)
+        proc, T, par["samples"], RngStream(par["seed"], 0),
+        target=par.get("target", "sup_increments"), workers=workers)
     return {"estimate": est, "passed": True}
 
 
 def _run_sudakov(config, T, proc, tables, workers=1):
     par = _params(config)
     rep = verify.sudakov_experiment(
-        proc, T, par["p"], par["u"], par.get("samples", stochlab.DEFAULT_SAMPLES),
-        RngStream(par["seed"], 0), workers=workers)
+        proc, T, par["p"], par["u"], par["samples"], RngStream(par["seed"], 0),
+        workers=workers)
     tables["kappa"] = [["p", "u", "kappa_obs"], [rep.p, rep.u, rep.kappa_obs]]
     return {"report": rep,
             "passed": rep.cardinality_ok and rep.separation_ok}
@@ -216,21 +219,18 @@ def _run_sudakov(config, T, proc, tables, workers=1):
 def _run_two_sided(config, T, proc, tables, workers=1):
     par = _params(config)
     rep = verify.two_sided_experiment(
-        proc, T, par.get("samples", stochlab.DEFAULT_SAMPLES),
-        RngStream(par["seed"], 0), mode=par.get("mode", "greedy"),
-        workers=workers)
+        proc, T, par["samples"], RngStream(par["seed"], 0),
+        mode=par.get("mode", "greedy"), workers=workers)
     threshold = par.get("threshold", verify.UPPER_BOUND_POLICY_CONSTANT)
     passed = rep.degenerate or rep.ratio_upper <= threshold
-    out = dataclasses.asdict(rep)
-    out["certificate"] = rep.certificate.levels if rep.certificate else None
-    return {"report": out, "threshold": threshold, "passed": passed}
+    return {"report": rep, "threshold": threshold, "passed": passed}
 
 
 def _run_weak_strong(config, T, proc, tables, workers=1):
     par = _params(config)
     rep = verify.weak_strong_experiment(
-        proc, T, par["p"], par.get("samples", stochlab.DEFAULT_SAMPLES),
-        RngStream(par["seed"], 0), workers=workers)
+        proc, T, par["p"], par["samples"], RngStream(par["seed"], 0),
+        workers=workers)
     threshold = par.get("threshold", 4.0)
     return {"report": rep, "threshold": threshold,
             "passed": rep["C_obs"] <= threshold}
@@ -240,9 +240,8 @@ def _run_compare(config, T, proc, tables, workers=1):
     par = _params(config)
     proc_y = build_process(config["process_y"], T.dimension)
     rep = verify.comparison_experiment(
-        proc, proc_y, T, par.get("p_grid", [2.0, 4.0]),
-        par.get("samples", stochlab.DEFAULT_SAMPLES), RngStream(par["seed"], 0),
-        workers=workers)
+        proc, proc_y, T, par.get("p_grid", [2.0, 4.0]), par["samples"],
+        RngStream(par["seed"], 0), workers=workers)
     tables["tail_curves"] = (
         [["quantile", "u", "c", "p_supY_ge_u", "p_supX_ge_u_over_c", "ratio"]]
         + [[c["quantile"], c["u"], c["c"], c["p_supY_ge_u"],
@@ -275,14 +274,12 @@ def _run_tails(config, T, proc, tables, workers=1):
 
 def _run_hull(config, T, proc, tables, workers=1):
     par = _params(config)
-    samples = par.get("samples", metric.MC_DEFAULT_SAMPLES)
-    seed = par.get("seed", 0)
     _, tree = gamma.compute_gamma(T, proc, "gammaX", mode=par.get("mode", "greedy"),
-                                  samples=samples, seed=seed)
-    rep = verify.convex_hull_decomposition(T, tree, proc, samples=samples, seed=seed)
+                                  samples=par["samples"], seed=par["seed"])
+    rep = verify.convex_hull_decomposition(T, tree, proc, samples=par["samples"],
+                                           seed=par["seed"])
     passed = rep.max_residual <= 1e-9 and rep.max_norm_cap <= 1.0 + 1e-9
-    out = dataclasses.asdict(rep)
-    return {"report": out, "passed": passed}
+    return {"report": rep, "passed": passed}
 
 
 _RUNNERS = {

@@ -31,6 +31,7 @@ __all__ = [
 
 EXACT_LIMIT = 10
 GREEDY_LIMIT = 10_000
+_DIAMETER_TILE_ELEMS = 1 << 18  # entries gathered per tile of a block diameter
 
 
 class TreeValidationError(ValueError):
@@ -123,6 +124,19 @@ def _level_weight(functional: str, n: int) -> float:
     return 2.0 ** (n / 2.0) if functional == "gamma2" else 1.0
 
 
+def _block_diameter(dm: np.ndarray, block: list) -> float:
+    """max of dm over block x block, gathered a tile of rows at a time.
+
+    Each tile holds at most `_DIAMETER_TILE_ELEMS` entries, so the root
+    block reads the |T| x |T| matrix without copying it; max is exact, so
+    the float equals dm[np.ix_(block, block)].max().
+    """
+    idx = np.asarray(block)
+    rows = max(1, _DIAMETER_TILE_ELEMS // len(idx))
+    return float(np.max([dm[np.ix_(idx[lo:lo + rows], idx)].max()
+                         for lo in range(0, len(idx), rows)]))
+
+
 def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
                          functional: str = "gammaX",
                          samples: int = metric_mod.MC_DEFAULT_SAMPLES,
@@ -141,11 +155,8 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
         w = _level_weight(functional, n)
         dm = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)
         for block in level:
-            if len(block) == 1:
-                continue
-            idx = np.array(block)
-            diam = float(dm[np.ix_(idx, idx)].max())
-            totals[idx] += w * diam
+            if len(block) > 1:
+                totals[block] += w * _block_diameter(dm, block)
         del dm  # one |T| x |T| matrix alive at a time
     return float(totals.max())
 
@@ -154,8 +165,8 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
 # exact mode
 # ----------------------------------------------------------------------
 
-def _exact_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
-                 seed: int) -> tuple[float, PartitionTree]:
+def _exact_gamma(T: IndexSet, proc: ProcessSpec,
+                 functional: str) -> tuple[float, PartitionTree]:
     m = len(T)
     if m == 1:
         return 0.0, PartitionTree.trivial(1)
@@ -163,8 +174,8 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
     p1 = _level_p(functional, 1)
     w0 = _level_weight(functional, 0)
     w1 = _level_weight(functional, 1)
-    dm0 = metric_mod.distance_matrix(proc, T, p0, seed=seed)
-    dm1 = metric_mod.distance_matrix(proc, T, p1, seed=seed)
+    dm0 = metric_mod.distance_matrix(proc, T, p0)
+    dm1 = metric_mod.distance_matrix(proc, T, p1)
     base = w0 * float(dm0.max())
 
     # Splitting to singletons as early as the caps allow dominates any
@@ -253,10 +264,8 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         current = levels[-1]
         p_split = _level_p(functional, n)
         dm = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)
-        diams = []
-        for block in current:
-            idx = np.array(block)
-            diams.append(float(dm[np.ix_(idx, idx)].max()) if len(block) > 1 else 0.0)
+        diams = [_block_diameter(dm, block) if len(block) > 1 else 0.0
+                 for block in current]
         # every block keeps one child; spare capacity goes to the block
         # with the largest diameter per child, ties to the lowest index,
         # and blocks of repeated points (diameter 0) still take what is
@@ -302,7 +311,7 @@ def compute_gamma(T: IndexSet, proc: ProcessSpec, functional: str = "gammaX",
             raise ValueError(
                 "exact mode requires closed-form or enumeration metrics; "
                 "this process would inject Monte-Carlo noise")
-        return _exact_gamma(T, proc, functional, seed)
+        return _exact_gamma(T, proc, functional)
     if mode == "greedy":
         if m > GREEDY_LIMIT:
             raise ValueError(f"greedy mode caps |T| at {GREEDY_LIMIT}")

@@ -32,7 +32,6 @@ __all__ = [
     "IncrementNormResult",
     "increment_norm",
     "distance_matrix",
-    "diameter",
     "latala_norm",
 ]
 
@@ -297,16 +296,6 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
     return squareform(_pair_norms(proc, T, p, samples, seed)[0])
-
-
-def diameter(T: IndexSet, proc: ProcessSpec, p: float,
-             samples: int = MC_DEFAULT_SAMPLES, seed: int = 0) -> float:
-    """Delta_p(T): maximal pairwise d_p distance; 0 for singletons."""
-    if len(T) == 0:
-        raise ValueError("diameter of an empty index set is undefined")
-    if len(T) == 1:
-        return 0.0
-    return float(distance_matrix(proc, T, p, samples=samples, seed=seed).max())
 
 
 def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:

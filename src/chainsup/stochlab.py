@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 _CHUNK = 65_536
-DEFAULT_SAMPLES = 100_000
-ACCEPTANCE_SAMPLES = 1_000_000
 
 # per-row reductions of a (rows, |T|) matrix of process values
 _REDUCERS = {
@@ -266,7 +264,7 @@ def paley_zygmund_check(values=None, probs=None, samples=None,
 
 
 def contraction_check(a, b, p: float, T: Optional[IndexSet] = None,
-                      samples: int = DEFAULT_SAMPLES,
+                      samples: int = metric.MC_DEFAULT_SAMPLES,
                       stream: Optional[RngStream] = None) -> dict:
     """||sum a_i eps_i||_p <= ||sum b_i eps_i||_p for |a_i| <= |b_i|,
     plus the E sup comparison over T when given."""

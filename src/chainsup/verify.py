@@ -59,26 +59,27 @@ class SudakovReport:
 
 def sudakov_experiment(proc: ProcessSpec, T: IndexSet, p: float, u: float,
                        samples: int, stream: RngStream,
-                       metric_samples: int = metric_mod.MC_DEFAULT_SAMPLES,
                        workers: int = 1) -> SudakovReport:
-    """Minoration harness: verify the separation claim, estimate E sup,
-    report the observed minoration constant E sup / u."""
+    """Minoration harness: verify the separation claim from one pair-norm
+    pass, estimate E sup, report the observed minoration constant E sup / u.
+    Both draw `samples` samples from the stream's master seed."""
     if len(T) < 2:
         raise ValueError("minoration experiment needs at least two points")
-    dm = distance_matrix(proc, T, p, samples=metric_samples, seed=stream.master_seed)
-    iu = np.triu_indices(len(T), k=1)
-    vals = dm[iu]
+    vals, _, method = metric_mod._pair_norms(proc, T, p, samples, stream.master_seed)
     k = int(np.argmin(vals))
     min_sep = float(vals[k])
-    worst_pair = (int(iu[0][k]), int(iu[1][k]))
-    tol = 1e-9 if metric_mod.is_exact_metric(proc, T) else 0.05 * u
+    tol = 0.05 * u if method == "monte_carlo" else 1e-9
     separation_ok = min_sep >= u - tol
+    worst_pair = None
+    if not separation_ok:
+        ii, jj = np.triu_indices(len(T), 1)
+        worst_pair = (int(ii[k]), int(jj[k]))
     esup = estimate_sup(proc, T, samples, stream, workers=workers)
     return SudakovReport(
         p=float(p), u=float(u),
         min_observed_separation=min_sep,
         separation_ok=separation_ok,
-        worst_pair=None if separation_ok else worst_pair,
+        worst_pair=worst_pair,
         # |T| >= e^p, in log space: e^p overflows a float from p = 710
         cardinality_ok=math.log(len(T)) >= p,
         esup=esup,
@@ -115,28 +116,22 @@ class TwoSidedReport:
     ratio_upper: float   # esup / gamma  (should stay below the policy constant)
     ratio_lower: float   # gamma / esup  (the reversibility constant)
     degenerate: bool
-    certificate: Optional[PartitionTree] = None
+    certificate: PartitionTree
 
 
 def two_sided_experiment(proc: ProcessSpec, T: IndexSet, samples: int,
                          stream: RngStream, mode: str = "greedy",
-                         gamma_value: Optional[float] = None,
                          workers: int = 1) -> TwoSidedReport:
     """gamma_X certificate (exact when affordable) vs the MC E sup.
 
-    `gamma_value` overrides the greedy search when an analytic oracle value
-    is available (uniform spaces).  In exact mode an affordable exact search
-    gives both the value and the certificate tree."""
-    cert_tree = None
+    In exact mode an affordable exact search gives both the value and the
+    certificate tree."""
     exact_val = None
     affordable = len(T) <= gamma_mod.EXACT_LIMIT and metric_mod.is_exact_metric(proc, T)
     if affordable:
-        exact_val, exact_tree = gamma_mod.compute_gamma(T, proc, "gammaX", mode="exact",
-                                                        seed=stream.master_seed)
+        exact_val, exact_tree = gamma_mod.compute_gamma(T, proc, "gammaX", mode="exact")
     if affordable and mode == "exact":
         cert_val, cert_tree = exact_val, exact_tree
-    elif gamma_value is not None:
-        cert_val = float(gamma_value)
     else:
         cert_val, cert_tree = gamma_mod.compute_gamma(
             T, proc, "gammaX", mode="greedy", samples=samples, seed=stream.master_seed)
@@ -171,7 +166,7 @@ def weak_strong_experiment(proc: ProcessSpec, T: IndexSet, p: float,
     weak_sup = estimate_sup(proc, T, samples, stream.child(1), target="sup_abs",
                             workers=workers)
     norms = [increment_norm(proc, t, np.zeros(proc.dimension), p,
-                            seed=stream.master_seed).value
+                            samples=samples, seed=stream.master_seed).value
              for t in T.points]
     sup_norm = max(norms)
     numerator = strong_mean ** (1.0 / p)

@@ -176,8 +176,9 @@ class TestRun:
         assert all(math.isfinite(cp["norm_cap"]) for cp in rep["chain_points"])
         assert rep["max_residual"] <= 1e-12
 
-    def test_hull_samples_reach_every_pair_norm_pass(self, monkeypatch):
-        # the tree search and the decomposition both draw params.samples
+    @pytest.fixture
+    def pair_norm_samples(self, monkeypatch):
+        """The sample count of every metric._pair_norms call, in order."""
         seen = []
         pair_norms = metric._pair_norms
 
@@ -186,13 +187,35 @@ class TestRun:
             return pair_norms(proc, pts, p, samples, seed)
 
         monkeypatch.setattr(metric, "_pair_norms", spy)
+        return seen
+
+    def test_hull_samples_reach_every_pair_norm_pass(self, pair_norm_samples):
+        # the tree search and the decomposition both draw params.samples
         cli.run({
             "experiment": "hull",
             "process": {"family": "sym_exponential"},
             "index_set": {"type": "sphere_random", "count": 6, "n": 3, "seed": 4},
             "params": {"seed": 3, "samples": 1_000},
         })
-        assert len(seen) > 1 and set(seen) == {1_000}
+        assert len(pair_norm_samples) > 1 and set(pair_norm_samples) == {1_000}
+
+    def test_sudakov_samples_reach_the_separation_pass(self, pair_norm_samples):
+        cli.run({
+            "experiment": "sudakov",
+            "process": {"family": "sym_exponential"},
+            "index_set": {"type": "packing", "m": 2, "n": 6},
+            "params": {"p": 4.0, "u": 1.0, "seed": 3, "samples": 1_000},
+        })
+        assert pair_norm_samples == [1_000]
+
+    def test_weak_strong_samples_reach_every_increment_norm(self, pair_norm_samples):
+        cli.run({
+            "experiment": "weak-strong",
+            "process": {"family": "sym_exponential"},
+            "index_set": {"type": "basis", "n": 3},
+            "params": {"p": 4.0, "seed": 3, "samples": 1_000},
+        })
+        assert pair_norm_samples == [1_000] * 3
 
 
 class TestEndToEnd:

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -96,7 +97,7 @@ class TestEvaluateCertificate:
         # Delta_{2^n} on a fixed block is nondecreasing in n
         T = IndexSet(np.random.default_rng(0).standard_normal((6, 4)))
         proc = gauss_proc(4)
-        diams = [metric.diameter(T, proc, float(2 ** n)) for n in range(4)]
+        diams = [metric.distance_matrix(proc, T, float(2 ** n)).max() for n in range(4)]
         assert all(hi >= lo - 1e-12 for lo, hi in zip(diams, diams[1:]))
 
     def test_certificate_value_vs_manual(self):
@@ -385,6 +386,35 @@ def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
     assert tree.to_json() == oracle_tree.to_json()
     # about 2.3 s on a 2-vCPU VM; the (pairs x dim) array path took 18 s and 2.5 GB
     assert elapsed < 15.0
+
+
+def test_greedy_4000_gaussian_points_peak_memory():
+    # Building a level's matrix peaks at 244 MiB: the cached pair lengths
+    # (61 MiB), their scaled copy (61 MiB) and the square (122 MiB).  A
+    # root-block diameter taken through dm[np.ix_(idx, idx)] copied the
+    # square once more, to a 307 MiB peak.
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((4_000, 16))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    T = IndexSet(pts)
+    tracemalloc.start()
+    try:
+        gamma.compute_gamma(T, gauss_proc(16), mode="greedy")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 276 * 2 ** 20
+
+
+@pytest.mark.parametrize("tile", [1, 5, 7, 64, 1 << 18])
+def test_block_diameter_equals_the_full_block_max(tile, monkeypatch):
+    monkeypatch.setattr(gamma, "_DIAMETER_TILE_ELEMS", tile)
+    T = IndexSet(np.random.default_rng(12).standard_normal((23, 3)))
+    dm = metric.distance_matrix(gauss_proc(3), T, 2.0)
+    blocks = [list(range(23)), [4], [0, 22], [3, 1, 17, 8, 9, 10, 2]]
+    for block in blocks:
+        idx = np.array(block)
+        assert gamma._block_diameter(dm, block) == float(dm[np.ix_(idx, idx)].max())
 
 
 class TestUniformSpaceGamma:

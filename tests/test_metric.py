@@ -280,18 +280,19 @@ def test_mc_distance_matrix_triangle_inequality(pts, family, p, seed):
 
 class TestDiameter:
     def test_singleton(self):
-        assert metric.diameter(IndexSet(np.zeros((1, 2))), gauss_proc(2), 2.0) == 0.0
+        dm = metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((1, 2))), 2.0)
+        assert dm.max() == 0.0
 
     def test_basis_gaussian(self):
         T = IndexSet.basis(3)
-        assert metric.diameter(T, gauss_proc(3), 2.0) == pytest.approx(
+        assert metric.distance_matrix(gauss_proc(3), T, 2.0).max() == pytest.approx(
             math.sqrt(2.0), rel=1e-12)
 
     def test_monotone_under_subset(self):
         pts = np.random.default_rng(5).standard_normal((6, 3))
         proc = gauss_proc(3)
-        full = metric.diameter(IndexSet(pts), proc, 4.0)
-        sub = metric.diameter(IndexSet(pts[:4]), proc, 4.0)
+        full = metric.distance_matrix(proc, IndexSet(pts), 4.0).max()
+        sub = metric.distance_matrix(proc, IndexSet(pts[:4]), 4.0).max()
         assert sub <= full + 1e-12
 
 
