@@ -4,8 +4,11 @@ d_p(s, t) = ||sum_i (s_i - t_i) X_i||_p, computed exactly where the
 coordinate laws allow (gaussian closed form, rademacher sign enumeration)
 and by chunked Monte Carlo with a CLT error bound otherwise.  The gaussian
 closed form is ||g||_p |s - t|_2, so every p scales one vector of
-Euclidean pair lengths that an IndexSet computes once, row by row.  The Monte
-Carlo kernel shares one stream of draws across all pairs of a point set
+Euclidean pair lengths that an IndexSet computes once, row by row.  Every
+other pair-norm vector is computed once per IndexSet and (process, p,
+samples, seed) and kept on the set, so the greedy split, the certificate
+and the hull that ask for the same d_p share one pass.  The Monte Carlo
+kernel shares one stream of draws across all pairs of a point set
 and reduces it in place, tile by tile, in one scratch buffer sized from a
 fixed element budget; integer p is raised by repeated squaring and
 multiplication, so p = 4 or 8 costs two or three multiplies per sample.
@@ -88,13 +91,16 @@ class IndexSet:
     """Finite set of coefficient vectors in R^n.
 
     Holds a read-only copy of the points it is given, so the pair lengths
-    cached on first use cannot go stale and the caller's array stays
-    writable.
+    and pair norms cached on first use cannot go stale and the caller's
+    array stays writable.
     """
 
     points: np.ndarray
     _lengths: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                            compare=False)
+    # (proc, p, samples, seed) -> (values, errors) of the enumerated or
+    # Monte-Carlo pair norms; filled by _pair_norms
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.array(self.points, dtype=float))
@@ -209,8 +215,35 @@ def _pair_norms(proc: ProcessSpec, pts: IndexSet | np.ndarray, p: float, samples
     """d_p over the pairs i < j of `pts` in row-major order: values, 3-sigma
     errors and the method.
 
-    `pts` is an IndexSet or an array of points, one per row.  The gaussian
+    `pts` is an IndexSet or an array of points, one per row; p is taken as
+    a float, so p = 4 and p = 4.0 draw the same samples.  The gaussian
     closed form scales the index set's cached pair lengths by ||g||_p.
+    Enumerated and Monte-Carlo vectors are computed once per IndexSet and
+    (proc, p, samples, seed) by `_uncached_pair_norms` and kept on the set;
+    a hit is exact, since the points are a read-only copy and the stream is
+    a function of the key and the points.  Every call returns fresh arrays,
+    so no caller can write into the kept ones.  An array is wrapped in a
+    throwaway IndexSet, so its vectors are not kept.
+    """
+    p = float(p)
+    if p < 1:
+        raise ValueError("increment norm requires p >= 1")
+    T = pts if isinstance(pts, IndexSet) else IndexSet(pts)
+    method = _method(proc, T.points)
+    if method == "closed_form":
+        lengths = T.pair_lengths()
+        return lengths * dist.gaussian().moment(p), np.zeros(len(lengths)), method
+    key = (proc, p, samples, seed)
+    if key not in T._norms:
+        T._norms[key] = _uncached_pair_norms(proc, T.points, p, samples, seed, method)
+    values, errors = T._norms[key]
+    return values.copy(), errors.copy(), method
+
+
+def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
+                         seed: int, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values and 3-sigma errors of `_pair_norms` by sign enumeration or
+    Monte Carlo, as `method` says.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
     `_MC_CHUNK` draws from one derived stream is projected once onto the
@@ -224,19 +257,11 @@ def _pair_norms(proc: ProcessSpec, pts: IndexSet | np.ndarray, p: float, samples
     of |d|^(2p) by a row-wise dot product.  The draws do not depend on the
     tile; only the summation order does.
     """
-    if p < 1:
-        raise ValueError("increment norm requires p >= 1")
-    T = pts if isinstance(pts, IndexSet) else IndexSet(pts)
-    pts = T.points
-    method = _method(proc, pts)
-    if method == "closed_form":
-        lengths = T.pair_lengths()
-        return lengths * dist.gaussian().moment(p), np.zeros(len(lengths)), method
     diffs = _pair_diffs(pts)
     if method == "enumeration":
         values = np.array([np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0])) ** p)
                            ** (1.0 / p) for d in diffs])
-        return values, np.zeros(len(diffs)), method
+        return values, np.zeros(len(diffs))
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
     rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
@@ -267,7 +292,7 @@ def _pair_norms(proc: ProcessSpec, pts: IndexSet | np.ndarray, p: float, samples
     # delta method on m -> m^(1/p)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where(mean > 0, stderr / (p * mean ** (1.0 - 1.0 / p)), stderr)
-    return mean ** (1.0 / p), 3.0 * err, method
+    return mean ** (1.0 / p), 3.0 * err
 
 
 def increment_norm(proc: ProcessSpec, s, t, p: float,

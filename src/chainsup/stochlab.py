@@ -267,7 +267,8 @@ def contraction_check(a, b, p: float, T: Optional[IndexSet] = None,
                       samples: int = metric.MC_DEFAULT_SAMPLES,
                       stream: Optional[RngStream] = None) -> dict:
     """||sum a_i eps_i||_p <= ||sum b_i eps_i||_p for |a_i| <= |b_i|,
-    plus the E sup comparison over T when given."""
+    plus the E sup comparison over T when given.  Monte-Carlo norms and
+    E sup estimates draw `samples` samples from `stream` (default seed 0)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -277,12 +278,12 @@ def contraction_check(a, b, p: float, T: Optional[IndexSet] = None,
     n = len(a)
     proc = ProcessSpec.homogeneous(dist.rademacher(), n)
     zero = np.zeros(n)
-    na = increment_norm(proc, a, zero, p).value
-    nb = increment_norm(proc, b, zero, p).value
+    if stream is None:
+        stream = RngStream(0, 0)
+    na = increment_norm(proc, a, zero, p, samples=samples, seed=stream.master_seed).value
+    nb = increment_norm(proc, b, zero, p, samples=samples, seed=stream.master_seed).value
     out = {"norm_a": na, "norm_b": nb, "passed": na <= nb + 1e-12}
     if T is not None:
-        if stream is None:
-            stream = RngStream(0, 0)
         Ta = IndexSet(T.points * a)
         Tb = IndexSet(T.points * b)
         ea = estimate_sup(proc, Ta, samples, stream.child(0), target="max_only")

@@ -248,6 +248,27 @@ class TestEndToEnd:
                      str(tmp_path / "o")], tmp_path)
         assert r.returncode == 2
 
+    def test_sudakov_int_and_float_p_write_equal_results(self, tmp_path, run_cli):
+        outs = []
+        for p in (4, 4.0):
+            out = tmp_path / repr(p)
+            out.mkdir()
+            cfg = self._write_config(out, {
+                "process": {"family": "sym_exponential"},
+                "index_set": {"type": "packing", "m": 2, "n": 6},
+                "params": {"seed": 3, "p": p, "u": 1.0, "samples": 2_000},
+            })
+            r = run_cli(["sudakov", "--config", str(cfg), "--out", str(out)], tmp_path)
+            assert r.returncode in (0, 2), r.stderr
+            outs.append(out)
+        reports = [json.loads((o / "report.json").read_text()) for o in outs]
+        # the configs, and so their hashes, differ in the literal 4 against 4.0
+        assert reports[0]["config_hash"] != reports[1]["config_hash"]
+        for rep in reports:
+            del rep["config"], rep["config_hash"]
+        assert reports[0] == reports[1]
+        assert (outs[0] / "kappa.csv").read_bytes() == (outs[1] / "kappa.csv").read_bytes()
+
     def test_sudakov_past_float_exp_exits_two(self, tmp_path, run_cli):
         # e^800 overflows a float; |T| = 4 < e^800 must fail, not crash
         cfg = self._write_config(tmp_path, {

@@ -262,6 +262,54 @@ class TestMonteCarloKernel:
         np.testing.assert_allclose(errors, want_errors, rtol=1e-12, atol=0)
 
 
+class TestPairNormCache:
+    """Enumerated and Monte-Carlo pair norms are kept on the IndexSet."""
+
+    def test_int_and_float_p_draw_the_same_samples(self):
+        pts = np.random.default_rng(3).standard_normal((3, 4))
+        a = metric._pair_norms(exp_proc(4), pts, 4, 2_000, 7)
+        b = metric._pair_norms(exp_proc(4), pts, 4.0, 2_000, 7)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    def test_one_monte_carlo_pass_per_distinct_p(self, monkeypatch):
+        from chainsup import gamma, verify
+
+        passes = []
+
+        def spy(seed, *tokens):
+            if tokens[0] == "distance_matrix" and len(tokens[1]) == 496 * 16 * 8:
+                passes.append(tokens[2])  # a pass over the 496 pairs of T
+            return derived_stream(seed, *tokens)
+
+        monkeypatch.setattr(metric, "derived_stream", spy)
+        proc = exp_proc(16)
+        T = IndexSet(np.random.default_rng(4).standard_normal((32, 16)))
+        _, tree = gamma.compute_gamma(T, proc, "gammaX", mode="greedy",
+                                      samples=2_000, seed=3)
+        # the split and the certificate share d_2 and d_4
+        assert sorted(passes) == [1.0, 2.0, 4.0, 8.0]
+        verify.convex_hull_decomposition(T, tree, proc, samples=2_000, seed=3)
+        # the hull steps at d_4, d_8 and d_16; only d_16 is new
+        assert sorted(passes) == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+    def test_gaussian_sets_keep_no_vectors(self):
+        T = IndexSet(np.random.default_rng(5).standard_normal((12, 3)))
+        for p in (1.0, 2.0, 4.0, 8.0):
+            metric.distance_matrix(gauss_proc(3), T, p, samples=1_000, seed=1)
+        assert T._norms == {}
+
+    def test_keyed_on_process_samples_and_seed(self):
+        pts = np.random.default_rng(6).standard_normal((4, 3))
+        T = IndexSet(pts)
+        three = ProcessSpec.homogeneous(dist.three_point(2.0), 3)
+        for proc, samples, seed in [(exp_proc(3), 1_000, 1), (exp_proc(3), 1_000, 2),
+                                    (exp_proc(3), 1_500, 1), (three, 1_000, 1)]:
+            got = metric._pair_norms(proc, T, 3.0, samples, seed)[0]
+            want = metric._pair_norms(proc, pts, 3.0, samples, seed)[0]
+            assert got.tobytes() == want.tobytes()
+        assert len(T._norms) == 4
+
+
 @given(pts=st.lists(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
                     min_size=3, max_size=5),
        family=st.sampled_from(["sym_exponential", "three_point"]),
@@ -395,6 +443,25 @@ def point_sets(draw, coords=_COORDS, dims=(1, 2, 3, 9, 17, 130)):
 def test_pair_lengths_equal_norms_of_the_difference_array(pts):
     want = np.linalg.norm(metric._pair_diffs(pts), axis=1)
     assert IndexSet(pts).pair_lengths().tobytes() == want.tobytes()
+
+
+@given(pts=point_sets(dims=(1, 2, 3, 9)),
+       make=st.sampled_from([dist.sym_exponential, lambda: dist.three_point(2.0),
+                             dist.rademacher]),
+       p=st.sampled_from([1.0, 2.0, 3.0, 4.0, 8.0, math.log(5.0)]))
+@settings(max_examples=60, deadline=None)
+def test_cached_pair_norms_equal_fresh_ones(pts, make, p):
+    proc = ProcessSpec.homogeneous(make(), pts.shape[1])
+    T = IndexSet(pts)
+    first = metric._pair_norms(proc, T, p, 500, 9)
+    first[0][:] = -1.0  # writing into a returned array must not reach the cache
+    first[1][:] = -1.0
+    again = metric._pair_norms(proc, T, p, 500, 9)
+    fresh = metric._pair_norms(proc, IndexSet(pts), p, 500, 9)
+    assert again[2] == fresh[2]
+    assert len(T._norms) == (again[2] != "closed_form")
+    assert again[0].tobytes() == fresh[0].tobytes()
+    assert again[1].tobytes() == fresh[1].tobytes()
 
 
 def _method_from_diffs(proc, pts):

@@ -336,6 +336,21 @@ class TestContraction:
         with pytest.raises(ValueError):
             stochlab.contraction_check([2.0, 0.0], [1.0, 1.0], 2.0)
 
+    def test_norms_draw_the_given_budget(self, monkeypatch):
+        # 24 nonzero rademacher coefficients are past enumeration
+        seen = []
+        pair_norms = metric._pair_norms
+
+        def spy(proc, pts, p, samples, seed):
+            seen.append((samples, seed))
+            return pair_norms(proc, pts, p, samples, seed)
+
+        monkeypatch.setattr(metric, "_pair_norms", spy)
+        out = stochlab.contraction_check(np.full(24, 0.5), np.ones(24), 3.0,
+                                         samples=1_000, stream=RngStream(5, 0))
+        assert out["passed"]
+        assert seen == [(1_000, 5), (1_000, 5)]
+
     def test_random_pairs(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
