@@ -27,26 +27,39 @@ from .streams import RngStream
 
 VERSION = "0.1.0"
 
-EXPERIMENTS = ("gamma", "supremum", "sudakov", "two-sided",
-               "weak-strong", "compare", "tails", "hull")
+# index-set type -> the fields build_index_set reads
+_INDEX_SET_FIELDS = {"explicit": ["points"], "basis": ["n"], "packing": ["m", "n"],
+                     "sphere_random": ["count", "n", "seed"],
+                     "interleave_of": ["inner"]}
+
+
+def _when(key: str, value, then: dict) -> dict:
+    """Schema rule: an object whose `key` is `value` must also satisfy `then`."""
+    return {"if": {"properties": {key: {"const": value}}, "required": [key]},
+            "then": then}
+
 
 MODEL_SCHEMA = {
     "type": "object",
     "properties": {
-        "family": {"enum": ["gaussian", "rademacher", "sym_exponential",
-                            "sym_weibull", "three_point"]},
+        "family": {"enum": list(dist.FAMILIES)},
         "shape": {"type": "number", "exclusiveMinimum": 0},
         "a": {"type": "number", "exclusiveMinimum": 1},
     },
     "required": ["family"],
     "additionalProperties": False,
+    "allOf": [_when("family", f, {"required": list(fields)})
+              for f, (_, fields) in dist.FAMILIES.items() if fields],
 }
+
+# branch by type, not oneOf, so that an error inside a model names its field
+_PROCESS_SCHEMA = {"if": {"type": "object"}, "then": MODEL_SCHEMA,
+                   "else": {"type": "array", "items": MODEL_SCHEMA}}
 
 INDEX_SET_SCHEMA = {
     "type": "object",
     "properties": {
-        "type": {"enum": ["explicit", "basis", "packing", "sphere_random",
-                          "interleave_of"]},
+        "type": {"enum": list(_INDEX_SET_FIELDS)},
         "points": {"type": "array", "items": {"type": "array",
                                               "items": {"type": "number"}}},
         "n": {"type": "integer", "minimum": 1},
@@ -57,73 +70,33 @@ INDEX_SET_SCHEMA = {
         "inner": {"$ref": "#/definitions/index_set"},
     },
     "required": ["type"],
+    "allOf": [_when("type", t, {"required": need})
+              for t, need in _INDEX_SET_FIELDS.items()],
 }
 
-CONFIG_SCHEMA = {
-    "definitions": {"index_set": INDEX_SET_SCHEMA},
-    "type": "object",
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "process": {
-            "oneOf": [MODEL_SCHEMA, {"type": "array", "items": MODEL_SCHEMA}]
-        },
-        "process_y": {
-            "oneOf": [MODEL_SCHEMA, {"type": "array", "items": MODEL_SCHEMA}]
-        },
-        "index_set": {"$ref": "#/definitions/index_set"},
-        "params": {
-            "type": "object",
-            "properties": {
-                "p": {"type": "number", "minimum": 1},
-                "p_grid": {"type": "array", "items": {"type": "number"}},
-                "u": {"type": "number", "exclusiveMinimum": 0},
-                "alpha": {"type": "number", "minimum": 1},
-                "beta": {"type": "number", "exclusiveMinimum": 1},
-                "samples": {"type": "integer", "minimum": 100},
-                "seed": {"type": "integer"},
-                "mode": {"enum": ["exact", "greedy"]},
-                "functional": {"enum": ["gamma2", "gammaX"]},
-                "target": {"enum": list(stochlab.TARGETS)},
-                "threshold": {"type": "number"},
-            },
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {"dir": {"type": "string"}},
-            "additionalProperties": False,
-        },
-    },
-    "required": ["experiment"],
-    "additionalProperties": False,
+_PARAM_SCHEMAS = {
+    "p": {"type": "number", "minimum": 1},
+    "p_grid": {"type": "array", "items": {"type": "number"}},
+    "u": {"type": "number", "exclusiveMinimum": 0},
+    "alpha": {"type": "number", "minimum": 1},
+    "samples": {"type": "integer", "minimum": 100},
+    "seed": {"type": "integer"},
+    "mode": {"enum": ["exact", "greedy"]},
+    "functional": {"enum": ["gamma2", "gammaX"]},
+    "target": {"enum": list(stochlab.TARGETS)},
+    "threshold": {"type": "number"},
 }
-
-_SAMPLED_EXPERIMENTS = {"supremum", "sudakov", "two-sided", "weak-strong", "compare"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-# built once: jsonschema.validate would re-check the constant schema on every call
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
-def validate_config(config: dict) -> None:
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
-    if exc is not None:
-        raise ConfigError(f"config invalid at {exc.json_path}: {exc.message}") from exc
-    if config["experiment"] in _SAMPLED_EXPERIMENTS:
-        if "seed" not in config.get("params", {}):
-            raise ConfigError("config invalid at $.params.seed: "
-                              "sampled experiments require an explicit seed")
-
-
 def build_index_set(spec: dict) -> IndexSet:
     kind = spec["type"]
     if kind == "explicit":
-        return IndexSet(np.asarray(spec["points"], dtype=float))
-    if kind == "basis":
+        T = IndexSet(np.asarray(spec["points"], dtype=float))
+    elif kind == "basis":
         T = IndexSet.basis(spec["n"])
     elif kind == "packing":
         T = verify.packing_set(spec["m"], spec["n"])
@@ -178,36 +151,21 @@ def _to_jsonable(obj):
     return obj
 
 
-# ----------------------------------------------------------------------
-# experiment dispatch
-# ----------------------------------------------------------------------
-
-def _params(config):
-    """The config's params with the sample budget and seed defaults filled
-    in: a new dict, since the report embeds and hashes `config` as given."""
-    return {"samples": metric.MC_DEFAULT_SAMPLES, "seed": 0, **config.get("params", {})}
-
-
-def _run_gamma(config, T, proc, tables, workers=1):
-    par = _params(config)
-    mode = par.get("mode", "greedy")
-    functional = par.get("functional", "gammaX")
-    value, tree = gamma.compute_gamma(T, proc, functional, mode=mode,
+def _run_gamma(config, par, T, proc, tables, workers):
+    value, tree = gamma.compute_gamma(T, proc, par["functional"], mode=par["mode"],
                                       samples=par["samples"], seed=par["seed"])
-    return {"functional": functional, "mode": mode, "value": value,
+    return {"functional": par["functional"], "mode": par["mode"], "value": value,
             "certificate": tree, "passed": True}
 
 
-def _run_supremum(config, T, proc, tables, workers=1):
-    par = _params(config)
+def _run_supremum(config, par, T, proc, tables, workers):
     est = stochlab.estimate_sup(
         proc, T, par["samples"], RngStream(par["seed"], 0),
-        target=par.get("target", "sup_increments"), workers=workers)
+        target=par["target"], workers=workers)
     return {"estimate": est, "passed": True}
 
 
-def _run_sudakov(config, T, proc, tables, workers=1):
-    par = _params(config)
+def _run_sudakov(config, par, T, proc, tables, workers):
     rep = verify.sudakov_experiment(
         proc, T, par["p"], par["u"], par["samples"], RngStream(par["seed"], 0),
         workers=workers)
@@ -216,31 +174,26 @@ def _run_sudakov(config, T, proc, tables, workers=1):
             "passed": rep.cardinality_ok and rep.separation_ok}
 
 
-def _run_two_sided(config, T, proc, tables, workers=1):
-    par = _params(config)
+def _run_two_sided(config, par, T, proc, tables, workers):
     rep = verify.two_sided_experiment(
         proc, T, par["samples"], RngStream(par["seed"], 0),
-        mode=par.get("mode", "greedy"), workers=workers)
-    threshold = par.get("threshold", verify.UPPER_BOUND_POLICY_CONSTANT)
-    passed = rep.degenerate or rep.ratio_upper <= threshold
-    return {"report": rep, "threshold": threshold, "passed": passed}
+        mode=par["mode"], workers=workers)
+    passed = rep.degenerate or rep.ratio_upper <= par["threshold"]
+    return {"report": rep, "threshold": par["threshold"], "passed": passed}
 
 
-def _run_weak_strong(config, T, proc, tables, workers=1):
-    par = _params(config)
+def _run_weak_strong(config, par, T, proc, tables, workers):
     rep = verify.weak_strong_experiment(
         proc, T, par["p"], par["samples"], RngStream(par["seed"], 0),
         workers=workers)
-    threshold = par.get("threshold", 4.0)
-    return {"report": rep, "threshold": threshold,
-            "passed": rep["C_obs"] <= threshold}
+    return {"report": rep, "threshold": par["threshold"],
+            "passed": rep["C_obs"] <= par["threshold"]}
 
 
-def _run_compare(config, T, proc, tables, workers=1):
-    par = _params(config)
+def _run_compare(config, par, T, proc, tables, workers):
     proc_y = build_process(config["process_y"], T.dimension)
     rep = verify.comparison_experiment(
-        proc, proc_y, T, par.get("p_grid", [2.0, 4.0]), par["samples"],
+        proc, proc_y, T, par["p_grid"], par["samples"],
         RngStream(par["seed"], 0), workers=workers)
     tables["tail_curves"] = (
         [["quantile", "u", "c", "p_supY_ge_u", "p_supX_ge_u_over_c", "ratio"]]
@@ -249,9 +202,8 @@ def _run_compare(config, T, proc, tables, workers=1):
     return {"report": rep, "passed": True}
 
 
-def _run_tails(config, T, proc, tables, workers=1):
-    par = _params(config)
-    alpha = par.get("alpha", 1.0)
+def _run_tails(config, par, T, proc, tables, workers):
+    alpha = par["alpha"]
     model = proc.models[0]
     consts = tailkit.regularity_constants(alpha)
     M = tailkit.log_concave_envelope(model, alpha)
@@ -272,9 +224,8 @@ def _run_tails(config, T, proc, tables, workers=1):
             "passed": lower_ok and upper_ok}
 
 
-def _run_hull(config, T, proc, tables, workers=1):
-    par = _params(config)
-    _, tree = gamma.compute_gamma(T, proc, "gammaX", mode=par.get("mode", "greedy"),
+def _run_hull(config, par, T, proc, tables, workers):
+    _, tree = gamma.compute_gamma(T, proc, "gammaX", mode=par["mode"],
                                   samples=par["samples"], seed=par["seed"])
     rep = verify.convex_hull_decomposition(T, tree, proc, samples=par["samples"],
                                            seed=par["seed"])
@@ -282,16 +233,65 @@ def _run_hull(config, T, proc, tables, workers=1):
     return {"report": rep, "passed": passed}
 
 
-_RUNNERS = {
-    "gamma": _run_gamma,
-    "supremum": _run_supremum,
-    "sudakov": _run_sudakov,
-    "two-sided": _run_two_sided,
-    "weak-strong": _run_weak_strong,
-    "compare": _run_compare,
-    "tails": _run_tails,
-    "hull": _run_hull,
+REQUIRED = object()  # marks a param that the config must give
+
+# sampled experiments draw from an explicit seed; the searches default to 0
+_SAMPLED = {"samples": metric.MC_DEFAULT_SAMPLES, "seed": REQUIRED}
+_SEARCH = {"mode": "greedy", "samples": metric.MC_DEFAULT_SAMPLES, "seed": 0}
+
+# experiment -> (runner, {every param the runner reads: default or REQUIRED})
+EXPERIMENT_TABLE = {
+    "gamma": (_run_gamma, {"functional": "gammaX", **_SEARCH}),
+    "supremum": (_run_supremum, {"target": "sup_increments", **_SAMPLED}),
+    "sudakov": (_run_sudakov, {"p": REQUIRED, "u": REQUIRED, **_SAMPLED}),
+    "two-sided": (_run_two_sided, {
+        "mode": "greedy", "threshold": verify.UPPER_BOUND_POLICY_CONSTANT, **_SAMPLED}),
+    "weak-strong": (_run_weak_strong, {"p": REQUIRED, "threshold": 4.0, **_SAMPLED}),
+    "compare": (_run_compare, {"p_grid": [2.0, 4.0], **_SAMPLED}),
+    "tails": (_run_tails, {"alpha": 1.0}),
+    "hull": (_run_hull, _SEARCH),
 }
+
+EXPERIMENTS = tuple(EXPERIMENT_TABLE)
+
+
+def _experiment_rule(name: str, params: dict) -> dict:
+    """params holds every REQUIRED param and no unread one; only compare takes process_y."""
+    return _when("experiment", name, {
+        "properties": {
+            "params": {"properties": {k: _PARAM_SCHEMAS[k] for k in params},
+                       "required": [k for k, v in params.items() if v is REQUIRED],
+                       "additionalProperties": False},
+            "process_y": True if name == "compare" else {"not": {}}},
+        "required": ["process_y"] if name == "compare" else []})
+
+
+CONFIG_SCHEMA = {
+    "definitions": {"index_set": INDEX_SET_SCHEMA},
+    "type": "object",
+    "properties": {
+        "experiment": {"enum": list(EXPERIMENTS)},
+        "process": _PROCESS_SCHEMA,
+        "process_y": _PROCESS_SCHEMA,
+        "index_set": {"$ref": "#/definitions/index_set"},
+        "params": {"type": "object"},
+    },
+    "required": ["experiment"],
+    "additionalProperties": False,
+    "allOf": [_experiment_rule(name, params)
+              for name, (_, params) in EXPERIMENT_TABLE.items()],
+}
+
+# built once: jsonschema.validate would re-check the constant schema on every call
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+def validate_config(config: dict) -> None:
+    # checked with empty params if it has none, so the error names a missing param
+    exc = jsonschema.exceptions.best_match(
+        _VALIDATOR.iter_errors({"params": {}, **config}))
+    if exc is not None:
+        raise ConfigError(f"config invalid at {exc.json_path}: {exc.message}") from exc
 
 
 def run(config: dict, workers: int = 1) -> dict:
@@ -304,8 +304,12 @@ def run(config: dict, workers: int = 1) -> dict:
     validate_config(config)
     T = build_index_set(config.get("index_set", {"type": "basis", "n": 1}))
     proc = build_process(config.get("process", {"family": "gaussian"}), T.dimension)
+    runner, defaults = EXPERIMENT_TABLE[config["experiment"]]
+    # a new dict, since the report embeds and hashes `config` as given; the
+    # schema made the config give every REQUIRED param
+    par = {**defaults, **config.get("params", {})}
     tables: dict = {}
-    result = _RUNNERS[config["experiment"]](config, T, proc, tables, workers=workers)
+    result = runner(config, par, T, proc, tables, workers)
     report = {
         "tool_version": VERSION,
         "config": config,
@@ -321,22 +325,8 @@ def run(config: dict, workers: int = 1) -> dict:
     return report
 
 
-def emit_tables(report: dict, out_dir: Path) -> list:
-    """One CSV per curve/table; 17-significant-digit values."""
-    written = []
-    for name, rows in report.get("_tables", {}).items():
-        path = out_dir / f"{name}.csv"
-        with open(path, "w") as fh:
-            for row in rows:
-                fh.write(",".join(
-                    f"{v:.17g}" if isinstance(v, (int, float)) and not isinstance(v, bool)
-                    else str(v)
-                    for v in row) + "\n")
-        written.append(path)
-    return written
-
-
 def write_report(report: dict, out_dir: Path) -> Path:
+    """Write report.json, and one CSV per table with 17-significant-digit values."""
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = report.pop("_tables", {})
     path = out_dir / "report.json"
@@ -344,7 +334,13 @@ def write_report(report: dict, out_dir: Path) -> Path:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     report["_tables"] = tables
-    emit_tables(report, out_dir)
+    for name, rows in tables.items():
+        with open(out_dir / f"{name}.csv", "w") as fh:
+            for row in rows:
+                fh.write(",".join(
+                    f"{v:.17g}" if isinstance(v, (int, float)) and not isinstance(v, bool)
+                    else str(v)
+                    for v in row) + "\n")
     return path
 
 
@@ -352,21 +348,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chainsup",
         description="chaining-functional and canonical-process experiments")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, type=Path)
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=["exact", "greedy"], default=None)
-        p.add_argument("--workers", type=int, default=1)
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--config", required=True, type=Path)
+    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--mode", choices=["exact", "greedy"], default=None)
+    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
         config = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 1
+    if not isinstance(config, dict):
+        print("error: config invalid at $: not a JSON object", file=sys.stderr)
         return 1
     config["experiment"] = args.experiment
     for key in ("samples", "seed", "mode"):

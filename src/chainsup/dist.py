@@ -25,6 +25,7 @@ __all__ = [
     "TailFunction",
     "RegularityWitness",
     "DEFAULT_P_GRID",
+    "FAMILIES",
     "gaussian",
     "rademacher",
     "sym_exponential",
@@ -430,22 +431,23 @@ def check_speed_beta(model: DistributionModel, beta: float,
 # descriptors (the serialized form used by configs and reports)
 # ----------------------------------------------------------------------
 
-_FACTORIES = {
-    "gaussian": lambda params: gaussian(),
-    "rademacher": lambda params: rademacher(),
-    "sym_exponential": lambda params: sym_exponential(),
-    "sym_weibull": lambda params: sym_weibull(params["shape"]),
-    "three_point": lambda params: three_point(params["a"]),
+# family -> (factory, the descriptor fields it takes, in order)
+FAMILIES = {
+    "gaussian": (gaussian, ()),
+    "rademacher": (rademacher, ()),
+    "sym_exponential": (sym_exponential, ()),
+    "sym_weibull": (sym_weibull, ("shape",)),
+    "three_point": (three_point, ("a",)),
 }
 
 
 def model_from_descriptor(desc: dict) -> DistributionModel:
-    """Build a model from a {family, ...params} record."""
+    """Build a model from a {family, ...fields} record."""
     family = desc.get("family")
-    if family not in _FACTORIES:
+    if family not in FAMILIES:
         raise ValueError(f"unknown distribution family: {family!r}")
-    params = {k: v for k, v in desc.items() if k != "family"}
-    return _FACTORIES[family](params)
+    make, fields = FAMILIES[family]
+    return make(*(desc[k] for k in fields))
 
 
 def model_descriptor(model: DistributionModel) -> dict:

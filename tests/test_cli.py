@@ -63,6 +63,12 @@ class TestIndexSetBuilders:
         T = cli.build_index_set({"type": "explicit", "points": [[1, 0], [0, 1]]})
         assert len(T) == 2 and T.dimension == 2
 
+    def test_explicit_with_origin(self):
+        T = cli.build_index_set({"type": "explicit", "points": [[1, 0], [0, 1]],
+                                 "include_origin": True})
+        assert len(T) == 3
+        assert np.allclose(T.points[0], 0.0)
+
     def test_basis_with_origin(self):
         T = cli.build_index_set({"type": "basis", "n": 3, "include_origin": True})
         assert len(T) == 4
@@ -218,7 +224,106 @@ class TestRun:
         assert pair_norm_samples == [1_000] * 3
 
 
+def _minimal(experiment):
+    """The smallest valid config of `experiment`: only what it must give."""
+    given = {"p": 4.0, "u": 1.0, "seed": 1}
+    params = cli.EXPERIMENT_TABLE[experiment][1]
+    config = {"experiment": experiment, "process": {"family": "gaussian"},
+              "index_set": {"type": "basis", "n": 2},
+              "params": {k: given[k] for k, v in params.items() if v is cli.REQUIRED}}
+    if experiment == "compare":
+        config["process_y"] = {"family": "gaussian"}
+    return config
+
+
+# every param each experiment reads, with the default it had before the
+# experiment table declared them
+_DEFAULTS = {
+    "gamma": {"mode": "greedy", "functional": "gammaX", "samples": 100_000, "seed": 0},
+    "supremum": {"target": "sup_increments", "samples": 100_000},
+    "sudakov": {"samples": 100_000},
+    "two-sided": {"mode": "greedy", "threshold": 40.0, "samples": 100_000},
+    "weak-strong": {"threshold": 4.0, "samples": 100_000},
+    "compare": {"p_grid": [2.0, 4.0], "samples": 100_000},
+    "tails": {"alpha": 1.0},
+    "hull": {"mode": "greedy", "samples": 100_000, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_defaults_written_out_give_the_same_result(experiment):
+    params = cli.EXPERIMENT_TABLE[experiment][1]
+    defaults = {k: v for k, v in params.items() if v is not cli.REQUIRED}
+    assert defaults == _DEFAULTS[experiment]
+    config = _minimal(experiment)
+    written = {**config, "params": {**defaults, **config["params"]}}
+    assert cli.run(written)["result"] == cli.run(config)["result"]
+
+
+def _without(experiment, param):
+    config = _minimal(experiment)
+    del config["params"][param]
+    return config
+
+
+def _with(experiment, **params):
+    config = _minimal(experiment)
+    config["params"].update(params)
+    return config
+
+
+def _index_set_without(spec, field):
+    return {"index_set": {k: v for k, v in spec.items() if k != field}}
+
+
+_INDEX_SETS = [{"type": "explicit", "points": [[1.0]]},
+               {"type": "basis", "n": 1},
+               {"type": "packing", "m": 1, "n": 1},
+               {"type": "sphere_random", "count": 2, "n": 1, "seed": 0},
+               {"type": "interleave_of", "inner": {"type": "basis", "n": 1}}]
+
+# (experiment, config, extra argv, path of the error, field it names)
+_BAD_CONFIGS = (
+    [(e, _without(e, k), [], "$.params", k)
+     for e, params in cli.EXPERIMENT_TABLE.items()
+     for k, v in params[1].items() if v is cli.REQUIRED]
+    + [("gamma", _with("gamma", beta=2.0), [], "$.params", "beta"),
+       ("supremum", _minimal("supremum"), ["--mode", "exact"], "$.params", "mode"),
+       ("tails", _with("tails", samples=1_000), [], "$.params", "samples"),
+       ("tails", {"output": {"dir": "o"}}, [], "$", "output"),
+       ("gamma", {"process_y": {"family": "gaussian"}}, [], "$.process_y", "process_y"),
+       ("compare", {"params": {"seed": 1}}, [], "$", "process_y")]
+    + [("tails", _index_set_without(spec, field), [], "$.index_set", field)
+       for spec in _INDEX_SETS for field in spec if field != "type"]
+    + [("tails", {"index_set": {"type": "interleave_of", "inner": {"type": "basis"}}},
+        [], "$.index_set.inner", "n"),
+       ("tails", {"process": {"family": "sym_weibull"}}, [], "$.process", "shape"),
+       ("tails", {"process": {"family": "three_point"}}, [], "$.process", "a"),
+       ("two-sided", {"process": [{"family": "three_point"}], "params": {"seed": 1}},
+        [], "$.process[0]", "a"),
+       ("compare", {"process_y": {"family": "three_point"}, "params": {"seed": 1}},
+        [], "$.process_y", "a")])
+
+
 class TestEndToEnd:
+    @pytest.mark.parametrize("experiment, config, argv, path, field", _BAD_CONFIGS)
+    def test_invalid_config_named_without_traceback(self, tmp_path, capsys, experiment,
+                                                    config, argv, path, field):
+        cfg = self._write_config(tmp_path, config)
+        assert cli.main([experiment, "--config", str(cfg),
+                         "--out", str(tmp_path / "o"), *argv]) == 1
+        err = capsys.readouterr().err
+        prefix = f"error: config invalid at {path}: "
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert f"'{field}'" in err or path.endswith(field), err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_an_object_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[]")
+        assert cli.main(["gamma", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config invalid at $: not a JSON object\n"
+
     def _write_config(self, tmp_path, doc):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
