@@ -76,7 +76,7 @@ INDEX_SET_SCHEMA = {
 
 _PARAM_SCHEMAS = {
     "p": {"type": "number", "minimum": 1},
-    "p_grid": {"type": "array", "items": {"type": "number"}},
+    "p_grid": {"type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1},
     "u": {"type": "number", "exclusiveMinimum": 0},
     "alpha": {"type": "number", "minimum": 1},
     "samples": {"type": "integer", "minimum": 100},

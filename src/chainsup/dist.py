@@ -58,16 +58,42 @@ def _gaussian_lp(p: float) -> float:
     return math.exp(0.5 * _LN2 + (math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
 
 
-def _signs(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent fair signs +-1.0: the rademacher sampler.
+def _signs(rng: np.random.Generator, out: np.ndarray, mag=1.0) -> np.ndarray:
+    """Fill `out` with mag * s for len(out) fair signs s = +-1.0, mag >= +0.
 
-    The values of rng.integers(0, 2, size=n) * 2.0 - 1.0, mapped in place:
-    a mixed int-float multiply costs more than the draws themselves.
+    With mag = 1.0 this is the rademacher sampler; with mag = out it signs
+    the magnitudes already in `out`.  The signs are those of
+    rng.integers(0, 2, size=len(out)) * 2.0 - 1.0, bit for bit, and the
+    generator ends in the state that call leaves.  Two facts make it so:
+    - numpy draws integers(0, 2) by Lemire's method, which at range 2
+      never rejects and returns the top bit of the next 32-bit output;
+    - PCG64 hands out its 32-bit outputs as the low, then the high half of
+      one 64-bit word, and keeps an unused high half in
+      state["has_uint32"] and state["uinteger"].
+    So a waiting half goes first, the other m signs come from ceil(m/2)
+    raw words read as int32 (a set top bit is +1), and for odd m the last
+    high half is left waiting, as numpy leaves it.  numpy keeps that last
+    high half in state["uinteger"] even once it is used, and so does this.
     """
-    s = rng.integers(0, 2, size=n).astype(float)
-    s *= 2.0
-    s -= 1.0
-    return s
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.PCG64):
+        raise TypeError(f"samplers need a PCG64 generator, got {type(bg).__name__}")
+    n = len(out)
+    state = bg.state
+    k = 1 if n and state["has_uint32"] else 0
+    m = n - k
+    # w >= 0 exactly where the top bit is set, so copysign(mag, w) = mag * s
+    w = np.empty(n, np.int32)
+    if k:
+        w[0] = 0 if state["uinteger"] >> 31 else -1
+    raw = np.asarray(bg.random_raw((m + 1) // 2), "<u8").view("<i4")
+    np.invert(raw[:m], out=w[k:])
+    if n:
+        uinteger = int(raw[-1]) & 0xFFFFFFFF if m else state["uinteger"]
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = m % 2, uinteger
+        bg.state = state
+    return np.copysign(mag, w, out=out)
 
 
 @dataclass(frozen=True)
@@ -141,12 +167,16 @@ class TailFunction:
 
 
 class DistributionModel:
-    """A standardized symmetric law: moments, tail exponent, sampler."""
+    """A standardized symmetric law: moments, tail exponent, sampler.
+
+    `sampler(rng, out)` fills the contiguous float64 vector `out` with
+    i.i.d. draws.
+    """
 
     def __init__(self, family: str, params: dict,
                  moment_fn: Callable[[float], float],
                  tail_fn: Callable[[np.ndarray], np.ndarray],
-                 sampler: Callable[[np.random.Generator, int], np.ndarray],
+                 sampler: Callable[[np.random.Generator, np.ndarray], object],
                  support_bound: float = math.inf):
         self.family = family
         self.params = dict(params)
@@ -188,10 +218,25 @@ class DistributionModel:
 
     # -- sampling -----------------------------------------------------
 
-    def sample_with(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def sample_with(self, rng: np.random.Generator, count: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """`count` i.i.d. draws written into `out`, a new vector if None.
+
+        `out` must be a contiguous, writable float64 vector of length
+        `count`, such as a column of a Fortran-ordered matrix; it is checked
+        before anything is drawn.
+        """
         if count < 0:
             raise ValueError("count must be >= 0")
-        return self._sampler(rng, int(count))
+        if out is None:
+            out = np.empty(int(count))
+        elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                  and out.shape == (count,) and out.flags.c_contiguous
+                  and out.flags.writeable):
+            raise ValueError(f"out must be a contiguous writable float64 vector of "
+                             f"length {count}")
+        self._sampler(rng, out)
+        return out
 
     def sample(self, stream: RngStream, count: int) -> np.ndarray:
         """i.i.d. draws, deterministic given (master seed, stream id)."""
@@ -214,7 +259,7 @@ def gaussian() -> DistributionModel:
         "gaussian", {},
         moment_fn=_gaussian_lp,
         tail_fn=tail,
-        sampler=lambda rng, n: rng.standard_normal(n),
+        sampler=lambda rng, out: rng.standard_normal(out=out),
     )
 
 
@@ -235,10 +280,10 @@ def sym_exponential() -> DistributionModel:
     # |X| ~ Exp(rate sqrt(2)) gives E X^2 = 1; N(t) = sqrt(2) t
     rt2 = math.sqrt(2.0)
 
-    def sampler(rng, n):
-        mag = rng.exponential(scale=1.0 / rt2, size=n)
-        sgn = _signs(rng, n)
-        return mag * sgn
+    def sampler(rng, out):
+        rng.standard_exponential(out=out)
+        out *= 1.0 / rt2  # the bits of rng.exponential(scale=1.0 / rt2)
+        _signs(rng, out, out)
 
     return DistributionModel(
         "sym_exponential", {},
@@ -257,10 +302,13 @@ def sym_weibull(shape: float) -> DistributionModel:
     w = float(shape)
     s = math.exp(-0.5 * math.lgamma(1.0 + 2.0 / w))  # Gamma(1+2/w)^(-1/2)
 
-    def sampler(rng, n):
-        mag = s * rng.weibull(w, size=n)
-        sgn = _signs(rng, n)
-        return mag * sgn
+    def sampler(rng, out):
+        # rng.weibull(w) is standard_exponential() ** (1/w), one draw each;
+        # the vectorised power may differ from numpy's scalar pow by 1 ulp
+        rng.standard_exponential(out=out)
+        np.power(out, 1.0 / w, out=out)
+        out *= s
+        _signs(rng, out, out)
 
     return DistributionModel(
         "sym_weibull", {"shape": w},
@@ -284,9 +332,9 @@ def three_point(a: float) -> DistributionModel:
     def tail(t):
         return np.where(t < a, 2.0 * math.log(a), np.inf)
 
-    def sampler(rng, n):
-        u = rng.random(n)
-        return np.where(u < p_atom / 2.0, a, np.where(u < p_atom, -a, 0.0))
+    def sampler(rng, out):
+        u = rng.random(out=out)
+        out[:] = np.where(u < p_atom / 2.0, a, np.where(u < p_atom, -a, 0.0))
 
     return DistributionModel(
         "three_point", {"a": a},
@@ -344,10 +392,9 @@ def log_concave_from_tail(tail) -> DistributionModel:
     def moment_fn(p):
         return _tail_quad_raw_moment(tail_fn, support, p) ** (1.0 / p)
 
-    def sampler(rng, n):
-        mag = model.tail.quantile(rng.exponential(size=n))
-        sgn = _signs(rng, n)
-        return mag * sgn
+    def sampler(rng, out):
+        out[:] = model.tail.quantile(rng.standard_exponential(out=out))
+        _signs(rng, out, out)
 
     model = DistributionModel(
         "log_concave_from_tail", {"sigma": sigma},

@@ -74,12 +74,12 @@ class ProcessSpec:
         """(count, dimension) matrix of coordinate draws, column order fixed.
 
         Column j is one `sample_with(rng, count)` call of coordinate j, in
-        order, written into a Fortran-ordered buffer so that each column
-        lands contiguously; a row slice of it is still a BLAS operand.
+        order, drawn in place into a Fortran-ordered buffer, where each
+        column is contiguous; a row slice of it is still a BLAS operand.
         """
         out = np.empty((count, self.dimension), order="F")
         for j, m in enumerate(self.models):
-            out[:, j] = m.sample_with(rng, count)
+            m.sample_with(rng, count, out=out[:, j])
         return out
 
     def descriptors(self) -> list:

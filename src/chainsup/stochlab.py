@@ -303,9 +303,9 @@ def symmetrization_check(proc: ProcessSpec, T: IndexSet, p: float,
     for m in proc.models:
         base = m
 
-        def sampler(rng, cnt, base=base):
-            vals = base.sample_with(rng, cnt)
-            return vals * dist._signs(rng, cnt)
+        def sampler(rng, out, base=base):
+            base.sample_with(rng, len(out), out=out)
+            out *= dist._signs(rng, np.empty(len(out)))
 
         sym_models.append(DistributionModel(
             base.family + "_symmetrized", base.params,

@@ -272,9 +272,9 @@ class SurrogateCoordinate:
     def sample_coupled(self, rng: np.random.Generator, count: int) -> dict:
         """Pathwise-coupled draws of X, X~, Y, U, Z (shared uniforms/signs)."""
         e = rng.exponential(size=count)                 # shared: -ln U
-        sgn = dist._signs(rng, count)
+        sgn = dist._signs(rng, np.empty(count))
         u_filler = rng.random(count)                    # filler's own uniform
-        sgn_filler = dist._signs(rng, count)
+        sgn_filler = dist._signs(rng, np.empty(count))
 
         x_abs = self.model.tail.quantile(e)
         xt_abs = np.maximum(x_abs, self.constants.T_alpha)

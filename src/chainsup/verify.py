@@ -190,8 +190,11 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     ||Y_s - Y_t||_p <= ||X_s - X_t||_p + errX + errY + 1e-9 * (1 + dX), with
     3-sigma error bars, must hold for every pair s < t of T at each p, from
     one pair-norm pass per process and p; the first violating pair in
-    (p, s, t) row-major order raises.
+    (p, s, t) row-major order raises; an empty p_grid, which would check
+    nothing, raises too.
     """
+    if not len(p_grid):
+        raise ValueError("comparison needs a nonempty p_grid")
     pts, m = T.points, len(T)
     for p in p_grid:
         dx, err_x, _ = metric_mod._pair_norms(procX, T, p, samples, stream.master_seed)

@@ -318,6 +318,22 @@ class TestEndToEnd:
         assert f"'{field}'" in err or path.endswith(field), err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("p_grid, path, message", [
+        ([], "$.params.p_grid", "should be non-empty"),
+        ([0.5], "$.params.p_grid[0]", "less than the minimum of 1"),
+    ], ids=["empty", "below_one"])
+    def test_compare_p_grid_empty_or_below_one_rejected(self, tmp_path, capsys,
+                                                        p_grid, path, message):
+        # an empty grid checked no pair and passed; p = 0.5 stopped mid-run
+        config = {"process_y": {"family": "gaussian"},
+                  "params": {"seed": 1, "p_grid": p_grid}}
+        cfg = self._write_config(tmp_path, config)
+        assert cli.main(["compare", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config invalid at {path}: ") and message in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_config_not_an_object_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text("[]")

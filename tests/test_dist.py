@@ -140,6 +140,83 @@ class TestTails:
                 model.moment(p) ** p, rel=1e-6)
 
 
+# Each family's draws written with numpy's allocating calls (integers(0, 2)
+# signs, weibull, exponential(scale=)): the oracle of the stream property
+# below.  Each returns (draws, the unscaled weibull draws or None).
+
+def _oracle_signs(rng, n):
+    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+
+
+_WEIBULL_SHAPE = 1.5
+_WEIBULL_SCALE = math.exp(-0.5 * math.lgamma(1.0 + 2.0 / _WEIBULL_SHAPE))
+
+
+def _oracle_weibull(rng, n):
+    raw = rng.weibull(_WEIBULL_SHAPE, size=n)
+    return _WEIBULL_SCALE * raw * _oracle_signs(rng, n), raw
+
+
+def _oracle_three_point(rng, n, a=3.0):
+    u = rng.random(n)
+    p_atom = 1.0 / (a * a)
+    return np.where(u < p_atom / 2.0, a, np.where(u < p_atom, -a, 0.0)), None
+
+
+_TAIL_MODEL = dist.log_concave_from_tail(lambda t: np.sqrt(2) * np.asarray(t))
+
+# family -> (model, oracle sampler)
+_STREAM_CASES = {
+    "gaussian": (dist.gaussian(), lambda rng, n: (rng.standard_normal(n), None)),
+    "rademacher": (dist.rademacher(), lambda rng, n: (_oracle_signs(rng, n), None)),
+    "sym_exponential": (dist.sym_exponential(), lambda rng, n: (
+        rng.exponential(scale=1.0 / math.sqrt(2.0), size=n) * _oracle_signs(rng, n),
+        None)),
+    "sym_weibull": (dist.sym_weibull(_WEIBULL_SHAPE), _oracle_weibull),
+    "three_point": (dist.three_point(3.0), _oracle_three_point),
+    "log_concave_from_tail": (_TAIL_MODEL, lambda rng, n: (
+        _TAIL_MODEL.tail.quantile(rng.exponential(size=n)) * _oracle_signs(rng, n),
+        None)),
+}
+
+_COUNTS = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 70_000))
+_STEPS = st.lists(st.tuples(st.sampled_from(["sample", "integers", "normal"]), _COUNTS),
+                  min_size=1, max_size=6)
+
+
+def _within_one_ulp_of_the_power(got, want, raw):
+    """got = scale * y * sign for y within 1 ulp of numpy's weibull draw."""
+    mags = [_WEIBULL_SCALE * np.nextafter(raw, d) for d in (-np.inf, np.inf)]
+    mag_ok = ((np.abs(got) == np.abs(want)) | (np.abs(got) == mags[0])
+              | (np.abs(got) == mags[1]))
+    return bool(np.all(mag_ok & (np.signbit(got) == np.signbit(want))))
+
+
+@given(steps=_STEPS, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_samplers_keep_the_oracle_stream(steps, seed):
+    # interleaved with integers(0, 2) calls, which leave a half-word
+    # buffered, and with gaussian draws, which do not use it; after every
+    # step the generator state, buffer included, equals the oracle's
+    for family, (model, oracle) in _STREAM_CASES.items():
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for kind, n in steps:
+            if kind == "sample":
+                got = model.sample_with(rng, n)
+                want, raw = oracle(ref, n)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                if raw is None:
+                    assert got.tobytes() == want.tobytes(), family
+                else:
+                    assert _within_one_ulp_of_the_power(got, want, raw), family
+            elif kind == "integers":
+                assert np.array_equal(rng.integers(0, 2, size=n),
+                                      ref.integers(0, 2, size=n))
+            else:
+                assert rng.standard_normal(n).tobytes() == ref.standard_normal(n).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state, (family, kind, n)
+
+
 class TestSampling:
     def test_rademacher_values(self):
         vals = dist.rademacher().sample(RngStream(1, 2), 4)
@@ -147,12 +224,42 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [0, 1, 65_537])
     def test_signs_match_the_direct_map(self, n):
-        # the in-place map keeps the draws and the bytes of the direct one
+        # the raw-word signs keep the draws, the bytes and the generator
+        # state, buffered half-word included, of the integers-based map
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        got = dist._signs(rng, n)
-        want = ref.integers(0, 2, size=n) * 2.0 - 1.0
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for _ in range(2):  # the second call starts on a buffered half if n is odd
+            got = dist._signs(rng, np.empty(n))
+            want = _oracle_signs(ref, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random() == ref.random()
+
+    def test_signs_need_pcg64(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            dist._signs(np.random.Generator(np.random.MT19937(0)), np.empty(3))
+
+    def test_sample_into_column_view(self, model):
+        # a column of a Fortran-ordered buffer is filled in place and returned,
+        # with the bytes of the allocating call
+        buf = np.zeros((1_001, 3), order="F")
+        col = buf[:, 1]
+        assert model.sample_with(np.random.default_rng(4), 1_001, out=col) is col
+        want = model.sample_with(np.random.default_rng(4), 1_001)
+        assert buf[:, 1].tobytes() == want.tobytes()
+        assert not buf[:, [0, 2]].any()
+
+    @pytest.mark.parametrize("out", [
+        np.empty(9), np.empty(11), np.empty(10, dtype=np.float32),
+        np.empty(10, dtype=np.int64), np.empty((10, 2))[:, 0], np.empty((10, 1)),
+        np.broadcast_to(np.empty(10), (10,)), np.empty(10).tolist()],
+        ids=["short", "long", "float32", "int64", "strided", "two_dim", "read_only",
+             "list"])
+    def test_bad_out_rejected_before_any_draw(self, model, out):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="float64 vector of length 10"):
+            model.sample_with(rng, 10, out=out)
+        assert rng.bit_generator.state == before
 
     def test_determinism(self, model):
         s = RngStream(123, 7)

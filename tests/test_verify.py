@@ -185,7 +185,8 @@ class TestComparison:
             "rademacher_half", {},
             moment_fn=lambda p: 0.5,
             tail_fn=lambda t: np.where(np.asarray(t) < 0.5, 0.0, np.inf),
-            sampler=lambda rng, c: 0.5 * (rng.integers(0, 2, size=c) * 2.0 - 1.0),
+            sampler=lambda rng, out: np.multiply(
+                0.5, rng.integers(0, 2, size=len(out)) * 2.0 - 1.0, out=out),
             support_bound=0.5)
         procY = ProcessSpec.homogeneous(half, n)
         out = verify.comparison_experiment(procX, procY, T, p_grid=(2.0, 4.0),
@@ -194,6 +195,13 @@ class TestComparison:
         assert out["esup_ratio"] == pytest.approx(0.5, abs=0.05)
         for c in out["tail_curves"]:
             assert c["p_supY_ge_u"] <= 1.0
+
+    def test_empty_p_grid_rejected(self):
+        # a grid with no p checks no pair, so the domination check could not fail
+        T = IndexSet.with_origin(np.eye(2))
+        with pytest.raises(ValueError, match="nonempty p_grid"):
+            verify.comparison_experiment(rad_proc(2), rad_proc(2), T, p_grid=(),
+                                         samples=1_000, stream=RngStream(26, 2))
 
     def test_domination_violation_raises(self):
         T = IndexSet.with_origin(np.eye(2))
