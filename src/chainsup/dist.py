@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy import special as sp
 
 from .streams import RngStream
 
@@ -251,7 +249,10 @@ def gaussian() -> DistributionModel:
     def tail(t):
         # P(|g| > t) = 2*sf(t) = 1 - erf(t/sqrt2).  log_ndtr(-t) = log sf(t)
         # is stable far out, but ln 2 + log_ndtr(-t) cancels near t = 0;
-        # below t = 1 the log1p form keeps full relative accuracy.
+        # below t = 1 the log1p form keeps full relative accuracy.  scipy is
+        # imported here, on first use, to keep it off the package's import.
+        from scipy import special as sp
+
         near = -np.log1p(-sp.erf(np.minimum(t, 1.0) / math.sqrt(2.0)))
         return np.where(t < 1.0, near, -(_LN2 + sp.log_ndtr(-t)))
 
@@ -350,8 +351,11 @@ def _tail_quad_raw_moment(tail_fn, support_bound: float, p: float,
     """E|X|^p = int_0^inf p t^(p-1) exp(-N(t)) dt by adaptive quadrature.
 
     The upper limit doubles until the last interval contributes less than
-    1e-12 of the running total.
+    1e-12 of the running total.  scipy is imported here, on first use, to
+    keep it off the package's import.
     """
+    from scipy import integrate
+
     def integrand(t):
         n = np.asarray(tail_fn(np.asarray(t, dtype=float)), dtype=float)
         with np.errstate(over="ignore"):

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from . import dist
 from .dist import DistributionModel
@@ -43,6 +42,7 @@ MC_DEFAULT_SAMPLES = 100_000
 MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
 _MC_TILE_ELEMS = 1 << 18      # elements of the pair-by-sample scratch buffer (2 MiB)
+_SQUARE_BAND = 128            # rows per band of the lower-triangle copy in _square
 
 
 @dataclass(frozen=True)
@@ -275,24 +275,33 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     # an integer p that is not a power of two keeps a running product
     spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
     n = 0
-    while n < samples:
-        chunk = min(_MC_CHUNK, samples - n)
-        v = pts @ proc.sample_matrix(rng, chunk).T      # (|pts|, chunk)
-        for lo in range(0, chunk, tile):
-            w = min(tile, chunk - lo)
-            for i in range(k):
-                d = scratch[:(k - i) * w].reshape(k - i, w)
-                np.subtract(v[i + 1:, lo:lo + w], v[i, lo:lo + w], out=d)
-                d = _abs_power(d, p, spare)
-                total[rows[i]:rows[i + 1]] += d.sum(axis=1)
-                total_sq[rows[i]:rows[i + 1]] += np.einsum("ij,ij->i", d, d)
-        n += chunk
-    mean = total / n
-    stderr = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
-    # delta method on m -> m^(1/p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(mean > 0, stderr / (p * mean ** (1.0 - 1.0 / p)), stderr)
-    return mean ** (1.0 / p), 3.0 * err
+    # at large p the sums of |d|^p and |d|^(2p) can overflow; a value or
+    # error that is then not finite raises below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while n < samples:
+            chunk = min(_MC_CHUNK, samples - n)
+            v = pts @ proc.sample_matrix(rng, chunk).T      # (|pts|, chunk)
+            for lo in range(0, chunk, tile):
+                w = min(tile, chunk - lo)
+                for i in range(k):
+                    d = scratch[:(k - i) * w].reshape(k - i, w)
+                    np.subtract(v[i + 1:, lo:lo + w], v[i, lo:lo + w], out=d)
+                    d = _abs_power(d, p, spare)
+                    total[rows[i]:rows[i + 1]] += d.sum(axis=1)
+                    total_sq[rows[i]:rows[i + 1]] += np.einsum("ij,ij->i", d, d)
+            n += chunk
+        mean = total / n
+        stderr = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
+        # delta method on m -> m^(1/p)
+        err = 3.0 * np.where(mean > 0, stderr / (p * mean ** (1.0 - 1.0 / p)), stderr)
+        values = mean ** (1.0 / p)
+    bad = np.count_nonzero(~(np.isfinite(values) & np.isfinite(err)))
+    if bad:
+        raise ValueError(
+            f"Monte-Carlo d_p at p = {p:g} overflows a float on {bad} of {len(values)} "
+            f"pairs of the {proc.family or 'mixed'} process (a value or its 3-sigma "
+            f"error is not finite); use a smaller p")
+    return values, err
 
 
 def increment_norm(proc: ProcessSpec, s, t, p: float,
@@ -320,7 +329,34 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     """
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
-    return squareform(_pair_norms(proc, T, p, samples, seed)[0])
+    return _square(_pair_norms(proc, T, p, samples, seed)[0], len(T))
+
+
+def _square(v: np.ndarray, m: int) -> np.ndarray:
+    """The symmetric m x m matrix with zero diagonal whose strict upper
+    triangle, row-major, is the condensed vector `v`.
+
+    Bit for bit what scipy's squareform gives: values are only copied, so
+    -0.0 and every other bit survive.  Each upper row is one slice of `v`.
+    The lower triangle is the upper one transposed, copied band by band:
+    the block below each band of _SQUARE_BAND rows in one transposed copy,
+    and the band's diagonal block through a band-sized triangular mask, so
+    no index or mask array of the pair count or of m^2 is built.
+    """
+    out = np.empty((m, m))
+    lo = 0
+    for i in range(m):
+        hi = lo + m - 1 - i
+        out[i, i + 1:] = v[lo:hi]
+        lo = hi
+    np.fill_diagonal(out, 0.0)
+    below = np.tri(_SQUARE_BAND, k=-1, dtype=bool)
+    for b in range(0, m, _SQUARE_BAND):
+        e = min(b + _SQUARE_BAND, m)
+        blk = out[b:e, b:e]
+        np.copyto(blk, blk.T, where=below[:e - b, :e - b])
+        out[e:, b:e] = out[b:e, e:].T
+    return out
 
 
 def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:

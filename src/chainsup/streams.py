@@ -34,12 +34,42 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_id * 1000003 + offset + 1)
 
 
+_REPR_CHUNK = 1 << 20  # bytes of a bytes token whose repr is built at once
+
+
 def derived_stream(master_seed: int, *tokens) -> RngStream:
     """Deterministic stream id from arbitrary hashable tokens.
 
     Used where an operation needs internal randomness but its interface
     carries no stream (e.g. Monte-Carlo increment norms): the stream is a
-    stable function of the inputs.
+    stable function of the inputs.  The id hashes the characters of
+    repr(tokens), fed to SHA-256 token by token, and a bytes token's repr
+    chunk by chunk, so a large token costs O(_REPR_CHUNK) memory beyond
+    itself, not a repr four times its size.
     """
-    h = hashlib.sha256(repr(tokens).encode()).digest()
-    return RngStream(master_seed, int.from_bytes(h[:8], "little") >> 1)
+    h = hashlib.sha256(b"(")
+    for k, tok in enumerate(tokens):
+        if k:
+            h.update(b", ")
+        if type(tok) is bytes:
+            _hash_bytes_repr(h, tok)
+        else:
+            h.update(repr(tok).encode())
+    h.update(b",)" if len(tokens) == 1 else b")")
+    return RngStream(master_seed, int.from_bytes(h.digest()[:8], "little") >> 1)
+
+
+def _hash_bytes_repr(h, tok: bytes) -> None:
+    """h.update(repr(tok).encode()), one chunk of `tok` at a time.
+
+    repr escapes each byte on its own, given the quote, and picks the quote
+    from the whole token: '"' if it holds a ' and no ", else '.  A chunk
+    whose own repr picked '"' where the whole picks ' has its ' escaped.
+    """
+    q = '"' if b"'" in tok and b'"' not in tok else "'"
+    h.update(f"b{q}".encode())
+    for lo in range(0, len(tok), _REPR_CHUNK):
+        text = repr(tok[lo:lo + _REPR_CHUNK])
+        body = text[2:-1]
+        h.update((body if text[1] == q else body.replace("'", "\\'")).encode())
+    h.update(q.encode())

@@ -8,9 +8,8 @@ import pytest
 import chainsup
 
 
-@pytest.fixture
-def run_cli():
-    """Run `python -m chainsup.cli` in a child process.
+def _child_env() -> dict:
+    """The environment of a child Python process that imports this chainsup.
 
     The child's `PYTHONPATH` starts with the absolute directory that holds
     the `chainsup` package this test process imported (`src/` in a
@@ -23,9 +22,30 @@ def run_cli():
     root = str(Path(chainsup.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.fixture
+def run_cli():
+    """Run `python -m chainsup.cli` in a child process."""
+    env = _child_env()
 
     def run(args, cwd):
         return subprocess.run([sys.executable, "-m", "chainsup.cli", *args],
                               capture_output=True, text=True, cwd=cwd, env=env)
+
+    return run
+
+
+@pytest.fixture
+def run_python():
+    """Run `python -c code` in a fresh child process; returns its stdout."""
+    env = _child_env()
+
+    def run(code):
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
 
     return run

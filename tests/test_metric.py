@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import squareform
 
 from chainsup import dist, metric
 from chainsup.metric import IndexSet, ProcessSpec, increment_norm, latala_norm
@@ -224,6 +225,40 @@ class TestDistanceMatrix:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    def test_monte_carlo_memory_on_a_thousand_points(self):
+        # the stream key hashes the 61 MiB difference bytes; its whole repr
+        # and encoding took the peak to 528 MiB
+        T = IndexSet(np.random.default_rng(0).standard_normal((1_000, 16)))
+        tracemalloc.start()
+        try:
+            metric.distance_matrix(exp_proc(16), T, 3.0, samples=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2 ** 20
+
+    def test_single_point_is_one_zero(self):
+        one = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0)
+        assert one.tobytes() == np.array([[0.0]]).tobytes()
+
+
+_BAND = metric._SQUARE_BAND
+
+
+@given(m=st.one_of(st.integers(1, 300),
+                   st.sampled_from([_BAND - 1, _BAND, _BAND + 1, 2 * _BAND, 2 * _BAND + 1])),
+       seed=st.integers(0, 2 ** 32 - 1),
+       neg_zero=st.floats(0.0, 1.0))
+@example(m=1, seed=0, neg_zero=0.0)
+@example(m=2, seed=0, neg_zero=1.0)
+@settings(max_examples=150, deadline=None)
+def test_square_equals_squareform(m, seed, neg_zero):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(m * (m - 1) // 2)
+    v[rng.random(len(v)) < neg_zero] = -0.0
+    v[rng.random(len(v)) < 0.01] = np.inf
+    assert metric._square(v, m).tobytes() == squareform(v).tobytes()
+
 
 class TestMonteCarloKernel:
     """The in-place, tiled kernel against a naive reduction of the same draws."""
@@ -260,6 +295,14 @@ class TestMonteCarloKernel:
         want_values, want_errors = self.naive(proc, pts, p, samples, 5)
         np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(errors, want_errors, rtol=1e-12, atol=0)
+
+    def test_overflow_at_large_p_raises(self):
+        # |d|^(2p) overflows at p = 128 once a sample has |d| above about 16;
+        # these two points gave d = 23.5 with a NaN 3-sigma error
+        pts = np.random.default_rng(3).standard_normal((2, 5))
+        with pytest.raises(ValueError, match=r"p = 128 .* 1 of 1 pairs of the "
+                                             r"sym_exponential process"):
+            metric._pair_norms(exp_proc(5), pts, 128, 21_234, 0)
 
 
 class TestPairNormCache:
@@ -499,3 +542,14 @@ def test_is_exact_metric():
     assert metric.is_exact_metric(rad_proc(8), IndexSet.basis(8))
     assert not metric.is_exact_metric(rad_proc(24), IndexSet.with_origin(np.ones((1, 24))))
     assert not metric.is_exact_metric(exp_proc(2), IndexSet.basis(2))
+
+
+@given(pts=point_sets(dims=(1, 2, 3, 9)),
+       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential]),
+       p=st.sampled_from([1.0, 2.0, 3.0, 8.0]))
+@settings(max_examples=60, deadline=None)
+def test_distance_matrix_equals_squareform_of_pair_norms(pts, make, p):
+    proc = ProcessSpec.homogeneous(make(), pts.shape[1])
+    want = squareform(metric._pair_norms(proc, pts, p, 500, 4)[0])
+    got = metric.distance_matrix(proc, IndexSet(pts), p, samples=500, seed=4)
+    assert got.tobytes() == want.tobytes()
