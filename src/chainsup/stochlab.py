@@ -5,17 +5,17 @@ means, and checks the Paley-Zygmund, contraction and symmetrization
 facts.  All estimators draw from an RngStream in fixed chunk order, so a
 (master seed, stream id) pair reproduces results bitwise.
 
-Each chunk of coordinate draws comes as one Fortran-ordered matrix
-(`ProcessSpec.sample_matrix`) and is projected onto T one row tile at a
-time; each tile is reduced straight to its per-row values, so no
-(chunk x |T|) matrix of process values exists.  The tile holds
-`metric._MC_TILE_ELEMS` values, the budget of the Monte-Carlo metric
-kernel, so memory stays flat in |T|.
-
-A coordinate selection (every point of T has at most one nonzero
-coefficient, as the basis) is projected by a scaled column gather plus
-0.0, which turns -0.0 into +0.0 as the matmul's +0 accumulator does, so
-the values equal the matmul's bit for bit (see `_tiled_draw`).
+Every sup target is a function of the per-row max and min of the
+process values over T, so a chunk is reduced straight to those two
+vectors and no (chunk x |T|) matrix of process values exists.  A
+coordinate selection (every point of T has at most one nonzero
+coefficient, as the basis) builds no draw matrix at all: each coordinate
+is drawn into one chunk-length buffer and folded into the running max
+and min, so memory is O(chunk) whatever the dimension and |T|.  Any other
+set draws one Fortran-ordered (chunk x dimension) matrix
+(`ProcessSpec.sample_matrix`) and projects it onto T one row tile of
+`metric._MC_TILE_ELEMS` values at a time, so memory stays flat in |T|.
+Both paths draw the same bits in the same order (see `_tiled_draw`).
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ __all__ = [
 
 _CHUNK = 65_536
 
-# per-row reductions of a (rows, |T|) matrix of process values
+# per-row sup targets from the row max `hi` and row min `lo` of the
+# process values over T
 _REDUCERS = {
-    "sup_increments": lambda v: v.max(axis=1) - v.min(axis=1),
-    "sup_abs": lambda v: np.abs(v).max(axis=1),
-    "max_only": lambda v: v.max(axis=1),
+    "sup_increments": lambda hi, lo: hi - lo,
+    "sup_abs": lambda hi, lo: np.maximum(hi, -lo),
+    "max_only": lambda hi, lo: hi,
 }
 TARGETS = tuple(_REDUCERS)
 
@@ -111,47 +112,68 @@ def _selection(pts: np.ndarray):
 
 
 def _tiled_draw(proc: ProcessSpec, pts: np.ndarray, reduce):
-    """`draw_chunk(rng, rows)` giving reduce(x @ pts.T) for draws x.
+    """`draw_chunk(rng, rows)` giving reduce(hi, lo) for draws x, where hi
+    and lo are the row max and row min of x @ pts.T, bit for bit.
 
-    `reduce` maps a (tile, |pts|) matrix of process values to one value
-    per row.  The draws x of a chunk are projected and reduced in row
-    tiles of `_MC_TILE_ELEMS // |pts|` rows (at least one), each written
-    straight into the (rows,) output; the draws do not depend on the tile.
+    When pts is a coordinate selection (`_selection`), no draw matrix is
+    built: coordinate j is drawn into one (rows,) buffer by the same
+    `sample_with` call, in the same order, that `sample_matrix` makes, so
+    the bits are the same, and unused coordinates are drawn too.  The
+    buffer times the smallest and the largest coefficient on column j is
+    folded into hi and lo in place.  Rounded multiplication is monotone
+    in the coefficient, so those two products hold the max and the min
+    over every point that selects column j.  A final `+ 0.0` turns a -0.0
+    extreme (say a zero draw times a negative coefficient) into +0.0, as
+    the matmul's +0 accumulator does.
 
-    When pts is a coordinate selection (`_selection`), a tile is the
-    column gather x[:, cols], times coef unless every coefficient is 1,
-    plus 0.0.  That equals the matmul bit for bit: the matmul adds one
-    product, rounded once, to exact zeros in a +0 accumulator, so a -0.0
-    product (say a zero draw times a negative coefficient) comes out
-    +0.0, and `+ 0.0` does the same.  The gathered tile keeps the
-    draws' Fortran order; every reduction used here (max, min, abs,
-    powers) is exact, so it gives the same bits as on the C-ordered
-    matmul tile.
+    Any other pts is projected by matmul in row tiles of
+    `_MC_TILE_ELEMS // |pts|` rows (at least one), each reduced to its row
+    max and min and released before the next; the draws do not depend on
+    the tile.
     """
-    tile = max(1, _MC_TILE_ELEMS // len(pts))
     selection = _selection(pts)
     if selection is None:
+        tile = max(1, _MC_TILE_ELEMS // len(pts))
         pts_T = pts.T
 
-        def project(xs):
-            return xs @ pts_T
+        def extremes(rng, rows):
+            x = proc.sample_matrix(rng, rows)
+            hi, lo = np.empty(rows), np.empty(rows)
+            for a in range(0, rows, tile):
+                v = x[a:a + tile] @ pts_T
+                v.max(axis=1, out=hi[a:a + tile])
+                v.min(axis=1, out=lo[a:a + tile])
+                del v  # free the tile before the next matmul allocates one
+            return hi, lo
     else:
         cols, coef = selection
-        scaled = bool(np.any(coef != 1.0))
+        cmin = np.full(proc.dimension, np.inf)
+        cmax = np.full(proc.dimension, -np.inf)
+        np.minimum.at(cmin, cols, coef)
+        np.maximum.at(cmax, cols, coef)
+        # per coordinate, its distinct extreme coefficients; () if unused
+        scales = [() if a > b else (a,) if a == b else (a, b)
+                  for a, b in zip(cmin.tolist(), cmax.tolist())]
 
-        def project(xs):
-            v = xs[:, cols]
-            if scaled:
-                v *= coef
-            v += 0.0
-            return v
+        def extremes(rng, rows):
+            hi = np.full(rows, -np.inf)
+            lo = np.full(rows, np.inf)
+            buf, prod = np.empty(rows), None  # prod is allocated on first use
+            for m, cs in zip(proc.models, scales):
+                m.sample_with(rng, rows, out=buf)
+                for c in cs:
+                    if c == 1.0:
+                        v = buf
+                    else:
+                        v = prod = np.multiply(buf, c, out=prod)
+                    np.maximum(hi, v, out=hi)
+                    np.minimum(lo, v, out=lo)
+            hi += 0.0
+            lo += 0.0
+            return hi, lo
 
     def draw(rng, rows):
-        x = proc.sample_matrix(rng, rows)
-        out = np.empty(rows)
-        for lo in range(0, rows, tile):
-            out[lo:lo + tile] = reduce(project(x[lo:lo + tile]))
-        return out
+        return reduce(*extremes(rng, rows))
 
     return draw
 
@@ -171,8 +193,9 @@ def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
     """Monte-Carlo estimate of E sup_{s,t in T}(X_s - X_t) (or variants).
 
     `target` picks sup_{s,t}(X_s - X_t), sup_t |X_t| or sup_t X_t.  Each
-    chunk of draws is projected onto T and reduced one row tile at a time
-    (`_tiled_draw`), so memory stays O(chunk * dimension) whatever |T|.
+    chunk of draws is reduced to the row max and min over T
+    (`_tiled_draw`): memory is O(chunk) on a coordinate selection and
+    O(chunk * dimension) otherwise, whatever |T|.
     """
     _check_inputs(proc, T, samples)
     if target not in TARGETS:
@@ -188,11 +211,12 @@ def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
 
 def estimate_mean(proc: ProcessSpec, T: IndexSet, samples: int, stream: RngStream,
                   transform, workers: int = 1) -> tuple[float, float]:
-    """Mean and stderr of transform(values matrix) per sample row.
+    """Mean and stderr of transform(hi, lo) per sample row.
 
-    `transform` maps a (rows, |T|) matrix of process values to one
-    number per row; it is applied to row tiles of each chunk, as in
-    `estimate_sup`.  Used for weak/strong-moment experiments.
+    `transform` maps the (rows,) vectors of the row max `hi` and row min
+    `lo` of the process values over T to one number per row, such as
+    np.maximum(hi, -lo) ** p for sup_t |X_t|^p; each chunk is reduced as
+    in `estimate_sup`.  Used for weak/strong-moment experiments.
     """
     _check_inputs(proc, T, samples)
     draw = _tiled_draw(proc, T.points, transform)

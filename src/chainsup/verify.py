@@ -162,7 +162,7 @@ def weak_strong_experiment(proc: ProcessSpec, T: IndexSet, p: float,
         raise ValueError("p must be >= 1")
     strong_mean, strong_err = estimate_mean(
         proc, T, samples, stream.child(0),
-        lambda v: np.abs(v).max(axis=1) ** p, workers=workers)
+        lambda hi, lo: np.maximum(hi, -lo) ** p, workers=workers)
     weak_sup = estimate_sup(proc, T, samples, stream.child(1), target="sup_abs",
                             workers=workers)
     norms = [increment_norm(proc, t, np.zeros(proc.dimension), p,
@@ -191,15 +191,25 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     3-sigma error bars, must hold for every pair s < t of T at each p, from
     one pair-norm pass per process and p; the first violating pair in
     (p, s, t) row-major order raises; an empty p_grid, which would check
-    nothing, raises too.
+    nothing, raises too.  At p = 2 both sides are the exact second
+    moments, where any two standardized laws tie, so a tie cannot fail by
+    Monte-Carlo noise.
     """
     if not len(p_grid):
         raise ValueError("comparison needs a nonempty p_grid")
     pts, m = T.points, len(T)
     for p in p_grid:
-        dx, err_x, _ = metric_mod._pair_norms(procX, T, p, samples, stream.master_seed)
-        dy, err_y, _ = metric_mod._pair_norms(procY, T, p, samples,
-                                              stream.master_seed + 1)
+        if p == 2:
+            # exact for independent mean-zero coordinates, with no error bar:
+            # ||sum a_i X_i||_2 is the euclidean norm of (a_i ||X_i||_2)_i
+            dx, dy = (IndexSet(pts * [model.moment(2) for model in proc.models])
+                      .pair_lengths() for proc in (procX, procY))
+            err_x = err_y = 0.0
+        else:
+            dx, err_x, _ = metric_mod._pair_norms(procX, T, p, samples,
+                                                  stream.master_seed)
+            dy, err_y, _ = metric_mod._pair_norms(procY, T, p, samples,
+                                                  stream.master_seed + 1)
         # written so that a NaN on either side counts as a violation
         bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * (1.0 + dx))))
         if bad.size:

@@ -45,6 +45,14 @@ _NOT_SELECTIONS = {
     "sphere": _sphere(7, 5, 26),
 }
 
+# the sup targets as reductions of a (rows, |T|) matrix of process values:
+# an oracle that shares no code with stochlab's max/min fold
+_MATRIX_REDUCERS = {
+    "sup_increments": lambda v: v.max(axis=1) - v.min(axis=1),
+    "sup_abs": lambda v: np.abs(v).max(axis=1),
+    "max_only": lambda v: v.max(axis=1),
+}
+
 
 class TestEstimateSup:
     def test_singleton_exact_zero(self):
@@ -123,7 +131,7 @@ class TestEstimateMeanInputs:
     @staticmethod
     def run(proc, T, samples):
         return stochlab.estimate_mean(proc, T, samples, RngStream(0, 0),
-                                      lambda v: v.max(axis=1))
+                                      lambda hi, lo: hi)
 
     def test_empty_index_set(self):
         with pytest.raises(ValueError, match="empty"):
@@ -134,13 +142,14 @@ class TestEstimateMeanInputs:
             self.run(gauss_proc(2), IndexSet.basis(2), 10)
 
     def test_dimension_mismatch(self):
-        # a column gather would silently read only the first two coordinates
+        # a selection fold would silently read only the first two coordinates
         with pytest.raises(ValueError, match="dimension"):
             self.run(gauss_proc(3), IndexSet.basis(2), 1000)
 
 
 class TestTiledProjection:
-    """Row-tiled projection against a naive reduction of the same draws."""
+    """The max/min fold and the row-tiled projection against a naive
+    reduction of the full value matrix of the same draws."""
 
     @staticmethod
     def naive(proc, pts, samples, stream, reduce):
@@ -173,16 +182,16 @@ class TestTiledProjection:
         est = stochlab.estimate_sup(self.proc, IndexSet(self.pts), self.samples,
                                     stream, target=target)
         mean, stderr = self.naive(self.proc, self.pts, self.samples, stream,
-                                  stochlab._REDUCERS[target])
+                                  _MATRIX_REDUCERS[target])
         assert est.samples == self.samples
         assert (est.mean, est.stderr) == (mean, stderr)
 
     def test_estimate_mean(self, uneven_tiles):
         stream = RngStream(23, 4)
-        transform = lambda v: np.abs(v).max(axis=1) ** 3  # noqa: E731
         got = stochlab.estimate_mean(self.proc, IndexSet(self.pts), self.samples,
-                                     stream, transform)
-        assert got == self.naive(self.proc, self.pts, self.samples, stream, transform)
+                                     stream, lambda hi, lo: np.maximum(hi, -lo) ** 3)
+        assert got == self.naive(self.proc, self.pts, self.samples, stream,
+                                 lambda v: np.abs(v).max(axis=1) ** 3)
 
     @pytest.mark.parametrize("name", [*_SELECTIONS, *_NOT_SELECTIONS])
     @pytest.mark.parametrize("target", stochlab.TARGETS)
@@ -193,20 +202,32 @@ class TestTiledProjection:
         est = stochlab.estimate_sup(self.proc, IndexSet(pts), self.samples,
                                     stream, target=target)
         assert (est.mean, est.stderr) == self.naive(
-            self.proc, pts, self.samples, stream, stochlab._REDUCERS[target])
+            self.proc, pts, self.samples, stream, _MATRIX_REDUCERS[target])
 
     @pytest.mark.parametrize("name", [*_SELECTIONS, *_NOT_SELECTIONS])
     def test_estimate_mean_on_selections(self, uneven_tiles, name):
         pts = {**_SELECTIONS, **_NOT_SELECTIONS}[name]
         stream = RngStream(28, 6)
-        transform = lambda v: np.abs(v).max(axis=1) ** 4  # noqa: E731
         got = stochlab.estimate_mean(self.proc, IndexSet(pts), self.samples,
-                                     stream, transform)
-        assert got == self.naive(self.proc, pts, self.samples, stream, transform)
+                                     stream, lambda hi, lo: np.maximum(hi, -lo) ** 4)
+        assert got == self.naive(self.proc, pts, self.samples, stream,
+                                 lambda v: np.abs(v).max(axis=1) ** 4)
+
+    @pytest.mark.parametrize("target", stochlab.TARGETS)
+    def test_selection_that_skips_coordinates(self, target):
+        # e_1 and e_5 in R^8: coordinates 2-4 and 6-8 are drawn but unused,
+        # so a fold that skipped them would read e_5 from the wrong draws
+        pts = np.eye(8)[[0, 4]]
+        proc = mixed_proc(8)
+        stream = RngStream(29, 7)
+        est = stochlab.estimate_sup(proc, IndexSet(pts), self.samples, stream,
+                                    target=target)
+        assert (est.mean, est.stderr) == self.naive(
+            proc, pts, self.samples, stream, _MATRIX_REDUCERS[target])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_gathered_tiles_equal_the_matmul_bytes(self, data):
+    def test_fold_extremes_equal_the_matmul_bytes(self, data):
         # signed zeros included: tobytes tells -0.0 from +0.0, == does not
         dim = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(1, 12))
@@ -226,17 +247,24 @@ class TestTiledProjection:
         proc = mixed_proc(dim)
         rows = data.draw(st.integers(1, 600))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
-        tiles = []
-
-        def keep(v):
-            tiles.append(np.array(v, order="C"))
-            return v[:, 0]
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stochlab, "_MC_TILE_ELEMS", 256)
-            stochlab._tiled_draw(proc, pts, keep)(np.random.default_rng(seed), rows)
-        x = proc.sample_matrix(np.random.default_rng(seed), rows)
-        assert np.vstack(tiles).tobytes() == (x @ pts.T).tobytes()
+            hi, lo = stochlab._tiled_draw(proc, pts, lambda hi, lo: (hi, lo))(
+                np.random.default_rng(seed), rows)
+        v = proc.sample_matrix(np.random.default_rng(seed), rows) @ pts.T
+        assert hi.tobytes() == v.max(axis=1).tobytes()
+        assert lo.tobytes() == v.min(axis=1).tobytes()
+
+    def test_memory_flat_for_a_wide_basis(self):
+        # a (65,536 x 257) draw matrix alone would take 128 MiB
+        tracemalloc.start()
+        try:
+            stochlab.estimate_sup(rad_proc(257), IndexSet.basis(257), 65_536,
+                                  RngStream(25, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_memory_flat_for_a_scaled_basis(self):
         # 1,000 scaled coordinate vectors in R^4, projected by column gather

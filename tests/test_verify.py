@@ -196,6 +196,33 @@ class TestComparison:
         for c in out["tail_curves"]:
             assert c["p_supY_ge_u"] <= 1.0
 
+    @pytest.mark.parametrize("seed", [4, 5, 7])
+    def test_exact_tie_at_p2_does_not_raise(self, seed):
+        # these seeds raised when p = 2 compared two Monte-Carlo estimates of
+        # the tie between standardized laws
+        pts = np.random.default_rng(seed).standard_normal((8, 6))
+        T = IndexSet(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        procX = ProcessSpec.homogeneous(dist.sym_exponential(), 6)
+        out = verify.comparison_experiment(procX, gauss_proc(6), T, p_grid=(2.0, 4.0),
+                                           samples=20_000, stream=RngStream(seed, 0))
+        assert out["domination_checked_pairs"] == 2 * 28
+
+    def test_doubled_process_fails_at_p2(self):
+        # Y = 2 * rademacher has twice the exact second moments of X = gaussian
+        n = 4
+        T = IndexSet.with_origin(np.eye(n))
+        double = dist.DistributionModel(
+            "rademacher_double", {},
+            moment_fn=lambda p: 2.0,
+            tail_fn=lambda t: np.where(np.asarray(t) < 2.0, 0.0, np.inf),
+            sampler=lambda rng, out: np.multiply(
+                2.0, rng.integers(0, 2, size=len(out)) * 2.0 - 1.0, out=out),
+            support_bound=2.0)
+        with pytest.raises(ValueError, match=r"p=2\.0\)"):
+            verify.comparison_experiment(gauss_proc(n), ProcessSpec.homogeneous(double, n),
+                                         T, p_grid=(2.0,), samples=20_000,
+                                         stream=RngStream(26, 3))
+
     def test_empty_p_grid_rejected(self):
         # a grid with no p checks no pair, so the domination check could not fail
         T = IndexSet.with_origin(np.eye(2))
