@@ -124,16 +124,36 @@ def _level_weight(functional: str, n: int) -> float:
     return 2.0 ** (n / 2.0) if functional == "gamma2" else 1.0
 
 
-def _block_diameter(dm: np.ndarray, block: list) -> float:
-    """max of dm over block x block, gathered a tile of rows at a time.
+def _submatrix(v: np.ndarray, rows, cols, m: int) -> np.ndarray:
+    """squareform(v)[np.ix_(rows, cols)] for the condensed distances `v` of
+    an m-point set, copied from `v` with no square built: the same values
+    in the same layout, and +0.0 where a row meets its own column."""
+    rows = np.asarray(rows)[:, None]
+    out = v[metric_mod.pair_index(rows, cols, m)]
+    out[rows == cols] = 0.0
+    return out
 
-    Each tile holds at most `_DIAMETER_TILE_ELEMS` entries, so the root
-    block reads the |T| x |T| matrix without copying it; max is exact, so
-    the float equals dm[np.ix_(block, block)].max().
+
+def _block_diameter(v: np.ndarray, block: list, m: int) -> float:
+    """max of the condensed distances `v` of an m-point set over
+    block x block, diagonal included.
+
+    A block of all of T is v.max() when that is positive, since the +0.0
+    diagonal then decides neither the max nor its sign of zero.  Any other
+    block is gathered a tile of rows at a time; a tile, its index array and
+    its diagonal mask each hold at most `_DIAMETER_TILE_ELEMS` entries (at
+    least one row), and each tile holds what the m x m matrix would, so
+    the float is bit for bit that matrix's block max.
     """
+    if len(block) == 1:
+        return 0.0
+    if len(block) == m:
+        top = float(v.max())
+        if top > 0.0:
+            return top
     idx = np.asarray(block)
     rows = max(1, _DIAMETER_TILE_ELEMS // len(idx))
-    return float(np.max([dm[np.ix_(idx[lo:lo + rows], idx)].max()
+    return float(np.max([_submatrix(v, idx[lo:lo + rows], idx, m).max()
                          for lo in range(0, len(idx), rows)]))
 
 
@@ -153,11 +173,11 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
             break
         p = _level_p(functional, n)
         w = _level_weight(functional, n)
-        dm = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)
+        v = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)
         for block in level:
             if len(block) > 1:
-                totals[block] += w * _block_diameter(dm, block)
-        del dm  # one |T| x |T| matrix alive at a time
+                totals[block] += w * _block_diameter(v, block, m)
+        del v  # one condensed vector alive at a time
     return float(totals.max())
 
 
@@ -174,9 +194,10 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
     p1 = _level_p(functional, 1)
     w0 = _level_weight(functional, 0)
     w1 = _level_weight(functional, 1)
-    dm0 = metric_mod.distance_matrix(proc, T, p0)
-    dm1 = metric_mod.distance_matrix(proc, T, p1)
-    base = w0 * float(dm0.max())
+    base = w0 * _block_diameter(metric_mod.distance_matrix(proc, T, p0), range(m), m)
+    v1 = metric_mod.distance_matrix(proc, T, p1)
+    # dm1[i, :i], the distances from point i to the points placed before it
+    dm1 = [v1[metric_mod.pair_index(i, np.arange(i), m)] for i in range(m)]
 
     # Splitting to singletons as early as the caps allow dominates any
     # slower schedule, so only the level-1 partition needs a search
@@ -201,7 +222,7 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
             return
         for b, block in enumerate(blocks):
             old = diams[b]
-            diams[b] = max(old, w1 * float(dm1[i, block].max()))
+            diams[b] = max(old, w1 * float(dm1[i][block].max()))
             block.append(i)
             search(i + 1, max(worst, diams[b]))
             block.pop()
@@ -224,13 +245,15 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
 # greedy mode
 # ----------------------------------------------------------------------
 
-def _farthest_point_split(block: list, k: int, dm: np.ndarray) -> list:
+def _farthest_point_split(block: list, k: int, v: np.ndarray, m: int) -> list:
     """Split the sorted `block` into at most k pieces by farthest-point
-    seeding (Gonzalez 1985).
+    seeding (Gonzalez 1985), reading the condensed distances `v` of an
+    m-point set.
 
     Seeds start from the lowest index; each new seed maximizes the
     distance to the existing seeds (ties to the lowest index), and points
-    join their nearest seed (ties to the earliest seed).
+    join their nearest seed (ties to the earliest seed), found a tile of
+    at most `_DIAMETER_TILE_ELEMS` entries at a time.
     """
     if k <= 1 or len(block) == 1:
         return [list(block)]
@@ -238,7 +261,7 @@ def _farthest_point_split(block: list, k: int, dm: np.ndarray) -> list:
     idx = np.array(block)
     seeds = [0]  # positions in block
     # distance to the nearest seed; -inf marks a seed, which no scan picks
-    near = dm[idx, block[0]]
+    near = _submatrix(v, idx, block[0], m)[:, 0]
     near[0] = -math.inf
     while len(seeds) < k:
         best, best_d = None, -math.inf
@@ -246,9 +269,12 @@ def _farthest_point_split(block: list, k: int, dm: np.ndarray) -> list:
             if d > best_d + 1e-15:
                 best, best_d = pos, d
         seeds.append(best)
-        near = np.minimum(near, dm[idx, block[best]])
+        near = np.minimum(near, _submatrix(v, idx, block[best], m)[:, 0])
         near[best] = -math.inf
-    owner = np.argmin(dm[np.ix_(idx, idx[seeds])], axis=1)
+    rows = max(1, _DIAMETER_TILE_ELEMS // k)
+    owner = np.concatenate([np.argmin(_submatrix(v, idx[lo:lo + rows], idx[seeds], m),
+                                      axis=1)
+                            for lo in range(0, len(idx), rows)])
     owner[seeds] = np.arange(k)  # a seed keeps itself, even against an equal seed
     return [idx[owner == j].tolist() for j in range(k)]
 
@@ -263,9 +289,8 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         cap = min(level_cap(n), m)
         current = levels[-1]
         p_split = _level_p(functional, n)
-        dm = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)
-        diams = [_block_diameter(dm, block) if len(block) > 1 else 0.0
-                 for block in current]
+        v = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)
+        diams = [_block_diameter(v, block, m) for block in current]
         # every block keeps one child; spare capacity goes to the block
         # with the largest diameter per child, ties to the lowest index,
         # and blocks of repeated points (diameter 0) still take what is
@@ -286,9 +311,9 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
             spare -= 1
         nxt = []
         for block, k in zip(current, alloc):
-            nxt.extend(_farthest_point_split(block, k, dm))
+            nxt.extend(_farthest_point_split(block, k, v, m))
         levels.append(nxt)
-        del dm  # one |T| x |T| matrix alive at a time, evaluation included
+        del v  # one condensed vector alive at a time, evaluation included
     tree = PartitionTree(levels=levels)
     value = evaluate_certificate(tree, T, proc, functional, samples=samples, seed=seed)
     return value, tree

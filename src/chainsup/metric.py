@@ -12,8 +12,10 @@ kernel shares one stream of draws across all pairs of a point set
 and reduces it in place, tile by tile, in one scratch buffer sized from a
 fixed element budget; integer p is raised by repeated squaring and
 multiplication, so p = 4 or 8 costs two or three multiplies per sample.
-Also hosts the product-moment functional |||(a_i X_i)|||_r solved by
-bisection.
+`distance_matrix` returns the condensed pair vector itself, scipy's pdist
+layout (pairs i < j, row-major), and `pair_index` maps any (i, j), i != j,
+to its position, so no |T| x |T| square is built.  Also hosts the
+product-moment functional |||(a_i X_i)|||_r solved by bisection.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "IncrementNormResult",
     "increment_norm",
     "distance_matrix",
+    "pair_index",
     "latala_norm",
 ]
 
@@ -42,7 +45,6 @@ MC_DEFAULT_SAMPLES = 100_000
 MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
 _MC_TILE_ELEMS = 1 << 18      # elements of the pair-by-sample scratch buffer (2 MiB)
-_SQUARE_BAND = 128            # rows per band of the lower-triangle copy in _square
 
 
 @dataclass(frozen=True)
@@ -222,8 +224,10 @@ def _pair_norms(proc: ProcessSpec, pts: IndexSet | np.ndarray, p: float, samples
     (proc, p, samples, seed) by `_uncached_pair_norms` and kept on the set;
     a hit is exact, since the points are a read-only copy and the stream is
     a function of the key and the points.  Every call returns fresh arrays,
-    so no caller can write into the kept ones.  An array is wrapped in a
-    throwaway IndexSet, so its vectors are not kept.
+    so no caller can write into the kept ones; the closed form's errors
+    are one read-only zero broadcast, which allocates nothing per pair.
+    An array is wrapped in a throwaway IndexSet, so its vectors are not
+    kept.
     """
     p = float(p)
     if p < 1:
@@ -232,7 +236,8 @@ def _pair_norms(proc: ProcessSpec, pts: IndexSet | np.ndarray, p: float, samples
     method = _method(proc, T.points)
     if method == "closed_form":
         lengths = T.pair_lengths()
-        return lengths * dist.gaussian().moment(p), np.zeros(len(lengths)), method
+        return (lengths * dist.gaussian().moment(p), np.broadcast_to(0.0, len(lengths)),
+                method)
     key = (proc, p, samples, seed)
     if key not in T._norms:
         T._norms[key] = _uncached_pair_norms(proc, T.points, p, samples, seed, method)
@@ -322,41 +327,36 @@ def is_exact_metric(proc: ProcessSpec, T: IndexSet) -> bool:
 
 def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
                     samples: int = MC_DEFAULT_SAMPLES, seed: int = 0) -> np.ndarray:
-    """Symmetric matrix of pairwise d_p distances over T.
+    """Pairwise d_p distances over T in condensed form: the pairs i < j,
+    row-major, as scipy's pdist lays them out; `pair_index` finds a pair.
 
     Monte-Carlo processes share one sample pass across all pairs, which
-    keeps the matrix symmetric and the run deterministic.
+    keeps the run deterministic.
     """
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
-    return _square(_pair_norms(proc, T, p, samples, seed)[0], len(T))
+    return _pair_norms(proc, T, p, samples, seed)[0]
 
 
-def _square(v: np.ndarray, m: int) -> np.ndarray:
-    """The symmetric m x m matrix with zero diagonal whose strict upper
-    triangle, row-major, is the condensed vector `v`.
+def pair_index(i, j, m: int) -> np.ndarray:
+    """Position of the pair (i, j), i != j, in the condensed vector of an
+    m-point set; symmetric in i and j, broadcasting like any ufunc.
 
-    Bit for bit what scipy's squareform gives: values are only copied, so
-    -0.0 and every other bit survive.  Each upper row is one slice of `v`.
-    The lower triangle is the upper one transposed, copied band by band:
-    the block below each band of _SQUARE_BAND rows in one transposed copy,
-    and the band's diagonal block through a band-sized triangular mask, so
-    no index or mask array of the pair count or of m^2 is built.
+    Row r of the pairs starts at r (2m - r - 1) / 2, so (i, j) with i < j
+    sits at off(i) + j with off(r) = r (2m - r - 3) / 2 - 1.  off is
+    nondecreasing on 0..m-1, so off(min(i, j)) = min(off(i), off(j)), and
+    only that min and max(i, j) are taken at the broadcast shape.  For
+    i == j the position lies inside the vector (m >= 2) but belongs to
+    another pair, so a caller that reads a diagonal overwrites it.
     """
-    out = np.empty((m, m))
-    lo = 0
-    for i in range(m):
-        hi = lo + m - 1 - i
-        out[i, i + 1:] = v[lo:hi]
-        lo = hi
-    np.fill_diagonal(out, 0.0)
-    below = np.tri(_SQUARE_BAND, k=-1, dtype=bool)
-    for b in range(0, m, _SQUARE_BAND):
-        e = min(b + _SQUARE_BAND, m)
-        blk = out[b:e, b:e]
-        np.copyto(blk, blk.T, where=below[:e - b, :e - b])
-        out[e:, b:e] = out[b:e, e:].T
-    return out
+    i, j = np.asarray(i), np.asarray(j)
+
+    def off(r):
+        return r * (2 * m - 3 - r) // 2 - 1
+
+    k = np.maximum(i, j)
+    k += np.minimum(off(i), off(j))
+    return k
 
 
 def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:

@@ -288,17 +288,17 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
     # vector or step norm shows in the residuals
     recon = np.repeat(pts[:1], m, axis=0)
     for n in range(1, tree.depth):
-        dm = distance_matrix(proc, T, float(2 ** (n + 1)), samples=samples, seed=seed)
+        v = distance_matrix(proc, T, float(2 ** (n + 1)), samples=samples, seed=seed)
         k = caps[n - 1]
         for block in tree.levels[n]:
             a = block[0]
             b = rep[a]
             rep[block] = a
             # a step between equal points has length 0 and adds nothing
-            if a == b or dm[a, b] == 0.0:
+            d = 0.0 if a == b else float(v[metric_mod.pair_index(a, b, m)])
+            if d == 0.0:
                 skipped += len(block)
                 continue
-            d = float(dm[a, b])
             k += 1
             vec = (pts[a] - pts[b]) / d
             cap = increment_norm(proc, vec, np.zeros(proc.dimension),

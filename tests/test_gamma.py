@@ -5,7 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import squareform
 
 from chainsup import dist, gamma, metric
 from chainsup.gamma import PartitionTree, TreeValidationError
@@ -232,8 +233,8 @@ def _partitions_into_at_most(items: list, k: int):
 def brute_force_exact_gamma(T, proc, functional):
     """Oracle: score every level-1 partition, keep the first strict minimiser."""
     m = len(T)
-    dm0 = metric.distance_matrix(proc, T, gamma._level_p(functional, 0))
-    dm1 = metric.distance_matrix(proc, T, gamma._level_p(functional, 1))
+    dm0 = squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, 0)))
+    dm1 = squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, 1)))
     base = gamma._level_weight(functional, 0) * float(dm0.max())
     w1 = gamma._level_weight(functional, 1)
     best_val, best_part = math.inf, None
@@ -321,9 +322,14 @@ def reference_farthest_point_split(block: list, k: int, dm: np.ndarray) -> list:
     return [sorted(children[s]) for s in seeds]
 
 
+def list_based_split(block: list, k: int, v: np.ndarray, m: int) -> list:
+    """The list-based oracle on the square of the condensed distances."""
+    return reference_farthest_point_split(block, k, squareform(v))
+
+
 @st.composite
 def split_cases(draw):
-    """(T, proc, dm, block, k): random, small-lattice (repeated points,
+    """(T, proc, v, block, k): random, small-lattice (repeated points,
     exact ties) or ulp-jittered lattice (near ties) sets under a gaussian
     or Monte-Carlo sym_exponential metric, a sorted sub-block and a piece
     count up to past its size."""
@@ -340,22 +346,21 @@ def split_cases(draw):
     family = draw(st.sampled_from([dist.gaussian, dist.sym_exponential]))
     proc = ProcessSpec.homogeneous(family(), dim)
     T = IndexSet(pts)
-    dm = metric.distance_matrix(proc, T, float(2 ** draw(st.integers(0, 3))),
-                                samples=2_000, seed=draw(st.integers(0, 9)))
+    v = metric.distance_matrix(proc, T, float(2 ** draw(st.integers(0, 3))),
+                               samples=2_000, seed=draw(st.integers(0, 9)))
     block = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
     k = draw(st.integers(min_value=1, max_value=len(block) + 2))
-    return T, proc, dm, block, k
+    return T, proc, v, block, k
 
 
 @given(case=split_cases())
 @settings(max_examples=150, deadline=None)
 def test_split_matches_the_list_based_oracle(case):
-    T, proc, dm, block, k = case
-    assert gamma._farthest_point_split(block, k, dm) == \
-        reference_farthest_point_split(block, k, dm)
+    T, proc, v, block, k = case
+    assert gamma._farthest_point_split(block, k, v, len(T)) == \
+        list_based_split(block, k, v, len(T))
     value, tree = gamma.compute_gamma(T, proc, mode="greedy", samples=2_000)
-    with mock.patch.object(gamma, "_farthest_point_split",
-                           reference_farthest_point_split):
+    with mock.patch.object(gamma, "_farthest_point_split", list_based_split):
         oracle_value, oracle_tree = gamma.compute_gamma(T, proc, mode="greedy",
                                                         samples=2_000)
     assert value == oracle_value
@@ -363,9 +368,9 @@ def test_split_matches_the_list_based_oracle(case):
 
 
 def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
-    # The oracle hands every level a full matrix, row i = |pts[i] - pts|_2
-    # scaled by ||g||_p, with no cached pair lengths and no condensed
-    # vector; d(j, i) negates the increment of d(i, j), so the bytes agree.
+    # The oracle builds a full matrix, row i = |pts[i] - pts|_2, with no
+    # cached pair lengths, and hands every level its strict upper triangle,
+    # row-major, scaled by ||g||_p.
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((4_000, 16))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -376,9 +381,11 @@ def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
     euclid = np.empty((len(pts), len(pts)))
     for i, row in enumerate(pts):
         euclid[i] = np.linalg.norm(row - pts, axis=1)
+    upper = euclid[np.triu_indices(len(pts), 1)]
+    del euclid
 
     def per_level(proc, T, p, samples=0, seed=0):
-        return euclid * dist.gaussian().moment(p)
+        return upper * dist.gaussian().moment(p)
 
     with mock.patch.object(metric, "distance_matrix", per_level):
         oracle_value, oracle_tree = gamma.compute_gamma(IndexSet(pts), proc, mode="greedy")
@@ -389,10 +396,9 @@ def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
 
 
 def test_greedy_4000_gaussian_points_peak_memory():
-    # Building a level's matrix peaks at 244 MiB: the cached pair lengths
-    # (61 MiB), their scaled copy (61 MiB) and the square (122 MiB).  A
-    # root-block diameter taken through dm[np.ix_(idx, idx)] copied the
-    # square once more, to a 307 MiB peak.
+    # A level's distances are the cached pair lengths (61 MiB) and their
+    # scaled copy (61 MiB), read in tiles of at most 2^18 entries: a
+    # 128 MiB peak.  A |T| x |T| square would add 122 MiB.
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((4_000, 16))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -403,18 +409,104 @@ def test_greedy_4000_gaussian_points_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 276 * 2 ** 20
+    assert peak < 140 * 2 ** 20
+
+
+def test_greedy_at_the_greedy_limit_in_bounded_time_and_memory():
+    # GREEDY_LIMIT = 10,000 unit-sphere points in R^16: two 381 MiB
+    # condensed vectors (the cached lengths and a level's scaled copy) plus
+    # tiles, a 771 MiB peak in 10.6 s under tracemalloc on a 2-vCPU VM.
+    # A |T| x |T| square would add 763 MiB.
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((gamma.GREEDY_LIMIT, 16))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    T = IndexSet(pts)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        value, tree = gamma.compute_gamma(T, gauss_proc(16), mode="greedy")
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tree.validate(len(T))
+    assert value > 0.0
+    assert peak < 800 * 2 ** 20
+    assert elapsed < 60.0
 
 
 @pytest.mark.parametrize("tile", [1, 5, 7, 64, 1 << 18])
 def test_block_diameter_equals_the_full_block_max(tile, monkeypatch):
     monkeypatch.setattr(gamma, "_DIAMETER_TILE_ELEMS", tile)
     T = IndexSet(np.random.default_rng(12).standard_normal((23, 3)))
-    dm = metric.distance_matrix(gauss_proc(3), T, 2.0)
+    v = metric.distance_matrix(gauss_proc(3), T, 2.0)
+    dm = squareform(v)
     blocks = [list(range(23)), [4], [0, 22], [3, 1, 17, 8, 9, 10, 2]]
     for block in blocks:
         idx = np.array(block)
-        assert gamma._block_diameter(dm, block) == float(dm[np.ix_(idx, idx)].max())
+        assert gamma._block_diameter(v, block, 23) == float(dm[np.ix_(idx, idx)].max())
+
+
+def square_block_diameter(dm: np.ndarray, block: list, tile: int) -> float:
+    """Oracle: the block max read from the square, a tile of rows at a time."""
+    idx = np.asarray(block)
+    rows = max(1, tile // len(idx))
+    return float(np.max([dm[np.ix_(idx[lo:lo + rows], idx)].max()
+                         for lo in range(0, len(idx), rows)]))
+
+
+@st.composite
+def condensed_cases(draw):
+    """(v, m, block, seeds): a condensed vector of m points with exact ties
+    and zeros (repeated points) or random values, some entries -0.0, a
+    sorted block (a singleton, all of T, or a subset that may hold 0 and
+    m - 1) and up to 12 sorted seed positions in it."""
+    m = draw(st.one_of(st.integers(1, 300), st.sampled_from([127, 128, 129])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    npairs = m * (m - 1) // 2
+    if draw(st.booleans()):
+        v = rng.integers(0, 3, size=npairs) * 0.5
+    else:
+        v = np.abs(rng.standard_normal(npairs))
+    v[rng.random(npairs) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = -0.0
+    kind = draw(st.sampled_from(["single", "all", "subset"]))
+    if kind == "single":
+        block = [draw(st.integers(0, m - 1))]
+    elif kind == "all":
+        block = list(range(m))
+    else:
+        picked = rng.random(m) < draw(st.floats(0.0, 1.0))
+        picked[[0, m - 1]] |= draw(st.booleans())
+        block = np.flatnonzero(picked).tolist() or [m - 1]
+    k = draw(st.integers(1, min(len(block), 12)))
+    return v, m, block, np.sort(rng.choice(len(block), k, replace=False))
+
+
+@given(case=condensed_cases(), tile=st.sampled_from([1, 5, 7, 64, 1 << 18]))
+@example(case=(np.full(3, -0.0), 3, [0, 1, 2], np.array([0, 2])), tile=1)
+@example(case=(np.zeros(0), 1, [0], np.array([0])), tile=64)
+@settings(max_examples=200, deadline=None)
+def test_condensed_gathers_equal_the_square_gathers(case, tile):
+    v, m, block, seeds = case
+    dm = squareform(v)
+    idx = np.asarray(block)
+    if m > 1:  # every pair of the block against every other point
+        ii, jj = np.meshgrid(idx, np.arange(m), indexing="ij")
+        off = ii != jj
+        pos = metric.pair_index(ii, jj, m)
+        assert np.array_equal(pos, metric.pair_index(jj, ii, m))
+        assert v[pos[off]].tobytes() == dm[ii[off], jj[off]].tobytes()
+    with mock.patch.object(gamma, "_DIAMETER_TILE_ELEMS", tile):
+        assert np.float64(gamma._block_diameter(v, block, m)).tobytes() == \
+            np.float64(square_block_diameter(dm, block, tile)).tobytes()
+        if len(block) > 1:  # seed columns and the owner gather
+            for s in idx[seeds]:
+                assert gamma._submatrix(v, idx, s, m)[:, 0].tobytes() == \
+                    dm[idx, s].tobytes()
+            assert gamma._submatrix(v, idx, idx[seeds], m).tobytes() == \
+                dm[np.ix_(idx, idx[seeds])].tobytes()
+        assert gamma._farthest_point_split(block, len(seeds), v, m) == \
+            reference_farthest_point_split(block, len(seeds), dm)
 
 
 class TestUniformSpaceGamma:

@@ -150,17 +150,21 @@ class TestDistanceMatrix:
     def test_matches_pairwise_gaussian(self):
         T = IndexSet(np.random.default_rng(3).standard_normal((5, 3)))
         proc = gauss_proc(3)
-        dm = metric.distance_matrix(proc, T, 4.0)
+        dm = squareform(metric.distance_matrix(proc, T, 4.0))
         for i in range(5):
             for j in range(5):
                 expect = increment_norm(proc, T.points[i], T.points[j], 4.0).value
                 assert dm[i, j] == pytest.approx(expect, rel=1e-12)
 
     def test_symmetry_zero_diag_mc(self):
+        # one condensed entry per pair i < j: the square is symmetric with a
+        # zero diagonal by construction
         T = IndexSet(np.random.default_rng(4).standard_normal((6, 3)))
-        dm = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)
-        assert np.allclose(dm, dm.T)
-        assert np.allclose(np.diag(dm), 0.0)
+        v = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)
+        assert v.shape == (15,)
+        dm = squareform(v)
+        assert np.array_equal(dm, dm.T)
+        assert not np.diag(dm).any()
 
     def test_mc_determinism(self):
         T = IndexSet(np.random.default_rng(4).standard_normal((6, 3)))
@@ -174,9 +178,9 @@ class TestDistanceMatrix:
 
     def test_rademacher_enumeration_path(self):
         T = IndexSet.basis(4)
-        dm = metric.distance_matrix(rad_proc(4), T, 2.0)
-        off = dm[~np.eye(4, dtype=bool)]
-        assert np.allclose(off, math.sqrt(2.0))
+        v = metric.distance_matrix(rad_proc(4), T, 2.0)
+        assert v.shape == (6,)
+        assert np.allclose(v, math.sqrt(2.0))
 
     @pytest.mark.parametrize("make_proc", [gauss_proc, rad_proc, exp_proc])
     def test_pair_equals_increment_norm(self, make_proc):
@@ -184,13 +188,14 @@ class TestDistanceMatrix:
         s, t = np.array([1.0, -2.0, 0.5]), np.array([0.0, 1.0, 0.0])
         proc = make_proc(3)
         r = increment_norm(proc, s, t, 3.0, samples=30_000, seed=4)
-        dm = metric.distance_matrix(proc, IndexSet(np.stack([s, t])), 3.0,
-                                    samples=30_000, seed=4)
-        assert r.value == dm[0, 1] == dm[1, 0]
+        v = metric.distance_matrix(proc, IndexSet(np.stack([s, t])), 3.0,
+                                   samples=30_000, seed=4)
+        assert v.shape == (1,)
+        assert r.value == v[0]
 
     def test_gaussian_memory_bounded_in_pairs(self):
         # 179,700 pairs in R^128: the (pairs x dim) difference array alone
-        # would take 184 MB; lengths, the scaled copy and the square take 6 MB
+        # would take 184 MB; the lengths and their scaled copy take 3 MB
         T = IndexSet(np.random.default_rng(8).standard_normal((600, 128)))
         tracemalloc.start()
         try:
@@ -206,8 +211,8 @@ class TestDistanceMatrix:
 
         T = IndexSet(np.random.default_rng(6).standard_normal((40, 24)))
         monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
-        dm = metric.distance_matrix(gauss_proc(24), T, 8.0)
-        assert dm[0, 1] == np.linalg.norm(T.points[0] - T.points[1]) * \
+        v = metric.distance_matrix(gauss_proc(24), T, 8.0)
+        assert v[0] == np.linalg.norm(T.points[0] - T.points[1]) * \
             dist.gaussian().moment(8.0)
         assert metric.is_exact_metric(gauss_proc(24), T)
         assert not metric.is_exact_metric(rad_proc(24), T)
@@ -238,26 +243,10 @@ class TestDistanceMatrix:
         assert peak < 160 * 2 ** 20
 
     def test_single_point_is_one_zero(self):
+        # no pairs; the square of the empty condensed vector is one zero
         one = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0)
-        assert one.tobytes() == np.array([[0.0]]).tobytes()
-
-
-_BAND = metric._SQUARE_BAND
-
-
-@given(m=st.one_of(st.integers(1, 300),
-                   st.sampled_from([_BAND - 1, _BAND, _BAND + 1, 2 * _BAND, 2 * _BAND + 1])),
-       seed=st.integers(0, 2 ** 32 - 1),
-       neg_zero=st.floats(0.0, 1.0))
-@example(m=1, seed=0, neg_zero=0.0)
-@example(m=2, seed=0, neg_zero=1.0)
-@settings(max_examples=150, deadline=None)
-def test_square_equals_squareform(m, seed, neg_zero):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m * (m - 1) // 2)
-    v[rng.random(len(v)) < neg_zero] = -0.0
-    v[rng.random(len(v)) < 0.01] = np.inf
-    assert metric._square(v, m).tobytes() == squareform(v).tobytes()
+        assert one.shape == (0,)
+        assert squareform(one).tobytes() == np.array([[0.0]]).tobytes()
 
 
 class TestMonteCarloKernel:
@@ -363,7 +352,8 @@ def test_mc_distance_matrix_triangle_inequality(pts, family, p, seed):
     # one empirical measure under every pair: Minkowski holds up to rounding
     model = dist.sym_exponential() if family == "sym_exponential" else dist.three_point(2.0)
     proc = ProcessSpec.homogeneous(model, 3)
-    dm = metric.distance_matrix(proc, IndexSet(np.array(pts)), p, samples=2_000, seed=seed)
+    dm = squareform(metric.distance_matrix(proc, IndexSet(np.array(pts)), p,
+                                           samples=2_000, seed=seed))
     via = dm[:, :, None] + dm[None, :, :]          # d(i, j) + d(j, k) at [i, j, k]
     direct = dm[:, None, :]                          # d(i, k) at [i, j, k]
     assert np.all(direct <= via * (1.0 + 1e-12))
@@ -371,8 +361,8 @@ def test_mc_distance_matrix_triangle_inequality(pts, family, p, seed):
 
 class TestDiameter:
     def test_singleton(self):
-        dm = metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((1, 2))), 2.0)
-        assert dm.max() == 0.0
+        v = metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((1, 2))), 2.0)
+        assert squareform(v).max() == 0.0
 
     def test_basis_gaussian(self):
         T = IndexSet.basis(3)
@@ -498,7 +488,10 @@ def test_cached_pair_norms_equal_fresh_ones(pts, make, p):
     T = IndexSet(pts)
     first = metric._pair_norms(proc, T, p, 500, 9)
     first[0][:] = -1.0  # writing into a returned array must not reach the cache
-    first[1][:] = -1.0
+    if first[2] == "closed_form":  # one shared read-only zero vector
+        assert not first[1].flags.writeable
+    else:
+        first[1][:] = -1.0
     again = metric._pair_norms(proc, T, p, 500, 9)
     fresh = metric._pair_norms(proc, IndexSet(pts), p, 500, 9)
     assert again[2] == fresh[2]
@@ -549,7 +542,9 @@ def test_is_exact_metric():
        p=st.sampled_from([1.0, 2.0, 3.0, 8.0]))
 @settings(max_examples=60, deadline=None)
 def test_distance_matrix_equals_squareform_of_pair_norms(pts, make, p):
+    # the condensed vector is the pair norms, in scipy's squareform layout
     proc = ProcessSpec.homogeneous(make(), pts.shape[1])
-    want = squareform(metric._pair_norms(proc, pts, p, 500, 4)[0])
+    want = metric._pair_norms(proc, pts, p, 500, 4)[0]
     got = metric.distance_matrix(proc, IndexSet(pts), p, samples=500, seed=4)
     assert got.tobytes() == want.tobytes()
+    assert squareform(got).tobytes() == squareform(want).tobytes()

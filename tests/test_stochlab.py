@@ -33,7 +33,7 @@ def _sphere(n, dim, seed):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-# index sets in R^5: coordinate selections (gathered) and dense sets (matmul)
+# index sets in R^5: coordinate selections (folded) and dense sets (matmul)
 _SELECTIONS = {
     "basis_with_origin": np.vstack([np.zeros(5), np.eye(5), np.eye(5)[2]]),
     "permuted_repeated": np.eye(5)[[3, 1, 4, 1, 0, 2, 3]],
@@ -117,7 +117,8 @@ class TestEstimateSup:
                                   RngStream(0, 0))
 
     def test_worker_count_invariance_on_basis(self):
-        # a basis is projected by column gather; threads must not move it
+        # a basis folds each drawn column into running row max/min;
+        # threads must not move it
         a = stochlab.estimate_sup(rad_proc(64), IndexSet.basis(64),
                                   200_000, RngStream(17, 0), workers=1)
         b = stochlab.estimate_sup(rad_proc(64), IndexSet.basis(64),
@@ -267,7 +268,8 @@ class TestTiledProjection:
         assert peak < 4 * 2 ** 20
 
     def test_memory_flat_for_a_scaled_basis(self):
-        # 1,000 scaled coordinate vectors in R^4, projected by column gather
+        # 1,000 scaled coordinate vectors in R^4: each drawn column, times its
+        # extreme coefficients, is folded into running row max/min
         pts = np.zeros((1000, 4))
         pts[np.arange(1000), np.arange(1000) % 4] = np.linspace(0.5, 2.0, 1000)
         assert stochlab._selection(pts) is not None

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import squareform
 
 from chainsup import dist, gamma, metric, verify
 from chainsup.metric import IndexSet, ProcessSpec
@@ -113,7 +114,8 @@ class TestSudakov:
                                        T.dimension)
         stream = RngStream(31, 0)
         rep = verify.sudakov_experiment(proc, T, p, u, 2_000, stream)
-        dm = metric.distance_matrix(proc, T, p, samples=2_000, seed=stream.master_seed)
+        dm = squareform(metric.distance_matrix(proc, T, p, samples=2_000,
+                                               seed=stream.master_seed))
         iu = np.triu_indices(len(T), k=1)
         vals = dm[iu]
         k = int(np.argmin(vals))
@@ -339,8 +341,8 @@ def reference_hull(T, tree, proc, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
             for i in block:
                 level_rep[i] = min(block)
         reps.append(level_rep)
-    dms = {n: metric.distance_matrix(proc, T, float(2 ** (n + 1)), samples=samples,
-                                     seed=seed)
+    dms = {n: squareform(metric.distance_matrix(proc, T, float(2 ** (n + 1)),
+                                                samples=samples, seed=seed))
            for n in range(1, depth)}
     chain_points = []
     step_sums = np.zeros(m)
