@@ -1,11 +1,11 @@
 """Admissible partition sequences and the chaining functionals.
 
 A PartitionTree is a certificate: evaluating it gives a valid upper bound
-on gamma_2 or gamma_X.  Exact minimization runs at desk scale (|T| <= 10)
-as a depth-first branch-and-bound over the level-1 partitions in
-restricted-growth order, which returns the first minimiser in that order;
-beyond that a deterministic farthest-point greedy produces certificates
-under the level-cardinality caps.
+on gamma_2 or gamma_X.  Exact minimization runs at desk scale
+(|T| <= EXACT_LIMIT) as a depth-first branch-and-bound over the level-1
+partitions in restricted-growth order, which returns the first minimiser
+in that order; beyond that a deterministic farthest-point greedy produces
+certificates under the level-cardinality caps.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
             break
         p = _level_p(functional, n)
         w = _level_weight(functional, n)
-        v = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)
+        v = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)[0]
         for block in level:
             if len(block) > 1:
                 totals[block] += w * _block_diameter(v, block, m)
@@ -194,8 +194,8 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
     p1 = _level_p(functional, 1)
     w0 = _level_weight(functional, 0)
     w1 = _level_weight(functional, 1)
-    base = w0 * _block_diameter(metric_mod.distance_matrix(proc, T, p0), range(m), m)
-    v1 = metric_mod.distance_matrix(proc, T, p1)
+    base = w0 * _block_diameter(metric_mod.distance_matrix(proc, T, p0)[0], range(m), m)
+    v1 = metric_mod.distance_matrix(proc, T, p1)[0]
     # dm1[i, :i], the distances from point i to the points placed before it
     dm1 = [v1[metric_mod.pair_index(i, np.arange(i), m)] for i in range(m)]
 
@@ -289,7 +289,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         cap = min(level_cap(n), m)
         current = levels[-1]
         p_split = _level_p(functional, n)
-        v = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)
+        v = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)[0]
         diams = [_block_diameter(v, block, m) for block in current]
         # every block keeps one child; spare capacity goes to the block
         # with the largest diameter per child, ties to the lowest index,

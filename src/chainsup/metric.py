@@ -12,9 +12,11 @@ kernel shares one stream of draws across all pairs of a point set
 and reduces it in place, tile by tile, in one scratch buffer sized from a
 fixed element budget; integer p is raised by repeated squaring and
 multiplication, so p = 4 or 8 costs two or three multiplies per sample.
-`distance_matrix` returns the condensed pair vector itself, scipy's pdist
-layout (pairs i < j, row-major), and `pair_index` maps any (i, j), i != j,
-to its position, so no |T| x |T| square is built.  Also hosts the
+`distance_matrix` is the one entry point to every backend: it returns the
+condensed pair vector, scipy's pdist layout (pairs i < j, row-major), with
+its 3-sigma errors and the method, and `increment_norm` is its two-point
+case.  `pair_index` maps any (i, j), i != j, to its position and `pair_of`
+maps a position back, so no |T| x |T| square is built.  Also hosts the
 product-moment functional |||(a_i X_i)|||_r solved by bisection.
 """
 
@@ -37,6 +39,7 @@ __all__ = [
     "increment_norm",
     "distance_matrix",
     "pair_index",
+    "pair_of",
     "latala_norm",
 ]
 
@@ -45,6 +48,7 @@ MC_DEFAULT_SAMPLES = 100_000
 MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
 _MC_TILE_ELEMS = 1 << 18      # elements of the pair-by-sample scratch buffer (2 MiB)
+_PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated or Monte-Carlo pass may take
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ class IndexSet:
     _lengths: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                            compare=False)
     # (proc, p, samples, seed) -> (values, errors) of the enumerated or
-    # Monte-Carlo pair norms; filled by _pair_norms
+    # Monte-Carlo pair norms; filled by distance_matrix
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -212,43 +216,14 @@ def _abs_power(d: np.ndarray, p: float, spare: Optional[np.ndarray]) -> np.ndarr
     return d if acc is None else np.multiply(acc, d, out=acc)
 
 
-def _pair_norms(proc: ProcessSpec, pts: IndexSet | np.ndarray, p: float, samples: int,
-                seed: int) -> tuple[np.ndarray, np.ndarray, str]:
-    """d_p over the pairs i < j of `pts` in row-major order: values, 3-sigma
-    errors and the method.
-
-    `pts` is an IndexSet or an array of points, one per row; p is taken as
-    a float, so p = 4 and p = 4.0 draw the same samples.  The gaussian
-    closed form scales the index set's cached pair lengths by ||g||_p.
-    Enumerated and Monte-Carlo vectors are computed once per IndexSet and
-    (proc, p, samples, seed) by `_uncached_pair_norms` and kept on the set;
-    a hit is exact, since the points are a read-only copy and the stream is
-    a function of the key and the points.  Every call returns fresh arrays,
-    so no caller can write into the kept ones; the closed form's errors
-    are one read-only zero broadcast, which allocates nothing per pair.
-    An array is wrapped in a throwaway IndexSet, so its vectors are not
-    kept.
-    """
-    p = float(p)
-    if p < 1:
-        raise ValueError("increment norm requires p >= 1")
-    T = pts if isinstance(pts, IndexSet) else IndexSet(pts)
-    method = _method(proc, T.points)
-    if method == "closed_form":
-        lengths = T.pair_lengths()
-        return (lengths * dist.gaussian().moment(p), np.broadcast_to(0.0, len(lengths)),
-                method)
-    key = (proc, p, samples, seed)
-    if key not in T._norms:
-        T._norms[key] = _uncached_pair_norms(proc, T.points, p, samples, seed, method)
-    values, errors = T._norms[key]
-    return values.copy(), errors.copy(), method
-
-
 def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
                          seed: int, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Values and 3-sigma errors of `_pair_norms` by sign enumeration or
+    """Values and 3-sigma errors of `distance_matrix` by sign enumeration or
     Monte Carlo, as `method` says.
+
+    A pass whose estimated allocation (the pair differences, the stream
+    key's copy of them, one chunk's draws and projection, and the two
+    per-pair outputs) exceeds `_PASS_MAX_BYTES` raises before it allocates.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
     `_MC_CHUNK` draws from one derived stream is projected once onto the
@@ -262,6 +237,16 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     of |d|^(2p) by a row-wise dot product.  The draws do not depend on the
     tile; only the summation order does.
     """
+    m, dim = pts.shape
+    pairs = m * (m - 1) // 2
+    need = 8 * pairs * (dim + 2)
+    if method == "monte_carlo":
+        need += 8 * (pairs * dim + min(_MC_CHUNK, samples) * (m + dim))
+    if need > _PASS_MAX_BYTES:
+        raise ValueError(
+            f"{method} pair norms of {m} points in R^{dim} under the "
+            f"{proc.family or 'mixed'} process need about {need / 2**20:,.0f} MiB, "
+            f"past the {_PASS_MAX_BYTES / 2**20:,.0f} MiB limit of one pass")
     diffs = _pair_diffs(pts)
     if method == "enumeration":
         values = np.array([np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0])) ** p)
@@ -311,12 +296,13 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
 
 def increment_norm(proc: ProcessSpec, s, t, p: float,
                    samples: int = MC_DEFAULT_SAMPLES, seed: int = 0) -> IncrementNormResult:
-    """||X_s - X_t||_p; equals distance_matrix over {s, t} at (samples, seed)."""
+    """||X_s - X_t||_p: distance_matrix over the two-point set {s, t}."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if s.shape != (proc.dimension,) or t.shape != (proc.dimension,):
         raise ValueError("index vectors must match the process dimension")
-    values, errors, method = _pair_norms(proc, np.stack([s, t]), p, samples, seed)
+    values, errors, method = distance_matrix(proc, IndexSet(np.stack([s, t])), p,
+                                             samples, seed)
     return IncrementNormResult(float(values[0]), float(errors[0]), method)
 
 
@@ -326,16 +312,35 @@ def is_exact_metric(proc: ProcessSpec, T: IndexSet) -> bool:
 
 
 def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
-                    samples: int = MC_DEFAULT_SAMPLES, seed: int = 0) -> np.ndarray:
-    """Pairwise d_p distances over T in condensed form: the pairs i < j,
-    row-major, as scipy's pdist lays them out; `pair_index` finds a pair.
+                    samples: int = MC_DEFAULT_SAMPLES,
+                    seed: int = 0) -> tuple[np.ndarray, np.ndarray, str]:
+    """d_p over the pairs i < j of T, row-major (scipy's pdist layout):
+    values, 3-sigma errors and the method; `pair_of` decodes a position.
 
-    Monte-Carlo processes share one sample pass across all pairs, which
-    keeps the run deterministic.
+    p is taken as a float, so p = 4 and p = 4.0 draw the same samples.  The
+    gaussian closed form scales T's cached pair lengths by ||g||_p; its
+    errors are one read-only zero broadcast.  Enumerated and Monte-Carlo
+    vectors are computed once per IndexSet and (proc, p, samples, seed) by
+    `_uncached_pair_norms` and kept on the set: a hit is exact, since the
+    points are a read-only copy and the stream a function of the key and
+    the points.  Every call returns fresh arrays, so no caller can write
+    into the kept ones.
     """
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
-    return _pair_norms(proc, T, p, samples, seed)[0]
+    p = float(p)
+    if p < 1:
+        raise ValueError("increment norm requires p >= 1")
+    method = _method(proc, T.points)
+    if method == "closed_form":
+        lengths = T.pair_lengths()
+        return (lengths * dist.gaussian().moment(p), np.broadcast_to(0.0, len(lengths)),
+                method)
+    key = (proc, p, samples, seed)
+    if key not in T._norms:
+        T._norms[key] = _uncached_pair_norms(proc, T.points, p, samples, seed, method)
+    values, errors = T._norms[key]
+    return values.copy(), errors.copy(), method
 
 
 def pair_index(i, j, m: int) -> np.ndarray:
@@ -357,6 +362,19 @@ def pair_index(i, j, m: int) -> np.ndarray:
     k = np.maximum(i, j)
     k += np.minimum(off(i), off(j))
     return k
+
+
+def pair_of(k, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (i, j), i < j, at position k of the condensed vector of an
+    m-point set: the inverse of `pair_index`, broadcasting over k.
+
+    Row i starts at i (2m - i - 1) / 2, so i is the last of the m - 1 row
+    starts at or below k, and j follows from k's offset in that row.
+    """
+    k = np.asarray(k)
+    r = np.arange(m - 1)
+    i = np.searchsorted(r * (2 * m - r - 1) // 2, k, side="right") - 1
+    return i, k - i * (2 * m - i - 1) // 2 + i + 1
 
 
 def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:

@@ -19,7 +19,7 @@ from . import gamma as gamma_mod
 from . import metric as metric_mod
 from . import stochlab
 from .gamma import PartitionTree
-from .metric import IndexSet, ProcessSpec, distance_matrix, increment_norm
+from .metric import IndexSet, ProcessSpec, increment_norm
 from .stochlab import RngStream, SupremumEstimate, estimate_mean, estimate_sup
 
 __all__ = [
@@ -65,15 +65,14 @@ def sudakov_experiment(proc: ProcessSpec, T: IndexSet, p: float, u: float,
     Both draw `samples` samples from the stream's master seed."""
     if len(T) < 2:
         raise ValueError("minoration experiment needs at least two points")
-    vals, _, method = metric_mod._pair_norms(proc, T, p, samples, stream.master_seed)
+    vals, _, method = metric_mod.distance_matrix(proc, T, p, samples, stream.master_seed)
     k = int(np.argmin(vals))
     min_sep = float(vals[k])
     tol = 0.05 * u if method == "monte_carlo" else 1e-9
     separation_ok = min_sep >= u - tol
     worst_pair = None
     if not separation_ok:
-        ii, jj = np.triu_indices(len(T), 1)
-        worst_pair = (int(ii[k]), int(jj[k]))
+        worst_pair = tuple(int(x) for x in metric_mod.pair_of(k, len(T)))
     esup = estimate_sup(proc, T, samples, stream, workers=workers)
     return SudakovReport(
         p=float(p), u=float(u),
@@ -206,17 +205,17 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
                       .pair_lengths() for proc in (procX, procY))
             err_x = err_y = 0.0
         else:
-            dx, err_x, _ = metric_mod._pair_norms(procX, T, p, samples,
-                                                  stream.master_seed)
-            dy, err_y, _ = metric_mod._pair_norms(procY, T, p, samples,
-                                                  stream.master_seed + 1)
+            dx, err_x, _ = metric_mod.distance_matrix(procX, T, p, samples,
+                                                      stream.master_seed)
+            dy, err_y, _ = metric_mod.distance_matrix(procY, T, p, samples,
+                                                      stream.master_seed + 1)
         # written so that a NaN on either side counts as a violation
         bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * (1.0 + dx))))
         if bad.size:
             k = bad[0]
-            ii, jj = np.triu_indices(m, 1)
+            i, j = metric_mod.pair_of(k, m)
             raise ValueError(
-                f"domination precondition fails at (s={ii[k]}, t={jj[k]}, p={p}): "
+                f"domination precondition fails at (s={i}, t={j}, p={p}): "
                 f"||Y_s-Y_t||_p = {dy[k]} > ||X_s-X_t||_p = {dx[k]}")
 
     ex = estimate_sup(procX, T, samples, stream.child(0), workers=workers)
@@ -288,7 +287,7 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
     # vector or step norm shows in the residuals
     recon = np.repeat(pts[:1], m, axis=0)
     for n in range(1, tree.depth):
-        v = distance_matrix(proc, T, float(2 ** (n + 1)), samples=samples, seed=seed)
+        v = metric_mod.distance_matrix(proc, T, float(2 ** (n + 1)), samples, seed)[0]
         k = caps[n - 1]
         for block in tree.levels[n]:
             a = block[0]

@@ -184,15 +184,15 @@ class TestRun:
 
     @pytest.fixture
     def pair_norm_samples(self, monkeypatch):
-        """The sample count of every metric._pair_norms call, in order."""
+        """The sample count of every metric.distance_matrix call, in order."""
         seen = []
-        pair_norms = metric._pair_norms
+        pair_norms = metric.distance_matrix
 
-        def spy(proc, pts, p, samples, seed):
+        def spy(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
             seen.append(samples)
-            return pair_norms(proc, pts, p, samples, seed)
+            return pair_norms(proc, T, p, samples, seed)
 
-        monkeypatch.setattr(metric, "_pair_norms", spy)
+        monkeypatch.setattr(metric, "distance_matrix", spy)
         return seen
 
     def test_hull_samples_reach_every_pair_norm_pass(self, pair_norm_samples):
@@ -349,6 +349,24 @@ class TestEndToEnd:
         assert err.startswith("error: Monte-Carlo d_p at p = 128 ") and \
             err.count("\n") == 1, err
         assert "sym_exponential" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_greedy_past_the_pass_limit_exit_one(self, tmp_path, capsys):
+        # 10,000 sym_exponential points in R^16: the Monte-Carlo pass would
+        # build 50 million pair differences (6.4 GB) and copy them for its
+        # stream key; the run stops before it allocates them
+        cfg = self._write_config(tmp_path, {
+            "process": {"family": "sym_exponential"},
+            "index_set": {"type": "sphere_random", "count": 10_000, "n": 16, "seed": 1},
+            "params": {"mode": "greedy"},
+        })
+        assert cli.main(["gamma", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: monte_carlo pair norms of 10000 points in R^16 "
+                              "under the sym_exponential process need about ") and \
+            err.count("\n") == 1, err
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_config_not_an_object_exit_one(self, tmp_path, capsys):

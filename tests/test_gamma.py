@@ -98,7 +98,7 @@ class TestEvaluateCertificate:
         # Delta_{2^n} on a fixed block is nondecreasing in n
         T = IndexSet(np.random.default_rng(0).standard_normal((6, 4)))
         proc = gauss_proc(4)
-        diams = [metric.distance_matrix(proc, T, float(2 ** n)).max() for n in range(4)]
+        diams = [metric.distance_matrix(proc, T, float(2 ** n))[0].max() for n in range(4)]
         assert all(hi >= lo - 1e-12 for lo, hi in zip(diams, diams[1:]))
 
     def test_certificate_value_vs_manual(self):
@@ -233,8 +233,8 @@ def _partitions_into_at_most(items: list, k: int):
 def brute_force_exact_gamma(T, proc, functional):
     """Oracle: score every level-1 partition, keep the first strict minimiser."""
     m = len(T)
-    dm0 = squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, 0)))
-    dm1 = squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, 1)))
+    dm0 = squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, 0))[0])
+    dm1 = squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, 1))[0])
     base = gamma._level_weight(functional, 0) * float(dm0.max())
     w1 = gamma._level_weight(functional, 1)
     best_val, best_part = math.inf, None
@@ -347,7 +347,7 @@ def split_cases(draw):
     proc = ProcessSpec.homogeneous(family(), dim)
     T = IndexSet(pts)
     v = metric.distance_matrix(proc, T, float(2 ** draw(st.integers(0, 3))),
-                               samples=2_000, seed=draw(st.integers(0, 9)))
+                               samples=2_000, seed=draw(st.integers(0, 9)))[0]
     block = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
     k = draw(st.integers(min_value=1, max_value=len(block) + 2))
     return T, proc, v, block, k
@@ -385,7 +385,8 @@ def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
     del euclid
 
     def per_level(proc, T, p, samples=0, seed=0):
-        return upper * dist.gaussian().moment(p)
+        return (upper * dist.gaussian().moment(p), np.broadcast_to(0.0, len(upper)),
+                "closed_form")
 
     with mock.patch.object(metric, "distance_matrix", per_level):
         oracle_value, oracle_tree = gamma.compute_gamma(IndexSet(pts), proc, mode="greedy")
@@ -439,7 +440,7 @@ def test_greedy_at_the_greedy_limit_in_bounded_time_and_memory():
 def test_block_diameter_equals_the_full_block_max(tile, monkeypatch):
     monkeypatch.setattr(gamma, "_DIAMETER_TILE_ELEMS", tile)
     T = IndexSet(np.random.default_rng(12).standard_normal((23, 3)))
-    v = metric.distance_matrix(gauss_proc(3), T, 2.0)
+    v = metric.distance_matrix(gauss_proc(3), T, 2.0)[0]
     dm = squareform(v)
     blocks = [list(range(23)), [4], [0, 22], [3, 1, 17, 8, 9, 10, 2]]
     for block in blocks:

@@ -150,7 +150,7 @@ class TestDistanceMatrix:
     def test_matches_pairwise_gaussian(self):
         T = IndexSet(np.random.default_rng(3).standard_normal((5, 3)))
         proc = gauss_proc(3)
-        dm = squareform(metric.distance_matrix(proc, T, 4.0))
+        dm = squareform(metric.distance_matrix(proc, T, 4.0)[0])
         for i in range(5):
             for j in range(5):
                 expect = increment_norm(proc, T.points[i], T.points[j], 4.0).value
@@ -160,7 +160,7 @@ class TestDistanceMatrix:
         # one condensed entry per pair i < j: the square is symmetric with a
         # zero diagonal by construction
         T = IndexSet(np.random.default_rng(4).standard_normal((6, 3)))
-        v = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)
+        v = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)[0]
         assert v.shape == (15,)
         dm = squareform(v)
         assert np.array_equal(dm, dm.T)
@@ -168,8 +168,8 @@ class TestDistanceMatrix:
 
     def test_mc_determinism(self):
         T = IndexSet(np.random.default_rng(4).standard_normal((6, 3)))
-        a = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)
-        b = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)
+        a = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)[0]
+        b = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)[0]
         assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
@@ -178,7 +178,7 @@ class TestDistanceMatrix:
 
     def test_rademacher_enumeration_path(self):
         T = IndexSet.basis(4)
-        v = metric.distance_matrix(rad_proc(4), T, 2.0)
+        v = metric.distance_matrix(rad_proc(4), T, 2.0)[0]
         assert v.shape == (6,)
         assert np.allclose(v, math.sqrt(2.0))
 
@@ -189,7 +189,7 @@ class TestDistanceMatrix:
         proc = make_proc(3)
         r = increment_norm(proc, s, t, 3.0, samples=30_000, seed=4)
         v = metric.distance_matrix(proc, IndexSet(np.stack([s, t])), 3.0,
-                                   samples=30_000, seed=4)
+                                   samples=30_000, seed=4)[0]
         assert v.shape == (1,)
         assert r.value == v[0]
 
@@ -211,7 +211,7 @@ class TestDistanceMatrix:
 
         T = IndexSet(np.random.default_rng(6).standard_normal((40, 24)))
         monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
-        v = metric.distance_matrix(gauss_proc(24), T, 8.0)
+        v = metric.distance_matrix(gauss_proc(24), T, 8.0)[0]
         assert v[0] == np.linalg.norm(T.points[0] - T.points[1]) * \
             dist.gaussian().moment(8.0)
         assert metric.is_exact_metric(gauss_proc(24), T)
@@ -242,11 +242,92 @@ class TestDistanceMatrix:
             tracemalloc.stop()
         assert peak < 160 * 2 ** 20
 
+    @pytest.mark.parametrize("make_proc, method", [(exp_proc, "monte_carlo"),
+                                                   (rad_proc, "enumeration")])
+    def test_pass_past_the_byte_limit_raises_before_it_allocates(self, make_proc, method,
+                                                                  monkeypatch):
+        def no_diffs(pts):
+            raise AssertionError("(pairs x dim) difference array built")
+
+        # 44,850 pairs in R^16: 6.0 MiB of differences and outputs alone
+        monkeypatch.setattr(metric, "_PASS_MAX_BYTES", 1 << 20)
+        monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
+        proc = make_proc(16)
+        T = IndexSet(np.random.default_rng(7).standard_normal((300, 16)))
+        with pytest.raises(ValueError, match=rf"^{method} pair norms of 300 points in "
+                                             rf"R\^16 under the {proc.family} process "
+                                             r"need about [\d,]+ MiB, past the 1 MiB"):
+            metric.distance_matrix(proc, T, 3.0, samples=1_000)
+
     def test_single_point_is_one_zero(self):
         # no pairs; the square of the empty condensed vector is one zero
-        one = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0)
+        one = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0)[0]
         assert one.shape == (0,)
         assert squareform(one).tobytes() == np.array([[0.0]]).tobytes()
+
+
+@given(m=st.integers(2, 300), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pair_of_inverts_pair_index(m, data):
+    # every position of the condensed vector decodes to its triu pair
+    k = np.arange(m * (m - 1) // 2)
+    i, j = metric.pair_of(k, m)
+    ii, jj = np.triu_indices(m, 1)
+    assert np.array_equal(i, ii) and np.array_equal(j, jj)
+    assert np.array_equal(metric.pair_index(i, j, m), k)
+    one = data.draw(st.integers(0, len(k) - 1))
+    assert tuple(int(x) for x in metric.pair_of(one, m)) == (ii[one], jj[one])
+
+
+def test_every_pair_norm_pass_enters_through_distance_matrix(monkeypatch):
+    # rebind every chainsup name bound to distance_matrix, as an outside
+    # tracer does, and count the calls each entry point makes
+    import sys
+
+    from chainsup import gamma, stochlab, verify
+    from chainsup.streams import RngStream
+
+    real = metric.distance_matrix
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "chainsup" or name.startswith("chainsup.")):
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, spy)
+    proc = exp_proc(3)
+    T = IndexSet(np.random.default_rng(17).standard_normal((5, 3)))
+    stream = RngStream(18, 0)
+    tree = gamma.compute_gamma(T, proc, mode="greedy", samples=500)[1]
+    runs = {
+        "sudakov_experiment": lambda: verify.sudakov_experiment(
+            proc, T, 3.0, 0.1, 500, stream),
+        # rademacher increments are dominated by gaussian ones, exactly
+        "comparison_experiment": lambda: verify.comparison_experiment(
+            gauss_proc(3), rad_proc(3), T, p_grid=(3.0,), samples=500, stream=stream),
+        "symmetrization_check": lambda: stochlab.symmetrization_check(
+            proc, T, 3.0, 500, stream),
+        "compute_gamma": lambda: gamma.compute_gamma(T, proc, mode="greedy",
+                                                     samples=500),
+        "evaluate_certificate": lambda: gamma.evaluate_certificate(
+            tree, T, proc, samples=500),
+        "convex_hull_decomposition": lambda: verify.convex_hull_decomposition(
+            T, tree, proc, samples=500),
+        "increment_norm": lambda: metric.increment_norm(
+            proc, T.points[0], T.points[1], 3.0, samples=500),
+    }
+    silent = []
+    for name, run in runs.items():
+        before = len(calls)
+        run()
+        if len(calls) == before:
+            silent.append(name)
+    assert silent == []
+    assert not hasattr(metric, "_pair_norms")
 
 
 class TestMonteCarloKernel:
@@ -279,7 +360,7 @@ class TestMonteCarloKernel:
         make = dist.sym_exponential if m != 3 else (lambda: dist.three_point(2.0))
         proc = ProcessSpec.homogeneous(make(), 4)
         pts = np.random.default_rng(m).standard_normal((m, 4))
-        values, errors, method = metric._pair_norms(proc, pts, p, samples, 5)
+        values, errors, method = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
         assert method == "monte_carlo"
         want_values, want_errors = self.naive(proc, pts, p, samples, 5)
         np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
@@ -291,7 +372,7 @@ class TestMonteCarloKernel:
         pts = np.random.default_rng(3).standard_normal((2, 5))
         with pytest.raises(ValueError, match=r"p = 128 .* 1 of 1 pairs of the "
                                              r"sym_exponential process"):
-            metric._pair_norms(exp_proc(5), pts, 128, 21_234, 0)
+            metric.distance_matrix(exp_proc(5), IndexSet(pts), 128, 21_234, 0)
 
 
 class TestPairNormCache:
@@ -299,8 +380,8 @@ class TestPairNormCache:
 
     def test_int_and_float_p_draw_the_same_samples(self):
         pts = np.random.default_rng(3).standard_normal((3, 4))
-        a = metric._pair_norms(exp_proc(4), pts, 4, 2_000, 7)
-        b = metric._pair_norms(exp_proc(4), pts, 4.0, 2_000, 7)
+        a = metric.distance_matrix(exp_proc(4), IndexSet(pts), 4, 2_000, 7)
+        b = metric.distance_matrix(exp_proc(4), IndexSet(pts), 4.0, 2_000, 7)
         assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
     def test_one_monte_carlo_pass_per_distinct_p(self, monkeypatch):
@@ -336,8 +417,8 @@ class TestPairNormCache:
         three = ProcessSpec.homogeneous(dist.three_point(2.0), 3)
         for proc, samples, seed in [(exp_proc(3), 1_000, 1), (exp_proc(3), 1_000, 2),
                                     (exp_proc(3), 1_500, 1), (three, 1_000, 1)]:
-            got = metric._pair_norms(proc, T, 3.0, samples, seed)[0]
-            want = metric._pair_norms(proc, pts, 3.0, samples, seed)[0]
+            got = metric.distance_matrix(proc, T, 3.0, samples, seed)[0]
+            want = metric.distance_matrix(proc, IndexSet(pts), 3.0, samples, seed)[0]
             assert got.tobytes() == want.tobytes()
         assert len(T._norms) == 4
 
@@ -353,7 +434,7 @@ def test_mc_distance_matrix_triangle_inequality(pts, family, p, seed):
     model = dist.sym_exponential() if family == "sym_exponential" else dist.three_point(2.0)
     proc = ProcessSpec.homogeneous(model, 3)
     dm = squareform(metric.distance_matrix(proc, IndexSet(np.array(pts)), p,
-                                           samples=2_000, seed=seed))
+                                           samples=2_000, seed=seed)[0])
     via = dm[:, :, None] + dm[None, :, :]          # d(i, j) + d(j, k) at [i, j, k]
     direct = dm[:, None, :]                          # d(i, k) at [i, j, k]
     assert np.all(direct <= via * (1.0 + 1e-12))
@@ -361,19 +442,19 @@ def test_mc_distance_matrix_triangle_inequality(pts, family, p, seed):
 
 class TestDiameter:
     def test_singleton(self):
-        v = metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((1, 2))), 2.0)
+        v = metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((1, 2))), 2.0)[0]
         assert squareform(v).max() == 0.0
 
     def test_basis_gaussian(self):
         T = IndexSet.basis(3)
-        assert metric.distance_matrix(gauss_proc(3), T, 2.0).max() == pytest.approx(
+        assert metric.distance_matrix(gauss_proc(3), T, 2.0)[0].max() == pytest.approx(
             math.sqrt(2.0), rel=1e-12)
 
     def test_monotone_under_subset(self):
         pts = np.random.default_rng(5).standard_normal((6, 3))
         proc = gauss_proc(3)
-        full = metric.distance_matrix(proc, IndexSet(pts), 4.0).max()
-        sub = metric.distance_matrix(proc, IndexSet(pts[:4]), 4.0).max()
+        full = metric.distance_matrix(proc, IndexSet(pts), 4.0)[0].max()
+        sub = metric.distance_matrix(proc, IndexSet(pts[:4]), 4.0)[0].max()
         assert sub <= full + 1e-12
 
 
@@ -486,14 +567,14 @@ def test_pair_lengths_equal_norms_of_the_difference_array(pts):
 def test_cached_pair_norms_equal_fresh_ones(pts, make, p):
     proc = ProcessSpec.homogeneous(make(), pts.shape[1])
     T = IndexSet(pts)
-    first = metric._pair_norms(proc, T, p, 500, 9)
+    first = metric.distance_matrix(proc, T, p, 500, 9)
     first[0][:] = -1.0  # writing into a returned array must not reach the cache
     if first[2] == "closed_form":  # one shared read-only zero vector
         assert not first[1].flags.writeable
     else:
         first[1][:] = -1.0
-    again = metric._pair_norms(proc, T, p, 500, 9)
-    fresh = metric._pair_norms(proc, IndexSet(pts), p, 500, 9)
+    again = metric.distance_matrix(proc, T, p, 500, 9)
+    fresh = metric.distance_matrix(proc, IndexSet(pts), p, 500, 9)
     assert again[2] == fresh[2]
     assert len(T._norms) == (again[2] != "closed_form")
     assert again[0].tobytes() == fresh[0].tobytes()
@@ -535,16 +616,3 @@ def test_is_exact_metric():
     assert metric.is_exact_metric(rad_proc(8), IndexSet.basis(8))
     assert not metric.is_exact_metric(rad_proc(24), IndexSet.with_origin(np.ones((1, 24))))
     assert not metric.is_exact_metric(exp_proc(2), IndexSet.basis(2))
-
-
-@given(pts=point_sets(dims=(1, 2, 3, 9)),
-       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential]),
-       p=st.sampled_from([1.0, 2.0, 3.0, 8.0]))
-@settings(max_examples=60, deadline=None)
-def test_distance_matrix_equals_squareform_of_pair_norms(pts, make, p):
-    # the condensed vector is the pair norms, in scipy's squareform layout
-    proc = ProcessSpec.homogeneous(make(), pts.shape[1])
-    want = metric._pair_norms(proc, pts, p, 500, 4)[0]
-    got = metric.distance_matrix(proc, IndexSet(pts), p, samples=500, seed=4)
-    assert got.tobytes() == want.tobytes()
-    assert squareform(got).tobytes() == squareform(want).tobytes()

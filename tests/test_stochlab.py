@@ -369,13 +369,13 @@ class TestContraction:
     def test_norms_draw_the_given_budget(self, monkeypatch):
         # 24 nonzero rademacher coefficients are past enumeration
         seen = []
-        pair_norms = metric._pair_norms
+        pair_norms = metric.distance_matrix
 
-        def spy(proc, pts, p, samples, seed):
+        def spy(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
             seen.append((samples, seed))
-            return pair_norms(proc, pts, p, samples, seed)
+            return pair_norms(proc, T, p, samples, seed)
 
-        monkeypatch.setattr(metric, "_pair_norms", spy)
+        monkeypatch.setattr(metric, "distance_matrix", spy)
         out = stochlab.contraction_check(np.full(24, 0.5), np.ones(24), 3.0,
                                          samples=1_000, stream=RngStream(5, 0))
         assert out["passed"]
@@ -410,26 +410,26 @@ class TestSymmetrization:
         assert abs(ex.mean - es.mean) <= 4 * (ex.stderr + es.stderr)
 
     @staticmethod
-    def _patch_pair_norms(monkeypatch, scale_second=1.0):
-        real = metric._pair_norms
+    def _patch_distance_matrix(monkeypatch, scale_second=1.0):
+        real = metric.distance_matrix
         calls = []
 
-        def counting(proc, pts, p, samples, seed):
-            calls.append((len(pts), p, seed))
-            values, errors, method = real(proc, pts, p, samples, seed)
+        def counting(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
+            calls.append((len(T), p, seed))
+            values, errors, method = real(proc, T, p, samples, seed)
             return (values * (scale_second if len(calls) == 2 else 1.0),
                     errors, method)
 
         def no_pair_loop(*args, **kw):
             raise AssertionError("per-pair increment_norm call")
 
-        monkeypatch.setattr(metric, "_pair_norms", counting)
+        monkeypatch.setattr(metric, "distance_matrix", counting)
         monkeypatch.setattr(metric, "increment_norm", no_pair_loop)
         monkeypatch.setattr(stochlab, "increment_norm", no_pair_loop)
         return calls
 
     def test_moment_bracket_takes_two_pair_norm_passes(self, monkeypatch):
-        calls = self._patch_pair_norms(monkeypatch)
+        calls = self._patch_distance_matrix(monkeypatch)
         pts = np.random.default_rng(15).standard_normal((4, 3))
         out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
                                             samples=20_000, stream=RngStream(16, 0))
@@ -438,21 +438,21 @@ class TestSymmetrization:
 
     def test_moment_bracket_can_fail(self, monkeypatch):
         # symmetrized norms three times too large break the factor-2 bracket
-        self._patch_pair_norms(monkeypatch, scale_second=3.0)
+        self._patch_distance_matrix(monkeypatch, scale_second=3.0)
         pts = np.random.default_rng(15).standard_normal((4, 3))
         out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
                                             samples=20_000, stream=RngStream(16, 0))
         assert not out["moment_bracket_ok"] and not out["passed"]
 
     def test_nan_distance_fails_the_bracket(self, monkeypatch):
-        real = metric._pair_norms
+        real = metric.distance_matrix
 
-        def with_nan(proc, pts, p, samples, seed):
-            values, errors, method = real(proc, pts, p, samples, seed)
+        def with_nan(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
+            values, errors, method = real(proc, T, p, samples, seed)
             values[0] = math.nan
             return values, errors, method
 
-        monkeypatch.setattr(metric, "_pair_norms", with_nan)
+        monkeypatch.setattr(metric, "distance_matrix", with_nan)
         pts = np.random.default_rng(15).standard_normal((4, 3))
         out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
                                             samples=20_000, stream=RngStream(16, 0))

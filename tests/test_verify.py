@@ -115,7 +115,7 @@ class TestSudakov:
         stream = RngStream(31, 0)
         rep = verify.sudakov_experiment(proc, T, p, u, 2_000, stream)
         dm = squareform(metric.distance_matrix(proc, T, p, samples=2_000,
-                                               seed=stream.master_seed))
+                                               seed=stream.master_seed)[0])
         iu = np.triu_indices(len(T), k=1)
         vals = dm[iu]
         k = int(np.argmin(vals))
@@ -244,17 +244,17 @@ class TestComparison:
         T = IndexSet(np.random.default_rng(40).standard_normal((4, 3)))
         procX = ProcessSpec.homogeneous(dist.sym_exponential(), 3)
         procY = gauss_proc(3)
-        real = metric._pair_norms
+        real = metric.distance_matrix
         calls = []
 
-        def counting(proc, pts, p, samples, seed):
-            calls.append((proc, len(pts), p, seed))
-            return real(proc, pts, p, samples, seed)
+        def counting(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
+            calls.append((proc, len(T), p, seed))
+            return real(proc, T, p, samples, seed)
 
         def no_pair_loop(*args, **kw):
             raise AssertionError("per-pair increment_norm call")
 
-        monkeypatch.setattr(metric, "_pair_norms", counting)
+        monkeypatch.setattr(metric, "distance_matrix", counting)
         monkeypatch.setattr(metric, "increment_norm", no_pair_loop)
         monkeypatch.setattr(verify, "increment_norm", no_pair_loop)
         out = verify.comparison_experiment(procX, procY, T, p_grid=(3.0, 4.0),
@@ -302,14 +302,14 @@ class TestComparison:
         assert any(o and not o.startswith("(s=0, t=1,") for o in outcomes)
 
     def test_nan_distance_raises(self, monkeypatch):
-        real = metric._pair_norms
+        real = metric.distance_matrix
 
-        def with_nan(proc, pts, p, samples, seed):
-            values, errors, method = real(proc, pts, p, samples, seed)
+        def with_nan(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
+            values, errors, method = real(proc, T, p, samples, seed)
             values[0] = math.nan
             return values, errors, method
 
-        monkeypatch.setattr(metric, "_pair_norms", with_nan)
+        monkeypatch.setattr(metric, "distance_matrix", with_nan)
         T = IndexSet.with_origin(np.eye(2))
         # rademacher increments are dominated by gaussian ones, so only the
         # NaN can fail the check
@@ -342,7 +342,7 @@ def reference_hull(T, tree, proc, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
                 level_rep[i] = min(block)
         reps.append(level_rep)
     dms = {n: squareform(metric.distance_matrix(proc, T, float(2 ** (n + 1)),
-                                                samples=samples, seed=seed))
+                                                samples=samples, seed=seed)[0])
            for n in range(1, depth)}
     chain_points = []
     step_sums = np.zeros(m)
