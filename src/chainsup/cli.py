@@ -15,11 +15,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import dist, gamma, metric, stochlab, tailkit, verify
 from .metric import IndexSet, ProcessSpec
@@ -282,16 +282,101 @@ CONFIG_SCHEMA = {
               for name, (_, params) in EXPERIMENT_TABLE.items()],
 }
 
-# built once: jsonschema.validate would re-check the constant schema on every call
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# JSON Schema (draft 2020-12) type checks: bools are not numbers, and an
+# integral float is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+}
+
+# every keyword _schema_errors reads; "then" and "else" are read by "if"
+_SCHEMA_KEYWORDS = frozenset([
+    "definitions", "$ref", "type", "enum", "const", "minimum", "exclusiveMinimum",
+    "minItems", "required", "properties", "additionalProperties", "items",
+    "if", "then", "else", "allOf", "not"])
+
+
+def _schema_errors(x, schema, path=()):
+    """Yield (path, message, type_miss) for each error that jsonschema's
+    draft 2020-12 validator reports for `x` against `schema`, in its order
+    and with its wording; `type_miss` is its `not error._matches_type()`.
+
+    Only the keywords in _SCHEMA_KEYWORDS are read, `additionalProperties`
+    only as false, enums and consts hold strings, and a `$ref` is a JSON
+    pointer into CONFIG_SCHEMA.
+    """
+    if schema is True:
+        return
+    miss = "type" not in schema or not _TYPES[schema["type"]](x)
+    for key, v in schema.items():
+        if key == "$ref":
+            target = CONFIG_SCHEMA
+            for part in v.removeprefix("#/").split("/"):
+                target = target[part]
+            yield from _schema_errors(x, target, path)
+        elif key == "allOf":
+            for sub in v:
+                yield from _schema_errors(x, sub, path)
+        elif key == "if":
+            branch = "then" if _schema_valid(x, v) else "else"
+            yield from _schema_errors(x, schema.get(branch, True), path)
+        elif key == "properties" and isinstance(x, dict):
+            for name, sub in v.items():
+                if name in x:
+                    yield from _schema_errors(x[name], sub, (*path, name))
+        elif key == "items" and isinstance(x, list):
+            for i, item in enumerate(x):
+                yield from _schema_errors(item, v, (*path, i))
+        else:
+            for message in _keyword_messages(key, v, x, schema):
+                yield path, message, miss
+
+
+def _keyword_messages(key, v, x, schema):
+    """jsonschema's message for each way `x` fails the leaf keyword `key: v`."""
+    is_num = _TYPES["number"](x)
+    if key == "type" and not _TYPES[v](x):
+        yield f"{x!r} is not of type {v!r}"
+    elif key == "enum" and x not in v:
+        yield f"{x!r} is not one of {v!r}"
+    elif key == "const" and x != v:
+        yield f"{v!r} was expected"
+    elif key == "minimum" and is_num and x < v:
+        yield f"{x!r} is less than the minimum of {v!r}"
+    elif key == "exclusiveMinimum" and is_num and x <= v:
+        yield f"{x!r} is less than or equal to the minimum of {v!r}"
+    elif key == "minItems" and isinstance(x, list) and len(x) < v:
+        yield f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}"
+    elif key == "not" and _schema_valid(x, v):
+        yield f"{x!r} should not be valid under {v!r}"
+    elif key == "required" and isinstance(x, dict):
+        yield from (f"{name!r} is a required property" for name in v if name not in x)
+    elif key == "additionalProperties" and isinstance(x, dict):
+        extras = sorted({k for k in x if k not in schema.get("properties", {})}, key=str)
+        if extras:
+            yield (f"Additional properties are not allowed "
+                   f"({', '.join(map(repr, extras))} {'was' if len(extras) == 1 else 'were'}"
+                   f" unexpected)")
+
+
+def _schema_valid(x, schema) -> bool:
+    return next(_schema_errors(x, schema), None) is None
 
 
 def validate_config(config: dict) -> None:
+    """Raise ConfigError naming the error that jsonschema's best_match picks:
+    the shallowest, then the greatest path, then one whose schema's type
+    the value misses, then the first."""
     # checked with empty params if it has none, so the error names a missing param
-    exc = jsonschema.exceptions.best_match(
-        _VALIDATOR.iter_errors({"params": {}, **config}))
-    if exc is not None:
-        raise ConfigError(f"config invalid at {exc.json_path}: {exc.message}") from exc
+    errors = list(_schema_errors({"params": {}, **config}, CONFIG_SCHEMA))
+    if errors:
+        path, message, _ = max(errors, key=lambda e: (-len(e[0]), e[0], e[2]))
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise ConfigError(f"config invalid at {where}: {message}")
 
 
 def run(config: dict, workers: int = 1) -> dict:
@@ -373,8 +458,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(config, workers=max(1, args.workers))
-    except (jsonschema.ValidationError, ValueError, RuntimeError, MemoryError,
-            ArithmeticError) as exc:
+    except (ValueError, RuntimeError, MemoryError, ArithmeticError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

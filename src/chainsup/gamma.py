@@ -297,6 +297,8 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         # left, or they would never reach singletons
         alloc = [1] * len(current)
         spare = cap - len(current)
+        if cap >= m:  # the blocks partition T: every block splits into singletons
+            alloc, spare = [len(b) for b in current], 0
         while spare > 0:
             best = None
             for bi, block in enumerate(current):

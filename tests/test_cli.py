@@ -1,9 +1,12 @@
+import copy
 import json
 import math
+import re
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema.validators import validator_for
 
 from chainsup import cli, metric
@@ -56,6 +59,166 @@ class TestValidation:
             cli.validate_config(config)
         assert str(got.value) == (
             f"config invalid at {ref.value.json_path}: {ref.value.message}")
+
+    def test_interpreter_reads_every_keyword_of_the_schema(self):
+        # validate_config reads only the keywords in _SCHEMA_KEYWORDS, so a
+        # schema edit that adds any other must extend the interpreter first
+        def walk(schema, where):
+            if schema is True:
+                return
+            assert isinstance(schema, dict), where
+            assert set(schema) <= cli._SCHEMA_KEYWORDS, (where, set(schema))
+            for key, v in schema.items():
+                if key in ("properties", "definitions"):
+                    for name, sub in v.items():
+                        # jsonschema's json_path writes other property names
+                        # as ['name'], validate_config always as .name
+                        assert key != "properties" or re.fullmatch(
+                            r"[a-zA-Z][a-zA-Z0-9_]*", name), (where, name)
+                        walk(sub, f"{where}/{key}/{name}")
+                elif key == "allOf":
+                    for i, sub in enumerate(v):
+                        walk(sub, f"{where}/allOf/{i}")
+                elif key in ("items", "if", "then", "else", "not"):
+                    walk(v, f"{where}/{key}")
+                elif key == "additionalProperties":
+                    assert v is False, where
+                elif key in ("enum", "const"):
+                    assert all(isinstance(e, str) for e in (v if key == "enum" else [v])), where
+                elif key == "type":
+                    assert v in cli._TYPES, where
+                elif key == "$ref":
+                    assert v.startswith("#/definitions/"), where
+
+        walk(cli.CONFIG_SCHEMA, "#")
+
+
+# valid configs that between them reach every branch of CONFIG_SCHEMA:
+# every experiment, family, index-set type and param
+_VALID_CONFIGS = [
+    {"experiment": "gamma", "process": {"family": "sym_weibull", "shape": 1.5},
+     "index_set": {"type": "sphere_random", "count": 4, "n": 3, "seed": 0},
+     "params": {"mode": "exact", "functional": "gamma2", "samples": 1000, "seed": 1}},
+    {"experiment": "two-sided",
+     "process": [{"family": "three_point", "a": 3.0}, {"family": "rademacher"}],
+     "index_set": {"type": "interleave_of", "include_origin": True,
+                   "inner": {"type": "interleave_of",
+                             "inner": {"type": "explicit", "points": [[1.0, 0], [0, 1]]}}},
+     "params": {"mode": "greedy", "threshold": 3.0, "samples": 100, "seed": 2}},
+    {"experiment": "compare", "process": {"family": "sym_exponential"},
+     "process_y": [{"family": "gaussian"}, {"family": "sym_weibull", "shape": 2}],
+     "index_set": {"type": "packing", "m": 2, "n": 3},
+     "params": {"p_grid": [2.0, 4], "seed": 3}},
+    {"experiment": "sudakov", "index_set": {"type": "basis", "n": 3},
+     "params": {"p": 4.0, "u": 1.5, "samples": 100, "seed": 0}},
+    {"experiment": "weak-strong", "params": {"p": 2, "threshold": 4.0, "seed": 0}},
+    {"experiment": "supremum", "process": {"family": "rademacher"},
+     "params": {"target": "sup_abs", "seed": 0}},
+    {"experiment": "tails", "process": {"family": "three_point", "a": 1.5},
+     "params": {"alpha": 2.0}},
+    {"experiment": "hull", "index_set": {"type": "basis", "n": 2, "include_origin": False}},
+]
+
+# replacement values: wrong types, bools, integral floats, out-of-range
+# numbers, unknown names and nested sets and process lists
+_JUNK = [None, True, False, 0, 1, -1, 0.0, 0.5, 2.0, 99.0, 100, -2.5, 1e300, "",
+         "gamma", "basis", "gaussian", "greedy", "sup_abs", [], [1.0], [[1.0], [2]],
+         [{}], [{"family": "gaussian"}, {"family": "three_point"}], {},
+         {"type": "basis"}, {"type": "basis", "n": 2.0}, {"family": "sym_weibull"},
+         {"type": "interleave_of", "inner": {"type": "packing", "m": 1}}]
+_KEYS = ["bogus", "experiment", "process", "process_y", "index_set", "params", "type",
+         "inner", "points", "n", "m", "count", "seed", "include_origin", "family",
+         "shape", "a", "p", "p_grid", "u", "alpha", "samples", "mode", "target"]
+
+_REFERENCE = validator_for(cli.CONFIG_SCHEMA)(cli.CONFIG_SCHEMA)
+
+
+def _nodes(x):
+    """Every dict and list inside `x`, `x` included."""
+    if isinstance(x, (dict, list)):
+        yield x
+        for v in (x.values() if isinstance(x, dict) else x):
+            yield from _nodes(v)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config after one to three edits: a value replaced, a key or
+    item deleted, or a key or item added, anywhere in it."""
+    config = copy.deepcopy(draw(st.sampled_from(_VALID_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_nodes(config))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = draw(st.sampled_from(["set", "delete", "add"])) if keys else "add"
+        junk = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+        if op == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(_KEYS))] = junk
+        elif op == "add":
+            node.append(junk)
+        elif op == "delete":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = junk
+    return config
+
+
+def _reference_messages(config) -> list:
+    """validate_config's message for each error jsonschema reports."""
+    return [f"config invalid at {e.json_path}: {e.message}"
+            for e in _REFERENCE.iter_errors({"params": {}, **config})]
+
+
+def _message(config):
+    try:
+        cli.validate_config(config)
+    except cli.ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("config", _VALID_CONFIGS, ids=lambda c: c["experiment"])
+def test_unmutated_configs_are_valid(config):
+    cli.validate_config(config)
+    assert not _reference_messages(config)
+
+
+# draft 2020-12 edges: bools are not numbers, integral floats are integers,
+# and each bound's own wording
+@pytest.mark.parametrize("config", [
+    {"experiment": "sudakov", "params": {"p": True, "u": 1.0, "seed": 1}},
+    {"experiment": "gamma", "params": {"seed": False}},
+    {"experiment": "gamma", "index_set": {"type": "basis", "n": 2.0}},
+    {"experiment": "gamma", "index_set": {"type": "basis", "n": 2.5}},
+    {"experiment": "gamma", "index_set": {"type": "basis", "n": 0.0}},
+    {"experiment": "gamma", "index_set": {"type": "explicit", "points": [[1, True]]}},
+    {"experiment": "gamma", "params": {"samples": 100.0, "seed": -3.0}},
+    {"experiment": "tails", "process": {"family": "sym_weibull", "shape": 0}},
+    {"experiment": "tails", "process": {"family": "three_point", "a": 1.0}},
+    {"experiment": "sudakov", "params": {"p": 0.5, "u": 1.0, "seed": 1}},
+    {"experiment": "sudakov", "params": {"p": 2, "u": 0, "seed": 1}},
+    {"experiment": "tails", "index_set": {"type": "basis", "n": 1, "include_origin": 1}},
+    {"experiment": "gamma", "process": [{"family": "gaussian"}, {"family": "three_point"}]},
+], ids=str)
+def test_edge_configs_get_jsonschemas_verdict_and_message(config):
+    expected = _reference_messages(config)
+    assert len(expected) <= 1
+    assert _message(config) == (expected[0] if expected else None)
+
+
+@given(config=mutated_configs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_validate_config_accepts_what_jsonschema_accepts(config):
+    assert (_message(config) is None) == (not _reference_messages(config))
+
+
+@given(config=mutated_configs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_validate_config_message_is_the_best_match(config):
+    # the message of the error that jsonschema's best_match picks, on
+    # configs with one error and with several
+    best = jsonschema.exceptions.best_match(_REFERENCE.iter_errors({"params": {}, **config}))
+    expected = None if best is None else f"config invalid at {best.json_path}: {best.message}"
+    assert _message(config) == expected
 
 
 class TestIndexSetBuilders:

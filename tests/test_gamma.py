@@ -367,6 +367,52 @@ def test_split_matches_the_list_based_oracle(case):
     assert tree.to_json() == oracle_tree.to_json()
 
 
+def scan_allocation(diams, sizes, cap):
+    """A copy of the spare-capacity scan in _greedy_gamma: each spare slot
+    to the first open block whose diameter per child beats the running
+    best by more than 1e-15."""
+    alloc = [1] * len(sizes)
+    spare = cap - len(sizes)
+    while spare > 0:
+        best = None
+        for bi, size in enumerate(sizes):
+            if alloc[bi] >= size:
+                continue
+            score = diams[bi] / alloc[bi]
+            if best is None or score > best[0] + 1e-15:
+                best = (score, bi)
+        if best is None:
+            break
+        alloc[best[1]] += 1
+        spare -= 1
+    return alloc
+
+
+@st.composite
+def saturated_allocation_cases(draw):
+    # diameters from a few bases plus offsets of a few ulps, so scores tie
+    # and near-tie inside and just outside the 1e-15 slack; zeros are
+    # repeated points, and size-1 blocks are full from the start
+    n = draw(st.integers(1, 40))
+    base = st.sampled_from([0.0, 1e-15, 0.5, 1.0, 1.0 / 3.0, 2.0, 3.0])
+    offset = st.integers(-8, 8).map(lambda k: k * 2.0 ** -52)
+    diams = draw(st.lists(st.tuples(base, offset).map(lambda t: max(0.0, t[0] + t[1])),
+                          min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    cap = draw(st.integers(sum(sizes), sum(sizes) + 3))
+    return diams, sizes, cap
+
+
+@given(case=saturated_allocation_cases())
+@example(case=([0.0, 0.0, 2.0], [5, 3, 2], 10))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_scan_at_a_cap_of_every_point_splits_every_block_into_singletons(case):
+    # _greedy_gamma skips the scan when cap >= |T|, the blocks' total size,
+    # and takes this final state directly
+    diams, sizes, cap = case
+    assert scan_allocation(diams, sizes, cap) == sizes
+
+
 def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
     # The oracle builds a full matrix, row i = |pts[i] - pts|_2, with no
     # cached pair lengths, and hands every level its strict upper triangle,

@@ -1,14 +1,19 @@
-"""The import floor: importing the package loads no scipy module.
+"""The import floor: importing the package loads no scipy or jsonschema module.
 
 scipy is imported on first use by the two functions that need it (the
 gaussian tail and the tail quadrature), so a run that needs neither never
-pays for it.  Each check runs in a fresh child process, since this test
-process may already hold scipy.
+pays for it; configs are checked by the package's own schema interpreter,
+so no run loads jsonschema.  Each check runs in a fresh child process,
+since this test process may already hold scipy and jsonschema.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
+
+import chainsup
 
 _SCIPY_LOADED = "import sys; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
 
@@ -32,9 +37,22 @@ _EAGER = [["0x0.0p+0", "0x1.1226ab2010fe4p-27", "0x1.ee59d69cd3bb0p-2",
           ["0x1.32cffe32b1e2fp+0", "0x1.24a7981b1e750p+0", "0x1.2797a3dd64d5ap+0"]]
 
 
+_HEAVY_LOADED = ("import sys; print(sorted(k for k in sys.modules "
+                 "if k.split('.')[0] in ('scipy', 'jsonschema')))")
+
+
 @pytest.mark.parametrize("module", ["chainsup", "chainsup.cli"])
 def test_import_loads_no_scipy(run_python, module):
-    assert run_python(f"import {module}\n{_SCIPY_LOADED}").strip() == "[]"
+    assert run_python(f"import {module}\n{_HEAVY_LOADED}").strip() == "[]"
+
+
+def test_no_module_imports_jsonschema():
+    src = Path(chainsup.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        names += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in names if m.split(".")[0] == "jsonschema"], path.name
 
 
 def test_lazy_scipy_paths_give_the_eager_values(run_python):

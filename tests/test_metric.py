@@ -616,3 +616,32 @@ def test_is_exact_metric():
     assert metric.is_exact_metric(rad_proc(8), IndexSet.basis(8))
     assert not metric.is_exact_metric(rad_proc(24), IndexSet.with_origin(np.ones((1, 24))))
     assert not metric.is_exact_metric(exp_proc(2), IndexSet.basis(2))
+
+
+# nonzero coordinates in [1e-3, 1e3]: unless the one difference d of the point
+# set {0, d} is 0 (then d_p is 0 at every p), 1e-3 <= sum |d_j| <= 9e3, so the
+# enumerated mean of |sum|^p (its term with the signs of d alone is
+# >= 1e-96 / 2^9) neither underflows nor overflows for p <= 32 in R^9
+_MODERATE_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                             st.floats(min_value=1e-3, max_value=1e3),
+                             st.floats(min_value=-1e3, max_value=-1e-3))
+
+
+@given(d=st.sampled_from([1, 2, 3, 9]).flatmap(
+           lambda dim: st.lists(_MODERATE_COORDS, min_size=dim, max_size=dim)),
+       family=st.sampled_from([dist.gaussian, dist.rademacher]),
+       ps=st.lists(st.floats(min_value=1.0, max_value=32.0), min_size=2, max_size=2,
+                   unique=True).map(sorted))
+@example(d=[1.0, -1.0, 0.5], family=dist.rademacher, ps=[1.0, 1.0 + 1e-9])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_d_p_nondecreasing_in_p_on_exact_backends(d, family, ps):
+    # ||Y||_p is nondecreasing in p (Lyapunov); the closed form and the
+    # sign enumeration must keep that to rounding
+    pts = np.array([np.zeros(len(d)), d])
+    proc = ProcessSpec.homogeneous(family(), pts.shape[1])
+    T = IndexSet(pts)
+    lo, lo_err, method = metric.distance_matrix(proc, T, ps[0])
+    hi, hi_err, _ = metric.distance_matrix(proc, T, ps[1])
+    assert method in ("closed_form", "enumeration")
+    assert not lo_err.any() and not hi_err.any()
+    assert np.all(hi >= lo * (1.0 - 1e-12))

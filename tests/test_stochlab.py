@@ -457,3 +457,64 @@ class TestSymmetrization:
         out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
                                             samples=20_000, stream=RngStream(16, 0))
         assert not out["moment_bracket_ok"] and not out["passed"]
+
+
+# ----------------------------------------------------------------------
+# order-statistic oracle: on a scaled basis c * {e_1..e_n} with i.i.d.
+# symmetric coordinates the sup is an order statistic, so its mean is a
+# one-dimensional integral of the tail exponent N(t) = -ln P(|X| > t)
+# ----------------------------------------------------------------------
+
+def _half_line_quad(f, model):
+    from scipy import integrate
+
+    return integrate.quad(f, 0.0, model.support_bound, epsabs=0.0, epsrel=1e-12,
+                          limit=200)[0]
+
+
+def sup_increments_oracle(model, n):
+    """E(max - min) of n draws: 2 int_0^inf [1 - (1 - q)^n - q^n] dx with
+    q = P(X > x) = exp(-N(x)) / 2."""
+    def integrand(x):
+        q = 0.5 * math.exp(-float(model.tail_value(x)))
+        return 1.0 - (1.0 - q) ** n - q ** n
+    return 2.0 * _half_line_quad(integrand, model)
+
+
+def max_abs_power_oracle(model, n, p):
+    """E max|X_i|^p of n draws: int_0^inf p t^(p-1) [1 - (1 - exp(-N(t)))^n] dt."""
+    def integrand(t):
+        return p * t ** (p - 1.0) * (1.0 - (1.0 - math.exp(-float(model.tail_value(t)))) ** n)
+    return _half_line_quad(integrand, model)
+
+
+_ORDER_STAT_LAWS = [("gaussian", dist.gaussian(), 16),
+                    ("sym_exponential", dist.sym_exponential(), 32),
+                    ("three_point", dist.three_point(3.0), 12)]
+
+
+def test_three_point_oracles_match_their_closed_forms():
+    # P(X = 3) = P(X = -3) = 1/18: max - min is 3 when some draw is 3, plus
+    # 3 when some draw is -3, less 6 when every draw is -3 (or every is 3)
+    model = dist.three_point(3.0)
+    for n in (1, 2, 12, 40):
+        closed = 6.0 * (1.0 - (17.0 / 18.0) ** n - (1.0 / 18.0) ** n)
+        assert sup_increments_oracle(model, n) == pytest.approx(closed, rel=1e-12)
+        assert max_abs_power_oracle(model, n, 3.0) == pytest.approx(
+            27.0 * (1.0 - (8.0 / 9.0) ** n), rel=1e-12)
+    assert sup_increments_oracle(model, 12) == pytest.approx(
+        6.0 * (1.0 - (17.0 / 18.0) ** 12), rel=1e-14)
+
+
+@pytest.mark.parametrize("name, model, n", _ORDER_STAT_LAWS, ids=lambda v: str(v))
+@pytest.mark.parametrize("scale, seed", [(1.0, 0), (0.3, 1), (2.5, 2)])
+def test_estimates_on_scaled_bases_within_4_sigma_of_the_quadrature(name, model, n,
+                                                                    scale, seed):
+    proc = ProcessSpec.homogeneous(model, n)
+    T = IndexSet(scale * np.eye(n))
+    est = stochlab.estimate_sup(proc, T, 50_000, RngStream(seed, 1))
+    assert abs(est.mean - scale * sup_increments_oracle(model, n)) <= 4.0 * est.stderr
+    p = 3.0
+    mean, stderr = stochlab.estimate_mean(proc, T, 50_000, RngStream(seed, 2),
+                                          lambda hi, lo: np.maximum(hi, -lo) ** p)
+    assert abs(mean - scale ** p * max_abs_power_oracle(model, n, p)) <= 4.0 * stderr
