@@ -204,6 +204,12 @@ def _run_compare(config, par, T, proc, tables, workers):
 
 def _run_tails(config, par, T, proc, tables, workers):
     alpha = par["alpha"]
+    laws = sorted({json.dumps(d, sort_keys=True) for d in proc.descriptors()})
+    if len(laws) > 1:
+        # the sandwich is drawn for one law, so a list of different laws
+        # has no single verdict
+        raise ConfigError(f"tails checks one coordinate law, but the process "
+                          f"lists {len(laws)}: {', '.join(laws)}")
     model = proc.models[0]
     consts = tailkit.regularity_constants(alpha)
     M = tailkit.log_concave_envelope(model, alpha)

@@ -114,13 +114,6 @@ class RegularityWitness:
         return self.passed
 
 
-def _scalar_or_array(t, out):
-    """`out` as a float when `t` is a scalar, else as a float array."""
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return np.asarray(out, dtype=float).item()
-    return np.asarray(out, dtype=float)
-
-
 @dataclass
 class TailFunction:
     """Nondecreasing map t -> N(t) in [0, inf], +inf beyond support_bound.
@@ -135,9 +128,11 @@ class TailFunction:
     _inverse_grid: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, t):
+        """N(t) as a float for a scalar t, else as a float array."""
         arr = np.asarray(t, dtype=float)
         out = np.where(arr >= self.support_bound, np.inf, self.evaluator(arr))
-        return _scalar_or_array(t, out)
+        out = np.asarray(out, dtype=float)
+        return out.item() if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def quantile(self, e):
         """inf{t : N(t) >= e}, so quantile(-ln U) has the tail exponent N.
@@ -158,10 +153,6 @@ class TailFunction:
             self._inverse_grid = (ns[finite], ts[finite])
         ns, ts = self._inverse_grid
         return np.interp(e, ns, ts)
-
-    def export_grid(self, ts: np.ndarray) -> np.ndarray:
-        """Two-column (t, N(t)) array, CSV-ready."""
-        return np.column_stack([ts, self(np.asarray(ts, dtype=float))])
 
 
 class DistributionModel:

@@ -156,9 +156,6 @@ class IncrementNormResult:
     error_bound: float
     method: str  # closed_form | enumeration | monte_carlo
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _enumerate_signed_sums(coeffs: np.ndarray) -> np.ndarray:
     """All 2^k values of sum(c_i * sigma_i) over sign patterns."""

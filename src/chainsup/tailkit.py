@@ -1,10 +1,7 @@
 """Tail-function transforms.
 
 Turns the tail exponent N(t) = -ln P(|X| > t) of a regular variable into
-a convex envelope with explicit constants, measures moderate growth of
-tail exponents, and builds the surrogate variables (truncated copy,
-log-concave majorant, truncated-exponential filler and their mixture)
-used by the lower-bound experiments.
+a convex minorant and a log-concave envelope with explicit constants.
 """
 
 from __future__ import annotations
@@ -20,19 +17,13 @@ from .dist import DistributionModel, TailFunction
 __all__ = [
     "TailFunction",
     "RegularityConstants",
-    "SurrogateCoordinate",
-    "SurrogateFamily",
     "SublinearityError",
     "convex_minorant",
     "regularity_constants",
     "log_concave_envelope",
-    "growth_constant",
-    "check_moderate_growth",
-    "build_surrogates",
 ]
 
 _E = math.e
-_LN2 = math.log(2.0)
 
 # grid density for the running-sup integration (points per decade)
 _PTS_PER_DECADE = 4096
@@ -193,144 +184,3 @@ def log_concave_envelope(model: DistributionModel, alpha: float,
         return np.where(t <= consts.T_alpha, 0.0, g(np.maximum(t, consts.T_alpha)))
 
     return TailFunction(evaluator, g.support_bound, start=consts.T_alpha)
-
-
-def growth_constant(alpha: float, beta: float, r: float) -> tuple[float, int]:
-    """(C, k): k smallest with 2^(k-2) >= r; C = (ln 2 + 2 beta^k ln(2 alpha))/ln 2."""
-    if r <= 1:
-        raise ValueError("r must be > 1")
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    if beta <= 1:
-        raise ValueError("beta must be > 1")
-    k = 2
-    while 2.0 ** (k - 2) < r:
-        k += 1
-    c = (_LN2 + 2.0 * beta ** k * math.log(2.0 * alpha)) / _LN2
-    return c, k
-
-
-def check_moderate_growth(tail, r: float, C: float, t_min: float = 2.0):
-    """Check N(r*t) <= C*N(t) on 256 log-spaced t in [t_min, 1000 t_min].
-
-    Returns (passed, worst_ratio); a zero N(t) with positive N(r*t) counts
-    as an infinite ratio.
-    """
-    if t_min < 2.0:
-        raise ValueError("t_min must be >= 2")
-    ts = np.geomspace(t_min, t_min * 1e3, 256)
-    n_t = np.asarray(tail(ts), dtype=float)
-    n_rt = np.asarray(tail(r * ts), dtype=float)
-    finite = np.isfinite(n_t) & np.isfinite(n_rt)
-    if not np.all(finite):
-        return False, math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(n_t > 0, n_rt / n_t, np.where(n_rt > 0, np.inf, 1.0))
-    worst = float(np.max(ratios))
-    return worst <= C, worst
-
-
-# ----------------------------------------------------------------------
-# surrogate variables
-# ----------------------------------------------------------------------
-
-@dataclass
-class SurrogateCoordinate:
-    """Envelope and derived variables for one coordinate of a process.
-
-    Variables, all symmetric and coupled through a shared uniform draw:
-      base      X  with tail exponent N,
-      truncated X~ = sgn(X) max(|X|, T_alpha),
-      majorant  Y  with P(|Y| > t) = exp(-M(t)),
-      filler    U  truncated-exponential on [0, t_alpha],
-      mixture   Z  = Y 1{|Y| > t_alpha} + U 1{|Y| <= t_alpha}.
-    """
-
-    model: DistributionModel
-    envelope: TailFunction
-    constants: RegularityConstants
-    t_alpha: float
-    lambda_i: float
-    p_i: float
-    gamma_tilde: float
-
-    def m_tilde(self, t):
-        """Repaired envelope: linear on [0, t_alpha], M beyond."""
-        arr = np.asarray(t, dtype=float)
-        out = np.where(arr <= self.t_alpha, self.lambda_i * arr,
-                       self.envelope(np.maximum(arr, self.t_alpha)))
-        return dist._scalar_or_array(t, out)
-
-    def u_tail(self, t):
-        """P(|U| > t) for the truncated-exponential filler."""
-        arr = np.asarray(t, dtype=float)
-        lam, p = self.lambda_i, self.p_i
-        out = np.where(arr > self.t_alpha, 0.0,
-                       (np.exp(-lam * arr) - p) / (1.0 - p))
-        return dist._scalar_or_array(t, np.clip(out, 0.0, 1.0))
-
-    def sample_coupled(self, rng: np.random.Generator, count: int) -> dict:
-        """Pathwise-coupled draws of X, X~, Y, U, Z (shared uniforms/signs)."""
-        e = rng.exponential(size=count)                 # shared: -ln U
-        sgn = dist._signs(rng, np.empty(count))
-        u_filler = rng.random(count)                    # filler's own uniform
-        sgn_filler = dist._signs(rng, np.empty(count))
-
-        x_abs = self.model.tail.quantile(e)
-        xt_abs = np.maximum(x_abs, self.constants.T_alpha)
-        y_abs = self.envelope.quantile(e)
-        u_abs = -np.log(u_filler * (1.0 - self.p_i) + self.p_i) / self.lambda_i
-        big = y_abs > self.t_alpha
-        z = np.where(big, sgn * y_abs, sgn_filler * u_abs)
-        return {
-            "X": sgn * x_abs,
-            "X_tilde": sgn * xt_abs,
-            "Y": sgn * y_abs,
-            "U": sgn_filler * u_abs,
-            "Z": z,
-        }
-
-
-@dataclass
-class SurrogateFamily:
-    coordinates: list
-    alpha: float
-    beta: float
-    gamma_tilde: float
-
-
-def build_surrogates(proc, alpha: float, beta: float,
-                     p_grid=dist.DEFAULT_P_GRID) -> SurrogateFamily:
-    """Per-coordinate envelopes and surrogate variables for a process.
-
-    Every coordinate model must pass both class checks at (alpha, beta);
-    the first failing witness aborts the construction.
-    """
-    consts = regularity_constants(alpha)
-    growth_c, _ = growth_constant(alpha, beta, 2.0 * consts.L_alpha)
-    gamma_tilde = max(2.0, growth_c)
-    t_alpha = consts.L_alpha * max(2.0, consts.T_alpha)
-
-    coords = []
-    for i, model in enumerate(proc.models):
-        wa = dist.check_alpha_regular(model, alpha, p_grid)
-        if not wa.passed:
-            raise ValueError(f"coordinate {i} fails alpha-regularity: {wa}")
-        wb = dist.check_speed_beta(model, beta, p_grid)
-        if not wb.passed:
-            raise ValueError(f"coordinate {i} fails speed-beta growth: {wb}")
-        envelope = log_concave_envelope(model, alpha, p_grid)
-        m_at = float(envelope(t_alpha))
-        if not (m_at > 0):
-            raise ValueError(f"degenerate envelope: M(t_alpha) = {m_at} at coordinate {i}")
-        coords.append(SurrogateCoordinate(
-            model=model,
-            envelope=envelope,
-            constants=consts,
-            t_alpha=t_alpha,
-            lambda_i=m_at / t_alpha,
-            p_i=math.exp(-m_at),
-            gamma_tilde=gamma_tilde,
-        ))
-    return SurrogateFamily(coordinates=coords, alpha=float(alpha),
-                           beta=float(beta), gamma_tilde=gamma_tilde)

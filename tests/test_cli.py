@@ -567,6 +567,32 @@ class TestEndToEnd:
                      str(tmp_path / "o")], tmp_path)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("process", [
+        [{"family": "gaussian"}, {"family": "three_point", "a": 100}],
+        [{"family": "three_point", "a": 100}, {"family": "gaussian"}],
+    ], ids=["gaussian_first", "three_point_first"])
+    def test_tails_mixed_laws_exit_one(self, tmp_path, capsys, process):
+        # one verdict per law: neither order of two laws may pass or fail on
+        # its first coordinate alone
+        cfg = self._write_config(tmp_path, {
+            "process": process, "index_set": {"type": "basis", "n": 2}})
+        assert cli.main(["tails", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == ('error: tails checks one coordinate law, but the process lists 2: '
+                       '{"a": 100.0, "family": "three_point"}, {"family": "gaussian"}\n')
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("process", [
+        {"family": "sym_weibull", "shape": 1.5},
+        [{"family": "sym_weibull", "shape": 1.5}, {"family": "sym_weibull", "shape": 1.5}],
+    ], ids=["dict", "equal_list"])
+    def test_tails_one_law_passes(self, tmp_path, process):
+        cfg = self._write_config(tmp_path, {
+            "process": process, "index_set": {"type": "basis", "n": 2}})
+        assert cli.main(["tails", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 0
+
     def test_sudakov_int_and_float_p_write_equal_results(self, tmp_path, run_cli):
         outs = []
         for p in (4, 4.0):

@@ -4,11 +4,14 @@ scipy is imported on first use by the two functions that need it (the
 gaussian tail and the tail quadrature), so a run that needs neither never
 pays for it; configs are checked by the package's own schema interpreter,
 so no run loads jsonschema.  Each check runs in a fresh child process,
-since this test process may already hold scipy and jsonschema.
+since this test process may already hold scipy and jsonschema.  Every
+name a module lists in `__all__` exists, once.
 """
 
 import ast
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,12 @@ def test_lazy_scipy_paths_give_the_eager_values(run_python):
     got = [[float.fromhex(x) for x in row] for row in lazy]
     want = [[float.fromhex(x) for x in row] for row in _EAGER]
     assert got == [pytest.approx(row, rel=1e-13, abs=0) for row in want]
+
+
+@pytest.mark.parametrize("name", ["chainsup"] + [
+    f"chainsup.{m.name}" for m in pkgutil.iter_modules(chainsup.__path__)])
+def test_all_lists_each_existing_name_once(name):
+    module = importlib.import_module(name)
+    listed = list(getattr(module, "__all__", ()))
+    assert [n for n in listed if not hasattr(module, n)] == []
+    assert sorted(n for n in set(listed) if listed.count(n) > 1) == []

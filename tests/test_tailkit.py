@@ -5,8 +5,6 @@ import pytest
 from scipy.optimize import brentq
 
 from chainsup import dist, tailkit
-from chainsup.metric import ProcessSpec
-from chainsup.streams import RngStream
 
 E = math.e
 
@@ -17,12 +15,6 @@ class TestTailFunction:
         assert tf(1.0) == pytest.approx(2.0)
         assert tf(5.0) == math.inf
         assert tf(7.0) == math.inf
-
-    def test_export_grid(self):
-        tf = tailkit.TailFunction(lambda t: np.asarray(t) ** 2)
-        grid = tf.export_grid(np.array([0.0, 1.0, 3.0]))
-        assert grid.shape == (3, 2)
-        assert grid[2, 1] == pytest.approx(9.0)
 
 
 class TestConvexMinorant:
@@ -160,140 +152,17 @@ class TestEnvelope:
         env = tailkit.log_concave_envelope(make(), 1.0)
         assert env.quantile(1e-12) >= tailkit.regularity_constants(1.0).T_alpha
 
-
-class TestGrowthConstant:
-    @pytest.mark.parametrize("alpha,beta,r,expect_c,expect_k", [
-        (1.0, 2.0, 2.0, 17.0, 3),
-        (1.0, 2.0, 4.0, 33.0, 4),
-        (1.0, 2.0, 1.5, 17.0, 3),
-    ])
-    def test_values(self, alpha, beta, r, expect_c, expect_k):
-        c, k = tailkit.growth_constant(alpha, beta, r)
-        assert k == expect_k
-        assert c == pytest.approx(expect_c, rel=1e-12)
-
-    def test_formula(self):
-        alpha, beta, r = 1.5, 3.0, 10.0
-        c, k = tailkit.growth_constant(alpha, beta, r)
-        assert 2.0 ** (k - 2) >= r > 2.0 ** (k - 3)
-        expected = (math.log(2) + 2 * beta ** k * math.log(2 * alpha)) / math.log(2)
-        assert c == pytest.approx(expected, rel=1e-12)
-
-    def test_monotone_in_r(self):
-        cs = [tailkit.growth_constant(1.0, 2.0, r)[0] for r in (1.5, 3, 9, 33, 130)]
-        assert all(hi >= lo for lo, hi in zip(cs, cs[1:]))
-
-    def test_invalid_r(self):
-        with pytest.raises(ValueError):
-            tailkit.growth_constant(1.0, 2.0, 1.0)
-
-
-class TestModerateGrowth:
-    def test_gaussian_passes(self):
-        ok, worst = tailkit.check_moderate_growth(
-            dist.gaussian().tail_value, r=2.0, C=17.0)
-        assert ok
-        # N(2t)/N(t) tends to 4 for the squared-exponential tail
-        assert 3.5 <= worst <= 17.0
-
-    def test_tight_c_fails(self):
-        ok, worst = tailkit.check_moderate_growth(
-            dist.gaussian().tail_value, r=2.0, C=3.0)
-        assert not ok
-        assert worst > 3.0
-
-    def test_bounded_support_fails(self):
-        ok, worst = tailkit.check_moderate_growth(
-            dist.three_point(100.0).tail_value, r=2.0, C=1e6)
-        assert not ok
-        assert worst == math.inf
-
-    def test_t_min_guard(self):
-        with pytest.raises(ValueError):
-            tailkit.check_moderate_growth(dist.gaussian().tail_value, 2.0, 17.0,
-                                          t_min=1.0)
-
-
-@pytest.fixture(scope="module")
-def family():
-    proc = ProcessSpec.homogeneous(dist.gaussian(), 2)
-    return tailkit.build_surrogates(proc, alpha=1.0, beta=8.0)
-
-
-class TestSurrogates:
-    def test_gamma_tilde(self, family):
+    @pytest.mark.parametrize("make", [
+        dist.gaussian, dist.sym_exponential, lambda: dist.sym_weibull(1.5)])
+    def test_quantile_sandwich(self, make):
+        # the sandwich M <= N <= M(L_alpha .) read through the quantiles: the
+        # variable with tail exponent M dominates max(X, T_alpha), and is
+        # dominated by L_alpha times it, at every level e
+        model = make()
         consts = tailkit.regularity_constants(1.0)
-        c, _ = tailkit.growth_constant(1.0, 8.0, 2.0 * consts.L_alpha)
-        assert family.gamma_tilde == pytest.approx(max(2.0, c))
-
-    def test_t_alpha(self, family):
-        consts = tailkit.regularity_constants(1.0)
-        coord = family.coordinates[0]
-        assert coord.t_alpha == pytest.approx(
-            consts.L_alpha * max(2.0, consts.T_alpha), rel=1e-12)
-
-    def test_m_tilde_continuity_and_growth(self, family):
-        coord = family.coordinates[0]
-        ta = coord.t_alpha
-        assert coord.m_tilde(ta) == pytest.approx(float(coord.envelope(ta)), rel=1e-9)
-        assert coord.m_tilde(0.0) == pytest.approx(0.0, abs=1e-12)
-        # doubling inequality for the repaired envelope
-        ts = np.geomspace(ta * 1e-3, ta * 50.0, 200)
-        m1 = np.asarray(coord.m_tilde(ts))
-        m2 = np.asarray(coord.m_tilde(2.0 * ts))
-        pos = m1 > 0
-        assert np.all(m2[pos] <= family.gamma_tilde * m1[pos] * (1 + 1e-9))
-
-    def test_u_tail_range(self, family):
-        coord = family.coordinates[0]
-        assert coord.u_tail(0.0) == pytest.approx(1.0, abs=1e-12)
-        assert coord.u_tail(coord.t_alpha) == pytest.approx(0.0, abs=1e-12)
-        ts = np.linspace(0, coord.t_alpha * 1.2, 100)
-        vals = np.asarray(coord.u_tail(ts))
-        assert np.all(np.diff(vals) <= 1e-12)
-        assert np.all((0.0 <= vals) & (vals <= 1.0))
-
-    def test_couplings_pathwise(self, family):
-        coord = family.coordinates[0]
-        rng = RngStream(2024, 5).generator()
-        draws = coord.sample_coupled(rng, 200_000)
-        x, xt, y, z = (np.abs(draws[k]) for k in ("X", "X_tilde", "Y", "Z"))
-        L = coord.constants.L_alpha
-        assert np.all(xt >= x - 1e-9)
+        env = tailkit.log_concave_envelope(model, 1.0)
+        e = np.geomspace(1e-9, 700.0, 400)
+        xt = np.maximum(model.tail.quantile(e), consts.T_alpha)
+        y = env.quantile(e)
         assert np.all(y >= xt * (1 - 1e-6) - 1e-9)
-        assert np.all(xt >= y / L * (1 - 1e-6) - 1e-9)
-        assert np.all(np.abs(draws["Y"] - draws["Z"]) <= 2.0 * coord.t_alpha + 1e-9)
-        assert np.all(np.abs(draws["U"]) <= coord.t_alpha + 1e-9)
-
-    def test_z_mean_lower_bound(self, family):
-        coord = family.coordinates[0]
-        m_at = float(coord.envelope(coord.t_alpha))
-        bound = coord.t_alpha / m_at * (1.0 - math.exp(-m_at))
-        rng = RngStream(77, 0).generator()
-        z = np.abs(coord.sample_coupled(rng, 400_000)["Z"])
-        se = z.std() / math.sqrt(len(z))
-        assert z.mean() >= bound - 3 * se
-
-    def test_y_matches_envelope(self, family):
-        coord = family.coordinates[0]
-        rng = RngStream(33, 1).generator()
-        y = np.abs(coord.sample_coupled(rng, 400_000)["Y"])
-        for t in (coord.constants.T_alpha * 1.5, coord.t_alpha, coord.t_alpha * 1.5):
-            target = math.exp(-float(coord.envelope(t)))
-            emp = float(np.mean(y > t))
-            se = math.sqrt(max(target * (1 - target), 1e-9) / len(y))
-            assert emp == pytest.approx(target, abs=4 * se + 1e-4)
-
-    def test_irregular_coordinate_rejected(self):
-        proc = ProcessSpec.homogeneous(dist.rademacher(), 2)
-        with pytest.raises(ValueError):
-            # bounded support: fails the speed-beta check
-            tailkit.build_surrogates(proc, alpha=1.0, beta=8.0)
-
-    def test_sym_exponential_family_builds(self):
-        proc = ProcessSpec.homogeneous(dist.sym_exponential(), 2)
-        fam = tailkit.build_surrogates(proc, alpha=1.0, beta=4.0)
-        coord = fam.coordinates[0]
-        rng = RngStream(9, 9).generator()
-        draws = coord.sample_coupled(rng, 100_000)
-        assert np.all(np.abs(draws["Y"]) >= np.abs(draws["X_tilde"]) * (1 - 1e-6) - 1e-9)
+        assert np.all(xt >= y / consts.L_alpha * (1 - 1e-6) - 1e-9)
