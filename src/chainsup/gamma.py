@@ -124,19 +124,19 @@ def _level_weight(functional: str, n: int) -> float:
     return 2.0 ** (n / 2.0) if functional == "gamma2" else 1.0
 
 
-def _submatrix(v: np.ndarray, rows, cols, m: int) -> np.ndarray:
-    """squareform(v)[np.ix_(rows, cols)] for the condensed distances `v` of
-    an m-point set, copied from `v` with no square built: the same values
+def _submatrix(v: metric_mod.PairNorms, rows, cols, m: int) -> np.ndarray:
+    """squareform(v.values())[np.ix_(rows, cols)] for the pair norms `v` of
+    an m-point set, gathered from `v` with no square built: the same values
     in the same layout, and +0.0 where a row meets its own column."""
     rows = np.asarray(rows)[:, None]
-    out = v[metric_mod.pair_index(rows, cols, m)]
+    out = v.gather(metric_mod.pair_index(rows, cols, m))
     out[rows == cols] = 0.0
     return out
 
 
-def _block_diameter(v: np.ndarray, block: list, m: int) -> float:
-    """max of the condensed distances `v` of an m-point set over
-    block x block, diagonal included.
+def _block_diameter(v: metric_mod.PairNorms, block: list, m: int) -> float:
+    """max of the pair norms `v` of an m-point set over block x block,
+    diagonal included.
 
     A block of all of T is v.max() when that is positive, since the +0.0
     diagonal then decides neither the max nor its sign of zero.  Any other
@@ -173,11 +173,10 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
             break
         p = _level_p(functional, n)
         w = _level_weight(functional, n)
-        v = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)[0]
+        v = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)
         for block in level:
             if len(block) > 1:
                 totals[block] += w * _block_diameter(v, block, m)
-        del v  # one condensed vector alive at a time
     return float(totals.max())
 
 
@@ -194,10 +193,10 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
     p1 = _level_p(functional, 1)
     w0 = _level_weight(functional, 0)
     w1 = _level_weight(functional, 1)
-    base = w0 * _block_diameter(metric_mod.distance_matrix(proc, T, p0)[0], range(m), m)
-    v1 = metric_mod.distance_matrix(proc, T, p1)[0]
+    base = w0 * _block_diameter(metric_mod.distance_matrix(proc, T, p0), range(m), m)
+    v1 = metric_mod.distance_matrix(proc, T, p1)
     # dm1[i, :i], the distances from point i to the points placed before it
-    dm1 = [v1[metric_mod.pair_index(i, np.arange(i), m)] for i in range(m)]
+    dm1 = [v1.gather(metric_mod.pair_index(i, np.arange(i), m)) for i in range(m)]
 
     # Splitting to singletons as early as the caps allow dominates any
     # slower schedule, so only the level-1 partition needs a search
@@ -245,10 +244,9 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
 # greedy mode
 # ----------------------------------------------------------------------
 
-def _farthest_point_split(block: list, k: int, v: np.ndarray, m: int) -> list:
+def _farthest_point_split(block: list, k: int, v: metric_mod.PairNorms, m: int) -> list:
     """Split the sorted `block` into at most k pieces by farthest-point
-    seeding (Gonzalez 1985), reading the condensed distances `v` of an
-    m-point set.
+    seeding (Gonzalez 1985), reading the pair norms `v` of an m-point set.
 
     Seeds start from the lowest index; each new seed maximizes the
     distance to the existing seeds (ties to the lowest index), and points
@@ -289,7 +287,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         cap = min(level_cap(n), m)
         current = levels[-1]
         p_split = _level_p(functional, n)
-        v = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)[0]
+        v = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)
         diams = [_block_diameter(v, block, m) for block in current]
         # every block keeps one child; spare capacity goes to the block
         # with the largest diameter per child, ties to the lowest index,
@@ -315,7 +313,6 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         for block, k in zip(current, alloc):
             nxt.extend(_farthest_point_split(block, k, v, m))
         levels.append(nxt)
-        del v  # one condensed vector alive at a time, evaluation included
     tree = PartitionTree(levels=levels)
     value = evaluate_certificate(tree, T, proc, functional, samples=samples, seed=seed)
     return value, tree

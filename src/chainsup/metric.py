@@ -8,16 +8,19 @@ Euclidean pair lengths that an IndexSet computes once, row by row.  Every
 other pair-norm vector is computed once per IndexSet and (process, p,
 samples, seed) and kept on the set, so the greedy split, the certificate
 and the hull that ask for the same d_p share one pass.  The Monte Carlo
-kernel shares one stream of draws across all pairs of a point set
-and reduces it in place, tile by tile, in one scratch buffer sized from a
-fixed element budget; integer p is raised by repeated squaring and
-multiplication, so p = 4 or 8 costs two or three multiplies per sample.
-`distance_matrix` is the one entry point to every backend: it returns the
-condensed pair vector, scipy's pdist layout (pairs i < j, row-major), with
-its 3-sigma errors and the method, and `increment_norm` is its two-point
-case.  `pair_index` maps any (i, j), i != j, to its position and `pair_of`
-maps a position back, so no |T| x |T| square is built.  Also hosts the
-product-moment functional |||(a_i X_i)|||_r solved by bisection.
+kernel shares one stream of draws across all pairs of a point set,
+projects it onto the points one tile of samples at a time and reduces
+each tile in place in one scratch buffer sized from a fixed element
+budget; integer p is raised by repeated squaring and multiplication, so
+p = 4 or 8 costs two or three multiplies per sample.
+`distance_matrix` is the one entry point to every backend: it returns a
+read-only `PairNorms` view of the condensed pair vector, scipy's pdist
+layout (pairs i < j, row-major), as a kept base vector times a scale,
+with its 3-sigma errors and the method, and `increment_norm` is its
+two-point case.  `pair_index` maps any (i, j), i != j, to its position
+and `pair_of` maps a position back, so no |T| x |T| square is built.
+Also hosts the product-moment functional |||(a_i X_i)|||_r solved by
+bisection.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "ProcessSpec",
     "IndexSet",
     "IncrementNormResult",
+    "PairNorms",
     "increment_norm",
     "distance_matrix",
     "pair_index",
@@ -48,6 +52,7 @@ MC_DEFAULT_SAMPLES = 100_000
 MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
 _MC_TILE_ELEMS = 1 << 18      # elements of the pair-by-sample scratch buffer (2 MiB)
+_MC_PROJ_ALIGN = 64           # samples; projection windows start on a multiple
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated or Monte-Carlo pass may take
 
 
@@ -104,7 +109,7 @@ class IndexSet:
     points: np.ndarray
     _lengths: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                            compare=False)
-    # (proc, p, samples, seed) -> (values, errors) of the enumerated or
+    # (proc, p, samples, seed) -> PairNorms of the enumerated or
     # Monte-Carlo pair norms; filled by distance_matrix
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -155,6 +160,39 @@ class IncrementNormResult:
     value: float
     error_bound: float
     method: str  # closed_form | enumeration | monte_carlo
+
+
+@dataclass(frozen=True)
+class PairNorms:
+    """d_p over the pairs i < j of an index set, row-major (scipy's pdist
+    layout), read as the read-only `base` vector times `scale`, with the
+    read-only 3-sigma `errors` and the `method`; `pair_of` decodes a
+    position.
+
+    Gathering and scaling by a float commute bit for bit, and rounding is
+    monotone, so `gather` and `max` read the scaled vector without
+    building it.
+    """
+
+    base: np.ndarray
+    scale: float
+    errors: np.ndarray
+    method: str  # closed_form | enumeration | monte_carlo
+
+    def gather(self, idx) -> np.ndarray:
+        """The bytes of values()[idx] for an integer or an integer array
+        `idx`, scaling only the gathered entries."""
+        out = self.base[idx]
+        out *= self.scale
+        return out
+
+    def max(self) -> float:
+        """The max of values(), taken before scaling."""
+        return self.base.max() * self.scale
+
+    def values(self) -> np.ndarray:
+        """A fresh base * scale, which the caller may write into."""
+        return self.base * self.scale
 
 
 def _enumerate_signed_sums(coeffs: np.ndarray) -> np.ndarray:
@@ -219,26 +257,40 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     Monte Carlo, as `method` says.
 
     A pass whose estimated allocation (the pair differences, the stream
-    key's copy of them, one chunk's draws and projection, and the two
-    per-pair outputs) exceeds `_PASS_MAX_BYTES` raises before it allocates.
+    key's copy of them, one chunk's draws, one tile's projection and its
+    scratch buffers, and the two per-pair outputs) exceeds
+    `_PASS_MAX_BYTES` raises before it allocates.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
-    `_MC_CHUNK` draws from one derived stream is projected once onto the
-    points and reduced one row of pairs at a time, so the sample buffers
-    stay O(chunk * |pts|) whatever the pair count.  The reduction runs in
-    place in one scratch buffer of (|pts| - 1) x tile, reused for every
-    row, tile and chunk; the tile width is the fixed element budget
-    `_MC_TILE_ELEMS` divided by |pts| - 1, capped at the chunk, so the
-    buffer stays cache-sized and a two-point call makes one tile per chunk.
-    |d|^p goes by `_abs_power` (integer p by multiplication) and the sum
-    of |d|^(2p) by a row-wise dot product.  The draws do not depend on the
-    tile; only the summation order does.
+    `_MC_CHUNK` draws from one derived stream is projected onto the points
+    one tile of samples at a time, and each tile's projection is reduced
+    one row of pairs at a time, so the sample buffers stay O(chunk * dim +
+    tile * |pts|) whatever the pair count.  A tile is read out of a
+    projection window widened to start on a multiple of `_MC_PROJ_ALIGN`
+    samples, and to end on one or at the chunk's end: BLAS kernels block
+    the samples in panels counted from the first one, so an entry gets
+    the bytes that projecting the whole chunk gives it wherever BLAS runs
+    the same kernel for both (the kernel tests check this on the BLAS at
+    hand).  Each window is written into one buffer of |pts| x (tile + 2 *
+    `_MC_PROJ_ALIGN`), and the reduction runs in place in one scratch
+    buffer of (|pts| - 1) x tile; both are reused for every row, tile and
+    chunk.  The tile width is the fixed element budget `_MC_TILE_ELEMS`
+    divided by |pts| - 1, capped at the chunk, so the buffers stay
+    cache-sized and a two-point call makes one tile per chunk.  |d|^p goes
+    by `_abs_power` (integer p by multiplication) and the sum of |d|^(2p)
+    by a row-wise dot product.  The draws do not depend on the tile; only
+    the summation order does.
     """
     m, dim = pts.shape
     pairs = m * (m - 1) // 2
+    k = m - 1
+    tile = max(1, min(_MC_CHUNK, samples, _MC_TILE_ELEMS // k))
     need = 8 * pairs * (dim + 2)
     if method == "monte_carlo":
-        need += 8 * (pairs * dim + min(_MC_CHUNK, samples) * (m + dim))
+        # the key's copy of the differences, one chunk's draws, one tile's
+        # projection window, the scratch buffer and at most one spare
+        need += 8 * (pairs * dim + min(_MC_CHUNK, samples) * dim
+                     + m * (tile + 2 * _MC_PROJ_ALIGN) + 2 * k * tile)
     if need > _PASS_MAX_BYTES:
         raise ValueError(
             f"{method} pair norms of {m} points in R^{dim} under the "
@@ -252,13 +304,13 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
     rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
-    k = len(pts) - 1
     # pairs (i, j > i) occupy rows[i]:rows[i + 1] of the row-major order
     rows = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
     total = np.zeros(len(diffs))
     total_sq = np.zeros(len(diffs))
-    tile = max(1, min(_MC_CHUNK, samples, _MC_TILE_ELEMS // k))
     scratch = np.empty(k * tile)
+    # holds the projection window of any tile, rewritten for each
+    proj = np.empty((m, tile + 2 * _MC_PROJ_ALIGN))
     # an integer p that is not a power of two keeps a running product
     spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
     n = 0
@@ -267,12 +319,15 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while n < samples:
             chunk = min(_MC_CHUNK, samples - n)
-            v = pts @ proc.sample_matrix(rng, chunk).T      # (|pts|, chunk)
+            x = proc.sample_matrix(rng, chunk)              # (chunk, dim)
             for lo in range(0, chunk, tile):
                 w = min(tile, chunk - lo)
+                a = lo - lo % _MC_PROJ_ALIGN
+                b = min(chunk, lo + w + (-(lo + w)) % _MC_PROJ_ALIGN)
+                v = np.matmul(pts, x[a:b].T, out=proj[:, :b - a])[:, lo - a:lo - a + w]
                 for i in range(k):
                     d = scratch[:(k - i) * w].reshape(k - i, w)
-                    np.subtract(v[i + 1:, lo:lo + w], v[i, lo:lo + w], out=d)
+                    np.subtract(v[i + 1:], v[i], out=d)
                     d = _abs_power(d, p, spare)
                     total[rows[i]:rows[i + 1]] += d.sum(axis=1)
                     total_sq[rows[i]:rows[i + 1]] += np.einsum("ij,ij->i", d, d)
@@ -298,9 +353,8 @@ def increment_norm(proc: ProcessSpec, s, t, p: float,
     t = np.asarray(t, dtype=float)
     if s.shape != (proc.dimension,) or t.shape != (proc.dimension,):
         raise ValueError("index vectors must match the process dimension")
-    values, errors, method = distance_matrix(proc, IndexSet(np.stack([s, t])), p,
-                                             samples, seed)
-    return IncrementNormResult(float(values[0]), float(errors[0]), method)
+    d = distance_matrix(proc, IndexSet(np.stack([s, t])), p, samples, seed)
+    return IncrementNormResult(float(d.values()[0]), float(d.errors[0]), d.method)
 
 
 def is_exact_metric(proc: ProcessSpec, T: IndexSet) -> bool:
@@ -309,19 +363,19 @@ def is_exact_metric(proc: ProcessSpec, T: IndexSet) -> bool:
 
 
 def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
-                    samples: int = MC_DEFAULT_SAMPLES,
-                    seed: int = 0) -> tuple[np.ndarray, np.ndarray, str]:
-    """d_p over the pairs i < j of T, row-major (scipy's pdist layout):
-    values, 3-sigma errors and the method; `pair_of` decodes a position.
+                    samples: int = MC_DEFAULT_SAMPLES, seed: int = 0) -> PairNorms:
+    """d_p over the pairs i < j of T, row-major (scipy's pdist layout), as a
+    read-only `PairNorms` view: base vector, scale, 3-sigma errors and the
+    method.
 
     p is taken as a float, so p = 4 and p = 4.0 draw the same samples.  The
-    gaussian closed form scales T's cached pair lengths by ||g||_p; its
-    errors are one read-only zero broadcast.  Enumerated and Monte-Carlo
-    vectors are computed once per IndexSet and (proc, p, samples, seed) by
-    `_uncached_pair_norms` and kept on the set: a hit is exact, since the
-    points are a read-only copy and the stream a function of the key and
-    the points.  Every call returns fresh arrays, so no caller can write
-    into the kept ones.
+    gaussian closed form is T's cached pair lengths with scale ||g||_p, so
+    no scaled copy is built; its errors are one read-only zero broadcast.
+    Enumerated and Monte-Carlo vectors are computed once per IndexSet and
+    (proc, p, samples, seed) by `_uncached_pair_norms` and kept on the set,
+    read-only, with scale 1: a hit is exact, since the points are a
+    read-only copy and the stream a function of the key and the points,
+    and returns the kept view itself, with nothing copied.
     """
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
@@ -331,13 +385,14 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     method = _method(proc, T.points)
     if method == "closed_form":
         lengths = T.pair_lengths()
-        return (lengths * dist.gaussian().moment(p), np.broadcast_to(0.0, len(lengths)),
-                method)
+        return PairNorms(lengths, dist.gaussian().moment(p),
+                         np.broadcast_to(0.0, len(lengths)), method)
     key = (proc, p, samples, seed)
     if key not in T._norms:
-        T._norms[key] = _uncached_pair_norms(proc, T.points, p, samples, seed, method)
-    values, errors = T._norms[key]
-    return values.copy(), errors.copy(), method
+        values, errors = _uncached_pair_norms(proc, T.points, p, samples, seed, method)
+        values.flags.writeable = errors.flags.writeable = False
+        T._norms[key] = PairNorms(values, 1.0, errors, method)
+    return T._norms[key]
 
 
 def pair_index(i, j, m: int) -> np.ndarray:

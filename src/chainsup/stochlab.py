@@ -339,8 +339,9 @@ def symmetrization_check(proc: ProcessSpec, T: IndexSet, p: float,
 
     # moment bracket at p over all pairs of T with a nonzero increment, one
     # pair-norm pass per process
-    dx, err_x, _ = metric.distance_matrix(proc, T, p, samples, stream.master_seed)
-    dxs, err_s, _ = metric.distance_matrix(sproc, T, p, samples, stream.master_seed + 1)
+    mx = metric.distance_matrix(proc, T, p, samples, stream.master_seed)
+    ms = metric.distance_matrix(sproc, T, p, samples, stream.master_seed + 1)
+    dx, err_x, dxs, err_s = mx.values(), mx.errors, ms.values(), ms.errors
     keep = dx != 0  # a NaN distance stays in, and fails the bracket
     dx, dxs, err = dx[keep], dxs[keep], (err_s + err_x)[keep]
     bracket_ok = bool(np.all((0.5 * dx - err <= dxs) & (dxs <= 2.0 * dx + err)))

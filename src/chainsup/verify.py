@@ -65,10 +65,12 @@ def sudakov_experiment(proc: ProcessSpec, T: IndexSet, p: float, u: float,
     Both draw `samples` samples from the stream's master seed."""
     if len(T) < 2:
         raise ValueError("minoration experiment needs at least two points")
-    vals, _, method = metric_mod.distance_matrix(proc, T, p, samples, stream.master_seed)
+    dm = metric_mod.distance_matrix(proc, T, p, samples, stream.master_seed)
+    # argmin over the scaled values: scaling can merge two values into a tie
+    vals = dm.values()
     k = int(np.argmin(vals))
     min_sep = float(vals[k])
-    tol = 0.05 * u if method == "monte_carlo" else 1e-9
+    tol = 0.05 * u if dm.method == "monte_carlo" else 1e-9
     separation_ok = min_sep >= u - tol
     worst_pair = None
     if not separation_ok:
@@ -205,10 +207,9 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
                       .pair_lengths() for proc in (procX, procY))
             err_x = err_y = 0.0
         else:
-            dx, err_x, _ = metric_mod.distance_matrix(procX, T, p, samples,
-                                                      stream.master_seed)
-            dy, err_y, _ = metric_mod.distance_matrix(procY, T, p, samples,
-                                                      stream.master_seed + 1)
+            mx = metric_mod.distance_matrix(procX, T, p, samples, stream.master_seed)
+            my = metric_mod.distance_matrix(procY, T, p, samples, stream.master_seed + 1)
+            dx, err_x, dy, err_y = mx.values(), mx.errors, my.values(), my.errors
         # written so that a NaN on either side counts as a violation
         bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * (1.0 + dx))))
         if bad.size:
@@ -287,14 +288,14 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
     # vector or step norm shows in the residuals
     recon = np.repeat(pts[:1], m, axis=0)
     for n in range(1, tree.depth):
-        v = metric_mod.distance_matrix(proc, T, float(2 ** (n + 1)), samples, seed)[0]
+        v = metric_mod.distance_matrix(proc, T, float(2 ** (n + 1)), samples, seed)
         k = caps[n - 1]
         for block in tree.levels[n]:
             a = block[0]
             b = rep[a]
             rep[block] = a
             # a step between equal points has length 0 and adds nothing
-            d = 0.0 if a == b else float(v[metric_mod.pair_index(a, b, m)])
+            d = 0.0 if a == b else float(v.gather(metric_mod.pair_index(a, b, m)))
             if d == 0.0:
                 skipped += len(block)
                 continue

@@ -98,7 +98,7 @@ class TestEvaluateCertificate:
         # Delta_{2^n} on a fixed block is nondecreasing in n
         T = IndexSet(np.random.default_rng(0).standard_normal((6, 4)))
         proc = gauss_proc(4)
-        diams = [metric.distance_matrix(proc, T, float(2 ** n))[0].max() for n in range(4)]
+        diams = [metric.distance_matrix(proc, T, float(2 ** n)).max() for n in range(4)]
         assert all(hi >= lo - 1e-12 for lo, hi in zip(diams, diams[1:]))
 
     def test_certificate_value_vs_manual(self):
@@ -233,8 +233,8 @@ def _partitions_into_at_most(items: list, k: int):
 def brute_force_exact_gamma(T, proc, functional):
     """Oracle: score every level-1 partition, keep the first strict minimiser."""
     m = len(T)
-    dm0 = squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, 0))[0])
-    dm1 = squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, 1))[0])
+    dm0, dm1 = (squareform(metric.distance_matrix(proc, T, gamma._level_p(functional, n))
+                           .values()) for n in (0, 1))
     base = gamma._level_weight(functional, 0) * float(dm0.max())
     w1 = gamma._level_weight(functional, 1)
     best_val, best_part = math.inf, None
@@ -322,9 +322,9 @@ def reference_farthest_point_split(block: list, k: int, dm: np.ndarray) -> list:
     return [sorted(children[s]) for s in seeds]
 
 
-def list_based_split(block: list, k: int, v: np.ndarray, m: int) -> list:
-    """The list-based oracle on the square of the condensed distances."""
-    return reference_farthest_point_split(block, k, squareform(v))
+def list_based_split(block: list, k: int, v: metric.PairNorms, m: int) -> list:
+    """The list-based oracle on the square of the scaled pair norms."""
+    return reference_farthest_point_split(block, k, squareform(v.values()))
 
 
 @st.composite
@@ -347,7 +347,7 @@ def split_cases(draw):
     proc = ProcessSpec.homogeneous(family(), dim)
     T = IndexSet(pts)
     v = metric.distance_matrix(proc, T, float(2 ** draw(st.integers(0, 3))),
-                               samples=2_000, seed=draw(st.integers(0, 9)))[0]
+                               samples=2_000, seed=draw(st.integers(0, 9)))
     block = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
     k = draw(st.integers(min_value=1, max_value=len(block) + 2))
     return T, proc, v, block, k
@@ -431,8 +431,9 @@ def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
     del euclid
 
     def per_level(proc, T, p, samples=0, seed=0):
-        return (upper * dist.gaussian().moment(p), np.broadcast_to(0.0, len(upper)),
-                "closed_form")
+        # scaled before it is read, as the closed form once returned it
+        return metric.PairNorms(upper * dist.gaussian().moment(p), 1.0,
+                                np.broadcast_to(0.0, len(upper)), "closed_form")
 
     with mock.patch.object(metric, "distance_matrix", per_level):
         oracle_value, oracle_tree = gamma.compute_gamma(IndexSet(pts), proc, mode="greedy")
@@ -443,9 +444,10 @@ def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
 
 
 def test_greedy_4000_gaussian_points_peak_memory():
-    # A level's distances are the cached pair lengths (61 MiB) and their
-    # scaled copy (61 MiB), read in tiles of at most 2^18 entries: a
-    # 128 MiB peak.  A |T| x |T| square would add 122 MiB.
+    # A level's distances are the cached pair lengths (61 MiB) read through
+    # the gather-then-scale view in tiles of at most 2^18 entries: a
+    # 67 MiB peak.  A scaled copy per level would add 61 MiB (a 128 MiB
+    # peak), and a |T| x |T| square 122 MiB.
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((4_000, 16))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -456,14 +458,15 @@ def test_greedy_4000_gaussian_points_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 140 * 2 ** 20
+    assert peak < 80 * 2 ** 20
 
 
 def test_greedy_at_the_greedy_limit_in_bounded_time_and_memory():
-    # GREEDY_LIMIT = 10,000 unit-sphere points in R^16: two 381 MiB
-    # condensed vectors (the cached lengths and a level's scaled copy) plus
-    # tiles, a 771 MiB peak in 10.6 s under tracemalloc on a 2-vCPU VM.
-    # A |T| x |T| square would add 763 MiB.
+    # GREEDY_LIMIT = 10,000 unit-sphere points in R^16: one 381 MiB
+    # condensed vector (the cached lengths, read through the
+    # gather-then-scale view) plus tiles, a 389 MiB peak in 8 s under
+    # tracemalloc on a 2-vCPU VM.  A scaled copy per level would add
+    # 381 MiB (a 771 MiB peak), and a |T| x |T| square 763 MiB.
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((gamma.GREEDY_LIMIT, 16))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -478,7 +481,7 @@ def test_greedy_at_the_greedy_limit_in_bounded_time_and_memory():
         tracemalloc.stop()
     tree.validate(len(T))
     assert value > 0.0
-    assert peak < 800 * 2 ** 20
+    assert peak < 450 * 2 ** 20
     assert elapsed < 60.0
 
 
@@ -486,8 +489,8 @@ def test_greedy_at_the_greedy_limit_in_bounded_time_and_memory():
 def test_block_diameter_equals_the_full_block_max(tile, monkeypatch):
     monkeypatch.setattr(gamma, "_DIAMETER_TILE_ELEMS", tile)
     T = IndexSet(np.random.default_rng(12).standard_normal((23, 3)))
-    v = metric.distance_matrix(gauss_proc(3), T, 2.0)[0]
-    dm = squareform(v)
+    v = metric.distance_matrix(gauss_proc(3), T, 2.0)
+    dm = squareform(v.values())
     blocks = [list(range(23)), [4], [0, 22], [3, 1, 17, 8, 9, 10, 2]]
     for block in blocks:
         idx = np.array(block)
@@ -529,20 +532,24 @@ def condensed_cases(draw):
     return v, m, block, np.sort(rng.choice(len(block), k, replace=False))
 
 
-@given(case=condensed_cases(), tile=st.sampled_from([1, 5, 7, 64, 1 << 18]))
-@example(case=(np.full(3, -0.0), 3, [0, 1, 2], np.array([0, 2])), tile=1)
-@example(case=(np.zeros(0), 1, [0], np.array([0])), tile=64)
+@given(case=condensed_cases(), tile=st.sampled_from([1, 5, 7, 64, 1 << 18]),
+       scale=st.sampled_from([1.0, dist.gaussian().moment(4.0), 2.0 ** -1074]))
+@example(case=(np.full(3, -0.0), 3, [0, 1, 2], np.array([0, 2])), tile=1, scale=1.0)
+@example(case=(np.zeros(0), 1, [0], np.array([0])), tile=64, scale=1.0)
 @settings(max_examples=200, deadline=None)
-def test_condensed_gathers_equal_the_square_gathers(case, tile):
-    v, m, block, seeds = case
-    dm = squareform(v)
+def test_condensed_gathers_equal_the_square_gathers(case, tile, scale):
+    # the pair norms read through the view, base times scale, against the
+    # square of the vector scaled first
+    base, m, block, seeds = case
+    v = metric.PairNorms(base, scale, np.broadcast_to(0.0, len(base)), "closed_form")
+    dm = squareform(base * scale)
     idx = np.asarray(block)
     if m > 1:  # every pair of the block against every other point
         ii, jj = np.meshgrid(idx, np.arange(m), indexing="ij")
         off = ii != jj
         pos = metric.pair_index(ii, jj, m)
         assert np.array_equal(pos, metric.pair_index(jj, ii, m))
-        assert v[pos[off]].tobytes() == dm[ii[off], jj[off]].tobytes()
+        assert v.gather(pos[off]).tobytes() == dm[ii[off], jj[off]].tobytes()
     with mock.patch.object(gamma, "_DIAMETER_TILE_ELEMS", tile):
         assert np.float64(gamma._block_diameter(v, block, m)).tobytes() == \
             np.float64(square_block_diameter(dm, block, tile)).tobytes()

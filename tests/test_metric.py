@@ -150,7 +150,7 @@ class TestDistanceMatrix:
     def test_matches_pairwise_gaussian(self):
         T = IndexSet(np.random.default_rng(3).standard_normal((5, 3)))
         proc = gauss_proc(3)
-        dm = squareform(metric.distance_matrix(proc, T, 4.0)[0])
+        dm = squareform(metric.distance_matrix(proc, T, 4.0).values())
         for i in range(5):
             for j in range(5):
                 expect = increment_norm(proc, T.points[i], T.points[j], 4.0).value
@@ -160,7 +160,7 @@ class TestDistanceMatrix:
         # one condensed entry per pair i < j: the square is symmetric with a
         # zero diagonal by construction
         T = IndexSet(np.random.default_rng(4).standard_normal((6, 3)))
-        v = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)[0]
+        v = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1).values()
         assert v.shape == (15,)
         dm = squareform(v)
         assert np.array_equal(dm, dm.T)
@@ -168,8 +168,8 @@ class TestDistanceMatrix:
 
     def test_mc_determinism(self):
         T = IndexSet(np.random.default_rng(4).standard_normal((6, 3)))
-        a = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)[0]
-        b = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1)[0]
+        a = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1).values()
+        b = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1).values()
         assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
@@ -178,7 +178,7 @@ class TestDistanceMatrix:
 
     def test_rademacher_enumeration_path(self):
         T = IndexSet.basis(4)
-        v = metric.distance_matrix(rad_proc(4), T, 2.0)[0]
+        v = metric.distance_matrix(rad_proc(4), T, 2.0).values()
         assert v.shape == (6,)
         assert np.allclose(v, math.sqrt(2.0))
 
@@ -189,13 +189,13 @@ class TestDistanceMatrix:
         proc = make_proc(3)
         r = increment_norm(proc, s, t, 3.0, samples=30_000, seed=4)
         v = metric.distance_matrix(proc, IndexSet(np.stack([s, t])), 3.0,
-                                   samples=30_000, seed=4)[0]
+                                   samples=30_000, seed=4).values()
         assert v.shape == (1,)
         assert r.value == v[0]
 
     def test_gaussian_memory_bounded_in_pairs(self):
         # 179,700 pairs in R^128: the (pairs x dim) difference array alone
-        # would take 184 MB; the lengths and their scaled copy take 3 MB
+        # would take 184 MB; the lengths take 1.4 MB and are read scaled
         T = IndexSet(np.random.default_rng(8).standard_normal((600, 128)))
         tracemalloc.start()
         try:
@@ -211,7 +211,7 @@ class TestDistanceMatrix:
 
         T = IndexSet(np.random.default_rng(6).standard_normal((40, 24)))
         monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
-        v = metric.distance_matrix(gauss_proc(24), T, 8.0)[0]
+        v = metric.distance_matrix(gauss_proc(24), T, 8.0).values()
         assert v[0] == np.linalg.norm(T.points[0] - T.points[1]) * \
             dist.gaussian().moment(8.0)
         assert metric.is_exact_metric(gauss_proc(24), T)
@@ -261,7 +261,7 @@ class TestDistanceMatrix:
 
     def test_single_point_is_one_zero(self):
         # no pairs; the square of the empty condensed vector is one zero
-        one = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0)[0]
+        one = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0).values()
         assert one.shape == (0,)
         assert squareform(one).tobytes() == np.array([[0.0]]).tobytes()
 
@@ -349,6 +349,43 @@ class TestMonteCarloKernel:
                               / (p * mean ** (1.0 - 1.0 / p)))
         return np.array(values), np.array(errors)
 
+    @staticmethod
+    def whole_chunk(proc, pts, p, samples, seed):
+        """The kernel as it stood with each chunk projected whole, then
+        reduced tile by tile in the scratch buffer."""
+        diffs = metric._pair_diffs(pts)
+        rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
+        k = len(pts) - 1
+        rows = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
+        total = np.zeros(len(diffs))
+        total_sq = np.zeros(len(diffs))
+        tile = max(1, min(metric._MC_CHUNK, samples, metric._MC_TILE_ELEMS // k))
+        scratch = np.empty(k * tile)
+        spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
+        n = 0
+        while n < samples:
+            chunk = min(metric._MC_CHUNK, samples - n)
+            v = pts @ proc.sample_matrix(rng, chunk).T
+            for lo in range(0, chunk, tile):
+                w = min(tile, chunk - lo)
+                for i in range(k):
+                    d = scratch[:(k - i) * w].reshape(k - i, w)
+                    np.subtract(v[i + 1:, lo:lo + w], v[i, lo:lo + w], out=d)
+                    d = metric._abs_power(d, p, spare)
+                    total[rows[i]:rows[i + 1]] += d.sum(axis=1)
+                    total_sq[rows[i]:rows[i + 1]] += np.einsum("ij,ij->i", d, d)
+            n += chunk
+        mean = total / n
+        stderr = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
+        err = 3.0 * np.where(mean > 0, stderr / (p * mean ** (1.0 - 1.0 / p)), stderr)
+        return mean ** (1.0 / p), err
+
+    @staticmethod
+    def case(m):
+        make = dist.sym_exponential if m != 3 else (lambda: dist.three_point(2.0))
+        return (ProcessSpec.homogeneous(make(), 4),
+                np.random.default_rng(m).standard_normal((m, 4)))
+
     @pytest.mark.parametrize("m", [2, 3, 70])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 8.0, math.log(5.0)])
     def test_matches_naive_reduction(self, m, p):
@@ -357,14 +394,38 @@ class TestMonteCarloKernel:
         assert samples % metric._MC_CHUNK and samples > metric._MC_CHUNK
         # at 70 points the budget splits each chunk into several tiles
         assert metric._MC_TILE_ELEMS // 69 < metric._MC_CHUNK
-        make = dist.sym_exponential if m != 3 else (lambda: dist.three_point(2.0))
-        proc = ProcessSpec.homogeneous(make(), 4)
-        pts = np.random.default_rng(m).standard_normal((m, 4))
-        values, errors, method = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
-        assert method == "monte_carlo"
+        proc, pts = self.case(m)
+        d = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
+        assert d.method == "monte_carlo"
         want_values, want_errors = self.naive(proc, pts, p, samples, 5)
-        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(errors, want_errors, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(d.values(), want_values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(d.errors, want_errors, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [2, 3, 70])
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0, math.log(5.0)])
+    def test_same_bytes_as_the_whole_chunk_projection(self, m, p):
+        # at 70 points the tiles are 3,799 samples wide, so most start off
+        # any BLAS panel boundary; the last chunk holds 1,234 samples
+        samples = 21_234
+        proc, pts = self.case(m)
+        d = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
+        want_values, want_errors = self.whole_chunk(proc, pts, p, samples, 5)
+        assert d.values().tobytes() == want_values.tobytes()
+        assert d.errors.tobytes() == want_errors.tobytes()
+
+    def test_sudakov_packing_pass_holds_one_tile(self):
+        # the 66 points of packing_set(2, 12): one chunk's projection alone
+        # took 10.1 MiB, a 24.9 MiB peak; one tile's takes about 2 MiB
+        from chainsup import verify
+
+        T = verify.packing_set(2, 12)
+        tracemalloc.start()
+        try:
+            metric.distance_matrix(exp_proc(12), T, 4.0, samples=100_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
     def test_overflow_at_large_p_raises(self):
         # |d|^(2p) overflows at p = 128 once a sample has |d| above about 16;
@@ -382,7 +443,8 @@ class TestPairNormCache:
         pts = np.random.default_rng(3).standard_normal((3, 4))
         a = metric.distance_matrix(exp_proc(4), IndexSet(pts), 4, 2_000, 7)
         b = metric.distance_matrix(exp_proc(4), IndexSet(pts), 4.0, 2_000, 7)
-        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+        assert a.values().tobytes() == b.values().tobytes()
+        assert a.errors.tobytes() == b.errors.tobytes()
 
     def test_one_monte_carlo_pass_per_distinct_p(self, monkeypatch):
         from chainsup import gamma, verify
@@ -417,8 +479,8 @@ class TestPairNormCache:
         three = ProcessSpec.homogeneous(dist.three_point(2.0), 3)
         for proc, samples, seed in [(exp_proc(3), 1_000, 1), (exp_proc(3), 1_000, 2),
                                     (exp_proc(3), 1_500, 1), (three, 1_000, 1)]:
-            got = metric.distance_matrix(proc, T, 3.0, samples, seed)[0]
-            want = metric.distance_matrix(proc, IndexSet(pts), 3.0, samples, seed)[0]
+            got = metric.distance_matrix(proc, T, 3.0, samples, seed).values()
+            want = metric.distance_matrix(proc, IndexSet(pts), 3.0, samples, seed).values()
             assert got.tobytes() == want.tobytes()
         assert len(T._norms) == 4
 
@@ -434,7 +496,7 @@ def test_mc_distance_matrix_triangle_inequality(pts, family, p, seed):
     model = dist.sym_exponential() if family == "sym_exponential" else dist.three_point(2.0)
     proc = ProcessSpec.homogeneous(model, 3)
     dm = squareform(metric.distance_matrix(proc, IndexSet(np.array(pts)), p,
-                                           samples=2_000, seed=seed)[0])
+                                           samples=2_000, seed=seed).values())
     via = dm[:, :, None] + dm[None, :, :]          # d(i, j) + d(j, k) at [i, j, k]
     direct = dm[:, None, :]                          # d(i, k) at [i, j, k]
     assert np.all(direct <= via * (1.0 + 1e-12))
@@ -442,19 +504,19 @@ def test_mc_distance_matrix_triangle_inequality(pts, family, p, seed):
 
 class TestDiameter:
     def test_singleton(self):
-        v = metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((1, 2))), 2.0)[0]
+        v = metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((1, 2))), 2.0).values()
         assert squareform(v).max() == 0.0
 
     def test_basis_gaussian(self):
         T = IndexSet.basis(3)
-        assert metric.distance_matrix(gauss_proc(3), T, 2.0)[0].max() == pytest.approx(
+        assert metric.distance_matrix(gauss_proc(3), T, 2.0).max() == pytest.approx(
             math.sqrt(2.0), rel=1e-12)
 
     def test_monotone_under_subset(self):
         pts = np.random.default_rng(5).standard_normal((6, 3))
         proc = gauss_proc(3)
-        full = metric.distance_matrix(proc, IndexSet(pts), 4.0)[0].max()
-        sub = metric.distance_matrix(proc, IndexSet(pts[:4]), 4.0)[0].max()
+        full = metric.distance_matrix(proc, IndexSet(pts), 4.0).max()
+        sub = metric.distance_matrix(proc, IndexSet(pts[:4]), 4.0).max()
         assert sub <= full + 1e-12
 
 
@@ -568,17 +630,45 @@ def test_cached_pair_norms_equal_fresh_ones(pts, make, p):
     proc = ProcessSpec.homogeneous(make(), pts.shape[1])
     T = IndexSet(pts)
     first = metric.distance_matrix(proc, T, p, 500, 9)
-    first[0][:] = -1.0  # writing into a returned array must not reach the cache
-    if first[2] == "closed_form":  # one shared read-only zero vector
-        assert not first[1].flags.writeable
-    else:
-        first[1][:] = -1.0
+    # the kept vectors are read-only, and values() is the caller's own copy
+    for kept in (first.base, first.errors):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = -1.0
+    before = first.values().tobytes()
+    first.values()[...] = -1.0
     again = metric.distance_matrix(proc, T, p, 500, 9)
     fresh = metric.distance_matrix(proc, IndexSet(pts), p, 500, 9)
-    assert again[2] == fresh[2]
-    assert len(T._norms) == (again[2] != "closed_form")
-    assert again[0].tobytes() == fresh[0].tobytes()
-    assert again[1].tobytes() == fresh[1].tobytes()
+    assert again.values().tobytes() == before
+    assert again.method == fresh.method
+    assert len(T._norms) == (again.method != "closed_form")
+    assert again.values().tobytes() == fresh.values().tobytes()
+    assert again.errors.tobytes() == fresh.errors.tobytes()
+
+
+# nonnegative and negative floats, -0.0, inf, subnormals, and values an
+# ulp apart that a scale can merge into a tie; no product overflows
+_BASE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, 5e-324, 1e-310, 1.0, 1.0 + 2.0 ** -52, 2.0]),
+    st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True))
+
+
+@given(base=st.lists(_BASE_ENTRIES, min_size=1, max_size=40),
+       scale=st.one_of(st.sampled_from([1.0, 0.5, 2.0 ** -1074, 1e-300,
+                                        dist.gaussian().moment(4.0)]),
+                       st.floats(min_value=5e-324, max_value=1e150, allow_subnormal=True)),
+       picks=st.lists(st.integers(0, 1 << 20), max_size=60))
+@example(base=[-0.0, 0.0, -0.0], scale=1.0, picks=[2, 1, 0, 1])
+@example(base=[1.0, 1.0 + 2.0 ** -52, 0.0], scale=2.0 ** -1074, picks=[1, 0])
+@example(base=[math.inf, 5e-324, -0.0], scale=1e-300, picks=[0, 1, 2])
+@settings(max_examples=300, deadline=None)
+def test_gather_then_scale_is_scale_then_gather(base, scale, picks):
+    base = np.array(base)
+    idx = np.array(picks, dtype=np.intp) % len(base)
+    v = metric.PairNorms(base, scale, np.zeros(len(base)), "closed_form")
+    scaled = base * scale
+    assert v.gather(idx).tobytes() == scaled[idx].tobytes()
+    assert v.max() == scaled.max()
+    assert v.values().tobytes() == scaled.tobytes()
 
 
 def _method_from_diffs(proc, pts):
@@ -640,8 +730,8 @@ def test_d_p_nondecreasing_in_p_on_exact_backends(d, family, ps):
     pts = np.array([np.zeros(len(d)), d])
     proc = ProcessSpec.homogeneous(family(), pts.shape[1])
     T = IndexSet(pts)
-    lo, lo_err, method = metric.distance_matrix(proc, T, ps[0])
-    hi, hi_err, _ = metric.distance_matrix(proc, T, ps[1])
-    assert method in ("closed_form", "enumeration")
+    lo, hi = (metric.distance_matrix(proc, T, p) for p in ps)
+    assert lo.method in ("closed_form", "enumeration")
+    lo, lo_err, hi, hi_err = lo.values(), lo.errors, hi.values(), hi.errors
     assert not lo_err.any() and not hi_err.any()
     assert np.all(hi >= lo * (1.0 - 1e-12))

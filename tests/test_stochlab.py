@@ -416,9 +416,9 @@ class TestSymmetrization:
 
         def counting(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
             calls.append((len(T), p, seed))
-            values, errors, method = real(proc, T, p, samples, seed)
-            return (values * (scale_second if len(calls) == 2 else 1.0),
-                    errors, method)
+            d = real(proc, T, p, samples, seed)
+            return metric.PairNorms(d.values() * (scale_second if len(calls) == 2 else 1.0),
+                                    1.0, d.errors, d.method)
 
         def no_pair_loop(*args, **kw):
             raise AssertionError("per-pair increment_norm call")
@@ -448,9 +448,10 @@ class TestSymmetrization:
         real = metric.distance_matrix
 
         def with_nan(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
-            values, errors, method = real(proc, T, p, samples, seed)
+            d = real(proc, T, p, samples, seed)
+            values = d.values()
             values[0] = math.nan
-            return values, errors, method
+            return metric.PairNorms(values, 1.0, d.errors, d.method)
 
         monkeypatch.setattr(metric, "distance_matrix", with_nan)
         pts = np.random.default_rng(15).standard_normal((4, 3))

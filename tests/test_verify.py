@@ -115,7 +115,7 @@ class TestSudakov:
         stream = RngStream(31, 0)
         rep = verify.sudakov_experiment(proc, T, p, u, 2_000, stream)
         dm = squareform(metric.distance_matrix(proc, T, p, samples=2_000,
-                                               seed=stream.master_seed)[0])
+                                               seed=stream.master_seed).values())
         iu = np.triu_indices(len(T), k=1)
         vals = dm[iu]
         k = int(np.argmin(vals))
@@ -305,9 +305,10 @@ class TestComparison:
         real = metric.distance_matrix
 
         def with_nan(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
-            values, errors, method = real(proc, T, p, samples, seed)
+            d = real(proc, T, p, samples, seed)
+            values = d.values()
             values[0] = math.nan
-            return values, errors, method
+            return metric.PairNorms(values, 1.0, d.errors, d.method)
 
         monkeypatch.setattr(metric, "distance_matrix", with_nan)
         T = IndexSet.with_origin(np.eye(2))
@@ -342,7 +343,7 @@ def reference_hull(T, tree, proc, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
                 level_rep[i] = min(block)
         reps.append(level_rep)
     dms = {n: squareform(metric.distance_matrix(proc, T, float(2 ** (n + 1)),
-                                                samples=samples, seed=seed)[0])
+                                                samples=samples, seed=seed).values())
            for n in range(1, depth)}
     chain_points = []
     step_sums = np.zeros(m)
