@@ -448,9 +448,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
+    def refuse(constant):
+        raise ValueError(f"{constant} is not a finite number")
+
     try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        # Python's json takes NaN and Infinity, which no field may hold
+        config = json.loads(Path(args.config).read_text(), parse_constant=refuse)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     if not isinstance(config, dict):

@@ -316,8 +316,8 @@ def three_point(a: float) -> DistributionModel:
     Deliberately outside the regular classes for moderate alpha; exists to
     exercise the failure paths of the class checks.
     """
-    if a <= 1:
-        raise ValueError("three_point requires atom a > 1")
+    if not a > 1:
+        raise ValueError(f"three_point requires atom a > 1, got {a}")
     a = float(a)
     p_atom = 1.0 / (a * a)
 

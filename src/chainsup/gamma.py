@@ -10,7 +10,6 @@ certificates under the level-cardinality caps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -31,7 +30,6 @@ __all__ = [
 
 EXACT_LIMIT = 10
 GREEDY_LIMIT = 10_000
-_DIAMETER_TILE_ELEMS = 1 << 18  # entries gathered per tile of a block diameter
 
 
 class TreeValidationError(ValueError):
@@ -92,22 +90,6 @@ class PartitionTree:
         if any(len(b) != 1 for b in self.levels[-1]):
             raise TreeValidationError("final level must be all singletons")
 
-    def block_of(self, n: int, i: int) -> list:
-        """A_n(t): the level-n block containing point i (singleton past depth)."""
-        if n >= self.depth:
-            return [i]
-        for block in self.levels[n]:
-            if i in block:
-                return block
-        raise KeyError(i)
-
-    def to_json(self) -> str:
-        return json.dumps({"levels": self.levels}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionTree":
-        return cls(levels=json.loads(text)["levels"])
-
     @classmethod
     def trivial(cls, m: int) -> "PartitionTree":
         """Root plus singletons; the only admissible shape for m <= 4."""
@@ -124,39 +106,6 @@ def _level_weight(functional: str, n: int) -> float:
     return 2.0 ** (n / 2.0) if functional == "gamma2" else 1.0
 
 
-def _submatrix(v: metric_mod.PairNorms, rows, cols, m: int) -> np.ndarray:
-    """squareform(v.values())[np.ix_(rows, cols)] for the pair norms `v` of
-    an m-point set, gathered from `v` with no square built: the same values
-    in the same layout, and +0.0 where a row meets its own column."""
-    rows = np.asarray(rows)[:, None]
-    out = v.gather(metric_mod.pair_index(rows, cols, m))
-    out[rows == cols] = 0.0
-    return out
-
-
-def _block_diameter(v: metric_mod.PairNorms, block: list, m: int) -> float:
-    """max of the pair norms `v` of an m-point set over block x block,
-    diagonal included.
-
-    A block of all of T is v.max() when that is positive, since the +0.0
-    diagonal then decides neither the max nor its sign of zero.  Any other
-    block is gathered a tile of rows at a time; a tile, its index array and
-    its diagonal mask each hold at most `_DIAMETER_TILE_ELEMS` entries (at
-    least one row), and each tile holds what the m x m matrix would, so
-    the float is bit for bit that matrix's block max.
-    """
-    if len(block) == 1:
-        return 0.0
-    if len(block) == m:
-        top = float(v.max())
-        if top > 0.0:
-            return top
-    idx = np.asarray(block)
-    rows = max(1, _DIAMETER_TILE_ELEMS // len(idx))
-    return float(np.max([_submatrix(v, idx[lo:lo + rows], idx, m).max()
-                         for lo in range(0, len(idx), rows)]))
-
-
 def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
                          functional: str = "gammaX",
                          samples: int = metric_mod.MC_DEFAULT_SAMPLES,
@@ -166,8 +115,7 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
     if functional not in ("gamma2", "gammaX"):
         raise ValueError(f"unknown functional {functional!r}")
     tree.validate(len(T))
-    m = len(T)
-    totals = np.zeros(m)
+    totals = np.zeros(len(T))
     for n, level in enumerate(tree.levels):
         if all(len(b) == 1 for b in level):
             break
@@ -176,7 +124,7 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
         v = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)
         for block in level:
             if len(block) > 1:
-                totals[block] += w * _block_diameter(v, block, m)
+                totals[block] += w * v.diameter(block)
     return float(totals.max())
 
 
@@ -193,10 +141,11 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
     p1 = _level_p(functional, 1)
     w0 = _level_weight(functional, 0)
     w1 = _level_weight(functional, 1)
-    base = w0 * _block_diameter(metric_mod.distance_matrix(proc, T, p0), range(m), m)
-    v1 = metric_mod.distance_matrix(proc, T, p1)
-    # dm1[i, :i], the distances from point i to the points placed before it
-    dm1 = [v1.gather(metric_mod.pair_index(i, np.arange(i), m)) for i in range(m)]
+    idx = np.arange(m)
+    base = w0 * metric_mod.distance_matrix(proc, T, p0).diameter(idx)
+    # the m x m square of the level-1 distances; the search reads row i at
+    # the points placed before point i
+    dm1 = metric_mod.distance_matrix(proc, T, p1).block(idx, idx)
 
     # Splitting to singletons as early as the caps allow dominates any
     # slower schedule, so only the level-1 partition needs a search
@@ -221,7 +170,7 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
             return
         for b, block in enumerate(blocks):
             old = diams[b]
-            diams[b] = max(old, w1 * float(dm1[i][block].max()))
+            diams[b] = max(old, w1 * float(dm1[i, block].max()))
             block.append(i)
             search(i + 1, max(worst, diams[b]))
             block.pop()
@@ -244,14 +193,14 @@ def _exact_gamma(T: IndexSet, proc: ProcessSpec,
 # greedy mode
 # ----------------------------------------------------------------------
 
-def _farthest_point_split(block: list, k: int, v: metric_mod.PairNorms, m: int) -> list:
+def _farthest_point_split(block: list, k: int, v: metric_mod.PairNorms) -> list:
     """Split the sorted `block` into at most k pieces by farthest-point
-    seeding (Gonzalez 1985), reading the pair norms `v` of an m-point set.
+    seeding (Gonzalez 1985), reading the pair norms `v`.
 
     Seeds start from the lowest index; each new seed maximizes the
     distance to the existing seeds (ties to the lowest index), and points
-    join their nearest seed (ties to the earliest seed), found a tile of
-    at most `_DIAMETER_TILE_ELEMS` entries at a time.
+    join their nearest seed (ties to the earliest seed), found one tile
+    of `v.tiles` at a time.
     """
     if k <= 1 or len(block) == 1:
         return [list(block)]
@@ -259,7 +208,7 @@ def _farthest_point_split(block: list, k: int, v: metric_mod.PairNorms, m: int) 
     idx = np.array(block)
     seeds = [0]  # positions in block
     # distance to the nearest seed; -inf marks a seed, which no scan picks
-    near = _submatrix(v, idx, block[0], m)[:, 0]
+    near = v.block(idx, block[0])[:, 0]
     near[0] = -math.inf
     while len(seeds) < k:
         best, best_d = None, -math.inf
@@ -267,12 +216,9 @@ def _farthest_point_split(block: list, k: int, v: metric_mod.PairNorms, m: int) 
             if d > best_d + 1e-15:
                 best, best_d = pos, d
         seeds.append(best)
-        near = np.minimum(near, _submatrix(v, idx, block[best], m)[:, 0])
+        near = np.minimum(near, v.block(idx, block[best])[:, 0])
         near[best] = -math.inf
-    rows = max(1, _DIAMETER_TILE_ELEMS // k)
-    owner = np.concatenate([np.argmin(_submatrix(v, idx[lo:lo + rows], idx[seeds], m),
-                                      axis=1)
-                            for lo in range(0, len(idx), rows)])
+    owner = np.concatenate([np.argmin(t, axis=1) for t in v.tiles(idx, idx[seeds])])
     owner[seeds] = np.arange(k)  # a seed keeps itself, even against an equal seed
     return [idx[owner == j].tolist() for j in range(k)]
 
@@ -288,7 +234,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         current = levels[-1]
         p_split = _level_p(functional, n)
         v = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)
-        diams = [_block_diameter(v, block, m) for block in current]
+        diams = [v.diameter(block) for block in current]
         # every block keeps one child; spare capacity goes to the block
         # with the largest diameter per child, ties to the lowest index,
         # and blocks of repeated points (diameter 0) still take what is
@@ -311,7 +257,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
             spare -= 1
         nxt = []
         for block, k in zip(current, alloc):
-            nxt.extend(_farthest_point_split(block, k, v, m))
+            nxt.extend(_farthest_point_split(block, k, v))
         levels.append(nxt)
     tree = PartitionTree(levels=levels)
     value = evaluate_certificate(tree, T, proc, functional, samples=samples, seed=seed)

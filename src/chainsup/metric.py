@@ -17,8 +17,10 @@ p = 4 or 8 costs two or three multiplies per sample.
 read-only `PairNorms` view of the condensed pair vector, scipy's pdist
 layout (pairs i < j, row-major), as a kept base vector times a scale,
 with its 3-sigma errors and the method, and `increment_norm` is its
-two-point case.  `pair_index` maps any (i, j), i != j, to its position
-and `pair_of` maps a position back, so no |T| x |T| square is built.
+two-point case.  The view alone knows that layout: it reads blocks of
+the square, a tile at a time, block diameters and the pair at a
+position, so no |T| x |T| square is built and no other module computes
+a pair position.
 Also hosts the product-moment functional |||(a_i X_i)|||_r solved by
 bisection.
 """
@@ -42,8 +44,6 @@ __all__ = [
     "PairNorms",
     "increment_norm",
     "distance_matrix",
-    "pair_index",
-    "pair_of",
     "latala_norm",
 ]
 
@@ -51,7 +51,10 @@ ENUMERATION_LIMIT = 20        # nonzero rademacher coords per enumerated increme
 MC_DEFAULT_SAMPLES = 100_000
 MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
-_MC_TILE_ELEMS = 1 << 18      # elements of the pair-by-sample scratch buffer (2 MiB)
+# elements of one tile (2 MiB): the pair-by-sample scratch buffer of a
+# Monte-Carlo pass, a block of pair norms read through `PairNorms.tiles`,
+# and a row tile of process values in stochlab
+TILE_ELEMS = 1 << 18
 _MC_PROJ_ALIGN = 64           # samples; projection windows start on a multiple
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated or Monte-Carlo pass may take
 
@@ -103,7 +106,7 @@ class IndexSet:
 
     Holds a read-only copy of the points it is given, so the pair lengths
     and pair norms cached on first use cannot go stale and the caller's
-    array stays writable.
+    array stays writable.  A NaN or infinite coordinate raises.
     """
 
     points: np.ndarray
@@ -115,6 +118,8 @@ class IndexSet:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.array(self.points, dtype=float))
+        if not np.isfinite(pts).all():
+            raise ValueError("index set points must be finite, not NaN or infinite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -166,12 +171,14 @@ class IncrementNormResult:
 class PairNorms:
     """d_p over the pairs i < j of an index set, row-major (scipy's pdist
     layout), read as the read-only `base` vector times `scale`, with the
-    read-only 3-sigma `errors` and the `method`; `pair_of` decodes a
-    position.
+    read-only 3-sigma `errors` and the `method`.
 
-    Gathering and scaling by a float commute bit for bit, and rounding is
-    monotone, so `gather` and `max` read the scaled vector without
-    building it.
+    The one reader of that layout: blocks of the square, tile by tile,
+    block diameters and the pair at a position all come from here.  The
+    point count follows from the pair count, since an index set is never
+    empty.  Gathering and scaling by a float commute bit for bit, and
+    rounding is monotone, so every read gathers base entries and scales
+    only those, and `max` reads the scaled vector without building it.
     """
 
     base: np.ndarray
@@ -179,12 +186,58 @@ class PairNorms:
     errors: np.ndarray
     method: str  # closed_form | enumeration | monte_carlo
 
-    def gather(self, idx) -> np.ndarray:
-        """The bytes of values()[idx] for an integer or an integer array
-        `idx`, scaling only the gathered entries."""
-        out = self.base[idx]
+    def n_points(self) -> int:
+        """m, from the m (m - 1) / 2 pairs."""
+        return (1 + math.isqrt(1 + 8 * len(self.base))) // 2
+
+    def block(self, rows, cols) -> np.ndarray:
+        """squareform(values())[np.ix_(rows, cols)] for a 1-d `rows` and
+        an integer or 1-d `cols`, with no square built: the same values in
+        the same layout, and +0.0 where a row meets its own column."""
+        rows = np.asarray(rows)[:, None]
+        out = self.base[pair_index(rows, cols, self.n_points())]
         out *= self.scale
+        out[rows == cols] = 0.0
         return out
+
+    def tiles(self, rows, cols):
+        """block(rows, cols) as consecutive tiles of rows, each holding at
+        most `TILE_ELEMS` entries (at least one row)."""
+        rows = np.asarray(rows)
+        step = max(1, TILE_ELEMS // len(cols))
+        for lo in range(0, len(rows), step):
+            yield self.block(rows[lo:lo + step], cols)
+
+    def diameter(self, block) -> float:
+        """max over block x block, diagonal included.
+
+        A block of all of T is max() when that is positive, since the
+        +0.0 diagonal then decides neither the max nor its sign of zero.
+        Any other block is read tile by tile, and each tile holds what the
+        m x m matrix would, so the float is bit for bit that matrix's
+        block max.
+        """
+        if len(block) == 1:
+            return 0.0
+        if len(block) == self.n_points():
+            top = float(self.max())
+            if top > 0.0:
+                return top
+        block = np.asarray(block)
+        return float(np.max([t.max() for t in self.tiles(block, block)]))
+
+    def pair(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """The pair (i, j), i < j, at position k, broadcasting over k.
+
+        Row i starts at i (2m - i - 1) / 2, so i is the last of the m - 1
+        row starts at or below k, and j follows from k's offset in that
+        row.
+        """
+        m = self.n_points()
+        k = np.asarray(k)
+        r = np.arange(m - 1)
+        i = np.searchsorted(r * (2 * m - r - 1) // 2, k, side="right") - 1
+        return i, k - i * (2 * m - i - 1) // 2 + i + 1
 
     def max(self) -> float:
         """The max of values(), taken before scaling."""
@@ -274,7 +327,7 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     hand).  Each window is written into one buffer of |pts| x (tile + 2 *
     `_MC_PROJ_ALIGN`), and the reduction runs in place in one scratch
     buffer of (|pts| - 1) x tile; both are reused for every row, tile and
-    chunk.  The tile width is the fixed element budget `_MC_TILE_ELEMS`
+    chunk.  The tile width is the fixed element budget `TILE_ELEMS`
     divided by |pts| - 1, capped at the chunk, so the buffers stay
     cache-sized and a two-point call makes one tile per chunk.  |d|^p goes
     by `_abs_power` (integer p by multiplication) and the sum of |d|^(2p)
@@ -284,7 +337,7 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     m, dim = pts.shape
     pairs = m * (m - 1) // 2
     k = m - 1
-    tile = max(1, min(_MC_CHUNK, samples, _MC_TILE_ELEMS // k))
+    tile = max(1, min(_MC_CHUNK, samples, TILE_ELEMS // k))
     need = 8 * pairs * (dim + 2)
     if method == "monte_carlo":
         # the key's copy of the differences, one chunk's draws, one tile's
@@ -397,7 +450,8 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
 
 def pair_index(i, j, m: int) -> np.ndarray:
     """Position of the pair (i, j), i != j, in the condensed vector of an
-    m-point set; symmetric in i and j, broadcasting like any ufunc.
+    m-point set, symmetric in i and j and broadcasting like any ufunc; the
+    inverse of `PairNorms.pair`.
 
     Row r of the pairs starts at r (2m - r - 1) / 2, so (i, j) with i < j
     sits at off(i) + j with off(r) = r (2m - r - 3) / 2 - 1.  off is
@@ -414,19 +468,6 @@ def pair_index(i, j, m: int) -> np.ndarray:
     k = np.maximum(i, j)
     k += np.minimum(off(i), off(j))
     return k
-
-
-def pair_of(k, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (i, j), i < j, at position k of the condensed vector of an
-    m-point set: the inverse of `pair_index`, broadcasting over k.
-
-    Row i starts at i (2m - i - 1) / 2, so i is the last of the m - 1 row
-    starts at or below k, and j follows from k's offset in that row.
-    """
-    k = np.asarray(k)
-    r = np.arange(m - 1)
-    i = np.searchsorted(r * (2 * m - r - 1) // 2, k, side="right") - 1
-    return i, k - i * (2 * m - i - 1) // 2 + i + 1
 
 
 def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:

@@ -14,7 +14,7 @@ is drawn into one chunk-length buffer and folded into the running max
 and min, so memory is O(chunk) whatever the dimension and |T|.  Any other
 set draws one Fortran-ordered (chunk x dimension) matrix
 (`ProcessSpec.sample_matrix`) and projects it onto T one row tile of
-`metric._MC_TILE_ELEMS` values at a time, so memory stays flat in |T|.
+`metric.TILE_ELEMS` values at a time, so memory stays flat in |T|.
 Both paths draw the same bits in the same order (see `_tiled_draw`).
 """
 
@@ -27,13 +27,14 @@ import numpy as np
 
 from . import dist, metric
 from .dist import DistributionModel
-from .metric import _MC_TILE_ELEMS, IndexSet, ProcessSpec, increment_norm
+from .metric import TILE_ELEMS, IndexSet, ProcessSpec, increment_norm
 from .streams import RngStream
 
 __all__ = [
     "SupremumEstimate",
     "RngStream",
     "estimate_sup",
+    "sup_samples",
     "order_stat_means",
     "paley_zygmund_check",
     "contraction_check",
@@ -127,13 +128,13 @@ def _tiled_draw(proc: ProcessSpec, pts: np.ndarray, reduce):
     the matmul's +0 accumulator does.
 
     Any other pts is projected by matmul in row tiles of
-    `_MC_TILE_ELEMS // |pts|` rows (at least one), each reduced to its row
+    `TILE_ELEMS // |pts|` rows (at least one), each reduced to its row
     max and min and released before the next; the draws do not depend on
     the tile.
     """
     selection = _selection(pts)
     if selection is None:
-        tile = max(1, _MC_TILE_ELEMS // len(pts))
+        tile = max(1, TILE_ELEMS // len(pts))
         pts_T = pts.T
 
         def extremes(rng, rows):
@@ -207,6 +208,19 @@ def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
     mean, stderr, n = _accumulate(stream, samples, draw, workers=workers)
     return SupremumEstimate(float(mean), float(stderr), n, stream.master_seed,
                             stream.stream_id, target)
+
+
+def sup_samples(proc: ProcessSpec, T: IndexSet, samples: int,
+                stream: RngStream) -> np.ndarray:
+    """The `samples` draws of sup_{s,t in T}(X_s - X_t), one per row, for
+    empirical tail curves: chunks of `_CHUNK` rows drawn one after another
+    from the one generator of `stream`, each reduced as in `estimate_sup`.
+    """
+    _check_inputs(proc, T, samples)
+    rng = stream.generator()
+    draw = _tiled_draw(proc, T.points, _REDUCERS["sup_increments"])
+    return np.concatenate([draw(rng, min(_CHUNK, samples - n))
+                           for n in range(0, samples, _CHUNK)])
 
 
 def estimate_mean(proc: ProcessSpec, T: IndexSet, samples: int, stream: RngStream,

@@ -17,10 +17,9 @@ import numpy as np
 
 from . import gamma as gamma_mod
 from . import metric as metric_mod
-from . import stochlab
 from .gamma import PartitionTree
 from .metric import IndexSet, ProcessSpec, increment_norm
-from .stochlab import RngStream, SupremumEstimate, estimate_mean, estimate_sup
+from .stochlab import RngStream, SupremumEstimate, estimate_mean, estimate_sup, sup_samples
 
 __all__ = [
     "SudakovReport",
@@ -74,7 +73,7 @@ def sudakov_experiment(proc: ProcessSpec, T: IndexSet, p: float, u: float,
     separation_ok = min_sep >= u - tol
     worst_pair = None
     if not separation_ok:
-        worst_pair = tuple(int(x) for x in metric_mod.pair_of(k, len(T)))
+        worst_pair = tuple(int(x) for x in dm.pair(k))
     esup = estimate_sup(proc, T, samples, stream, workers=workers)
     return SudakovReport(
         p=float(p), u=float(u),
@@ -198,23 +197,23 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     """
     if not len(p_grid):
         raise ValueError("comparison needs a nonempty p_grid")
-    pts, m = T.points, len(T)
     for p in p_grid:
         if p == 2:
             # exact for independent mean-zero coordinates, with no error bar:
             # ||sum a_i X_i||_2 is the euclidean norm of (a_i ||X_i||_2)_i
-            dx, dy = (IndexSet(pts * [model.moment(2) for model in proc.models])
-                      .pair_lengths() for proc in (procX, procY))
-            err_x = err_y = 0.0
+            lengths = (IndexSet(T.points * [model.moment(2) for model in proc.models])
+                       .pair_lengths() for proc in (procX, procY))
+            mx, my = (metric_mod.PairNorms(d, 1.0, np.broadcast_to(0.0, len(d)),
+                                           "closed_form") for d in lengths)
         else:
             mx = metric_mod.distance_matrix(procX, T, p, samples, stream.master_seed)
             my = metric_mod.distance_matrix(procY, T, p, samples, stream.master_seed + 1)
-            dx, err_x, dy, err_y = mx.values(), mx.errors, my.values(), my.errors
+        dx, err_x, dy, err_y = mx.values(), mx.errors, my.values(), my.errors
         # written so that a NaN on either side counts as a violation
         bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * (1.0 + dx))))
         if bad.size:
             k = bad[0]
-            i, j = metric_mod.pair_of(k, m)
+            i, j = mx.pair(k)
             raise ValueError(
                 f"domination precondition fails at (s={i}, t={j}, p={p}): "
                 f"||Y_s-Y_t||_p = {dy[k]} > ||X_s-X_t||_p = {dx[k]}")
@@ -222,16 +221,8 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     ex = estimate_sup(procX, T, samples, stream.child(0), workers=workers)
     ey = estimate_sup(procY, T, samples, stream.child(1), workers=workers)
 
-    # empirical sup samples for the tail curves, chunk after chunk from
-    # one generator
-    def collect(proc, sub):
-        rng = sub.generator()
-        draw = stochlab._tiled_draw(proc, pts, stochlab._REDUCERS["sup_increments"])
-        return np.concatenate([draw(rng, min(stochlab._CHUNK, samples - n))
-                               for n in range(0, samples, stochlab._CHUNK)])
-
-    sx = collect(procX, stream.child(2))
-    sy = collect(procY, stream.child(3))
+    sx = sup_samples(procX, T, samples, stream.child(2))
+    sy = sup_samples(procY, T, samples, stream.child(3))
     curves = []
     for q in _TAIL_QUANTILES:
         u = float(np.quantile(sx, q))
@@ -242,7 +233,7 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
                            "p_supY_ge_u": py, "p_supX_ge_u_over_c": px,
                            "ratio": py / px if px > 0 else math.inf})
     return {
-        "domination_checked_pairs": len(p_grid) * m * (m - 1) // 2,
+        "domination_checked_pairs": len(p_grid) * len(dx),
         "esup_X": ex,
         "esup_Y": ey,
         "esup_ratio": ey.mean / ex.mean if ex.mean > 0 else math.inf,
@@ -294,8 +285,8 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
             a = block[0]
             b = rep[a]
             rep[block] = a
-            # a step between equal points has length 0 and adds nothing
-            d = 0.0 if a == b else float(v.gather(metric_mod.pair_index(a, b, m)))
+            # a step to an equal point, or to itself, has length 0 and adds nothing
+            d = v.block([a], b).item()
             if d == 0.0:
                 skipped += len(block)
                 continue

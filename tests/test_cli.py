@@ -538,6 +538,36 @@ class TestEndToEnd:
         assert cli.main(["gamma", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: config invalid at $: not a JSON object\n"
 
+    @pytest.mark.parametrize("experiment, text, constant, message", [
+        ("gamma", '{"index_set": {"type": "explicit", "points": [[NaN, 1.0], [0.0, 1.0], '
+                  '[1.0, 0.0]]}, "params": {"mode": "greedy"}}',
+         "NaN", "index set points must be finite"),
+        ("supremum", '{"process": {"family": "rademacher"}, "index_set": {"type": '
+                     '"explicit", "points": [[Infinity, 1.0], [0.0, 1.0]]}, '
+                     '"params": {"seed": 1, "samples": 1000}}',
+         "Infinity", "index set points must be finite"),
+        ("supremum", '{"process": {"family": "three_point", "a": NaN}, "index_set": '
+                     '{"type": "basis", "n": 2}, "params": {"seed": 1, "samples": 1000}}',
+         "NaN", "three_point requires atom a > 1"),
+    ], ids=["greedy_nan_point", "infinite_point", "nan_three_point_atom"])
+    def test_non_finite_constant_exit_one(self, tmp_path, capsys, experiment, text,
+                                          constant, message):
+        # Python's json reads NaN and Infinity: a NaN point crashed the
+        # greedy split with a traceback, and an infinite point or a NaN
+        # atom passed with exit 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert cli.main([experiment, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read config: {constant} is not a finite number\n"
+        assert not (tmp_path / "o").exists()
+        # a config handed over as a dict, as the bench does, is refused too
+        config = json.loads(text)
+        config["experiment"] = experiment
+        with pytest.raises(ValueError, match=message):
+            cli.run(config)
+
     def _write_config(self, tmp_path, doc):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))

@@ -261,7 +261,9 @@ class TestDistanceMatrix:
 
     def test_single_point_is_one_zero(self):
         # no pairs; the square of the empty condensed vector is one zero
-        one = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0).values()
+        d = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0)
+        assert d.n_points() == 1
+        one = d.values()
         assert one.shape == (0,)
         assert squareform(one).tobytes() == np.array([[0.0]]).tobytes()
 
@@ -271,12 +273,14 @@ class TestDistanceMatrix:
 def test_pair_of_inverts_pair_index(m, data):
     # every position of the condensed vector decodes to its triu pair
     k = np.arange(m * (m - 1) // 2)
-    i, j = metric.pair_of(k, m)
+    v = metric.PairNorms(np.zeros(len(k)), 1.0, np.zeros(len(k)), "closed_form")
+    assert v.n_points() == m
+    i, j = v.pair(k)
     ii, jj = np.triu_indices(m, 1)
     assert np.array_equal(i, ii) and np.array_equal(j, jj)
     assert np.array_equal(metric.pair_index(i, j, m), k)
     one = data.draw(st.integers(0, len(k) - 1))
-    assert tuple(int(x) for x in metric.pair_of(one, m)) == (ii[one], jj[one])
+    assert tuple(int(x) for x in v.pair(one)) == (ii[one], jj[one])
 
 
 def test_every_pair_norm_pass_enters_through_distance_matrix(monkeypatch):
@@ -359,7 +363,7 @@ class TestMonteCarloKernel:
         rows = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
         total = np.zeros(len(diffs))
         total_sq = np.zeros(len(diffs))
-        tile = max(1, min(metric._MC_CHUNK, samples, metric._MC_TILE_ELEMS // k))
+        tile = max(1, min(metric._MC_CHUNK, samples, metric.TILE_ELEMS // k))
         scratch = np.empty(k * tile)
         spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
         n = 0
@@ -393,7 +397,7 @@ class TestMonteCarloKernel:
         samples = 21_234
         assert samples % metric._MC_CHUNK and samples > metric._MC_CHUNK
         # at 70 points the budget splits each chunk into several tiles
-        assert metric._MC_TILE_ELEMS // 69 < metric._MC_CHUNK
+        assert metric.TILE_ELEMS // 69 < metric._MC_CHUNK
         proc, pts = self.case(m)
         d = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
         assert d.method == "monte_carlo"
@@ -662,11 +666,17 @@ _BASE_ENTRIES = st.one_of(
 @example(base=[math.inf, 5e-324, -0.0], scale=1e-300, picks=[0, 1, 2])
 @settings(max_examples=300, deadline=None)
 def test_gather_then_scale_is_scale_then_gather(base, scale, picks):
-    base = np.array(base)
+    # the entries repeated up to the pair count of the fewest points that
+    # hold them all; pick a reads pair (i[a], j[a]), on the block's diagonal
+    m = 2
+    while m * (m - 1) // 2 < len(base):
+        m += 1
+    base = np.resize(np.array(base), m * (m - 1) // 2)
     idx = np.array(picks, dtype=np.intp) % len(base)
     v = metric.PairNorms(base, scale, np.zeros(len(base)), "closed_form")
     scaled = base * scale
-    assert v.gather(idx).tobytes() == scaled[idx].tobytes()
+    i, j = v.pair(idx)
+    assert np.diagonal(v.block(i, j)).tobytes() == scaled[idx].tobytes()
     assert v.max() == scaled.max()
     assert v.values().tobytes() == scaled.tobytes()
 

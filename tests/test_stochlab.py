@@ -169,7 +169,7 @@ class TestTiledProjection:
     @pytest.fixture
     def uneven_tiles(self, monkeypatch):
         # 7 points: tiles of 142 rows, partial at the end of both chunks
-        monkeypatch.setattr(stochlab, "_MC_TILE_ELEMS", 1000)
+        monkeypatch.setattr(stochlab, "TILE_ELEMS", 1000)
         assert stochlab._CHUNK % 142 and (70_001 - stochlab._CHUNK) % 142
 
     def setup_method(self):
@@ -249,7 +249,7 @@ class TestTiledProjection:
         rows = data.draw(st.integers(1, 600))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stochlab, "_MC_TILE_ELEMS", 256)
+            mp.setattr(stochlab, "TILE_ELEMS", 256)
             hi, lo = stochlab._tiled_draw(proc, pts, lambda hi, lo: (hi, lo))(
                 np.random.default_rng(seed), rows)
         v = proc.sample_matrix(np.random.default_rng(seed), rows) @ pts.T
