@@ -21,11 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dist, gamma, metric, stochlab, tailkit, verify
+from . import __version__, dist, gamma, metric, stochlab, tailkit, verify
 from .metric import IndexSet, ProcessSpec
 from .streams import RngStream
-
-VERSION = "0.1.0"
 
 # index-set type -> the fields build_index_set reads
 _INDEX_SET_FIELDS = {"explicit": ["points"], "basis": ["n"], "packing": ["m", "n"],
@@ -402,7 +400,7 @@ def run(config: dict, workers: int = 1) -> dict:
     tables: dict = {}
     result = runner(config, par, T, proc, tables, workers)
     report = {
-        "tool_version": VERSION,
+        "tool_version": __version__,
         "config": config,
         "config_hash": config_hash(config),
         "experiment": config["experiment"],

@@ -243,6 +243,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         spare = cap - len(current)
         if cap >= m:  # the blocks partition T: every block splits into singletons
             alloc, spare = [len(b) for b in current], 0
+        # while spare > 0, sum(alloc) < cap <= m, so some block has room
         while spare > 0:
             best = None
             for bi, block in enumerate(current):
@@ -251,8 +252,6 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
                 score = diams[bi] / alloc[bi]
                 if best is None or score > best[0] + 1e-15:
                     best = (score, bi)
-            if best is None:
-                break
             alloc[best[1]] += 1
             spare -= 1
         nxt = []

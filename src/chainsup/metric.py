@@ -53,9 +53,8 @@ MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
 # elements of one tile (2 MiB): the pair-by-sample scratch buffer of a
 # Monte-Carlo pass, a block of pair norms read through `PairNorms.tiles`,
-# and a row tile of process values in stochlab
+# and a tile of projected process values in stochlab
 TILE_ELEMS = 1 << 18
-_MC_PROJ_ALIGN = 64           # samples; projection windows start on a multiple
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated or Monte-Carlo pass may take
 
 
@@ -95,6 +94,20 @@ class ProcessSpec:
         for j, m in enumerate(self.models):
             m.sample_with(rng, count, out=out[:, j])
         return out
+
+    def projected_tiles(self, rng: np.random.Generator, count: int, pts: np.ndarray,
+                        tile: int):
+        """Draw `count` samples x by `sample_matrix`, then yield (lo, v) with
+        v = (pts @ x.T)[:, lo:lo + w], the process X_t = <t, x> over the rows
+        t of `pts`, for tiles of w <= `tile` samples in order.  Each v is a
+        view of one |pts| x tile buffer that the next tile overwrites; the
+        draws, and so the generator's final state, do not depend on the tile.
+        """
+        x = self.sample_matrix(rng, count)
+        buf = np.empty((len(pts), min(tile, count)))
+        for lo in range(0, count, tile):
+            w = min(tile, count - lo)
+            yield lo, np.matmul(pts, x[lo:lo + w].T, out=buf[:, :w])
 
     def descriptors(self) -> list:
         return [dist.model_descriptor(m) for m in self.models]
@@ -316,23 +329,16 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
     `_MC_CHUNK` draws from one derived stream is projected onto the points
-    one tile of samples at a time, and each tile's projection is reduced
-    one row of pairs at a time, so the sample buffers stay O(chunk * dim +
-    tile * |pts|) whatever the pair count.  A tile is read out of a
-    projection window widened to start on a multiple of `_MC_PROJ_ALIGN`
-    samples, and to end on one or at the chunk's end: BLAS kernels block
-    the samples in panels counted from the first one, so an entry gets
-    the bytes that projecting the whole chunk gives it wherever BLAS runs
-    the same kernel for both (the kernel tests check this on the BLAS at
-    hand).  Each window is written into one buffer of |pts| x (tile + 2 *
-    `_MC_PROJ_ALIGN`), and the reduction runs in place in one scratch
-    buffer of (|pts| - 1) x tile; both are reused for every row, tile and
-    chunk.  The tile width is the fixed element budget `TILE_ELEMS`
-    divided by |pts| - 1, capped at the chunk, so the buffers stay
-    cache-sized and a two-point call makes one tile per chunk.  |d|^p goes
-    by `_abs_power` (integer p by multiplication) and the sum of |d|^(2p)
-    by a row-wise dot product.  The draws do not depend on the tile; only
-    the summation order does.
+    one tile of samples at a time (`ProcessSpec.projected_tiles`), and each
+    tile is reduced one row of pairs at a time, so the sample buffers stay
+    O(chunk * dim + tile * |pts|) whatever the pair count.  The reduction
+    runs in place in one scratch buffer of (|pts| - 1) x tile, reused for
+    every row, tile and chunk.  The tile width is the fixed element budget
+    `TILE_ELEMS` divided by |pts| - 1, capped at the chunk, so the buffers
+    stay cache-sized and a two-point call makes one tile per chunk.  |d|^p
+    goes by `_abs_power` (integer p by multiplication) and the sum of
+    |d|^(2p) by a row-wise dot product.  The draws do not depend on the
+    tile; only the summation order does.
     """
     m, dim = pts.shape
     pairs = m * (m - 1) // 2
@@ -341,9 +347,9 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     need = 8 * pairs * (dim + 2)
     if method == "monte_carlo":
         # the key's copy of the differences, one chunk's draws, one tile's
-        # projection window, the scratch buffer and at most one spare
+        # projection, the scratch buffer and at most one spare
         need += 8 * (pairs * dim + min(_MC_CHUNK, samples) * dim
-                     + m * (tile + 2 * _MC_PROJ_ALIGN) + 2 * k * tile)
+                     + m * tile + 2 * k * tile)
     if need > _PASS_MAX_BYTES:
         raise ValueError(
             f"{method} pair norms of {m} points in R^{dim} under the "
@@ -362,8 +368,6 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     total = np.zeros(len(diffs))
     total_sq = np.zeros(len(diffs))
     scratch = np.empty(k * tile)
-    # holds the projection window of any tile, rewritten for each
-    proj = np.empty((m, tile + 2 * _MC_PROJ_ALIGN))
     # an integer p that is not a power of two keeps a running product
     spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
     n = 0
@@ -372,12 +376,8 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while n < samples:
             chunk = min(_MC_CHUNK, samples - n)
-            x = proc.sample_matrix(rng, chunk)              # (chunk, dim)
-            for lo in range(0, chunk, tile):
-                w = min(tile, chunk - lo)
-                a = lo - lo % _MC_PROJ_ALIGN
-                b = min(chunk, lo + w + (-(lo + w)) % _MC_PROJ_ALIGN)
-                v = np.matmul(pts, x[a:b].T, out=proj[:, :b - a])[:, lo - a:lo - a + w]
+            for _, v in proc.projected_tiles(rng, chunk, pts, tile):
+                w = v.shape[1]
                 for i in range(k):
                     d = scratch[:(k - i) * w].reshape(k - i, w)
                     np.subtract(v[i + 1:], v[i], out=d)
@@ -432,6 +432,9 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     """
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
+    if T.dimension != proc.dimension:
+        raise ValueError(f"index set dimension {T.dimension} does not match the "
+                         f"process dimension {proc.dimension}")
     p = float(p)
     if p < 1:
         raise ValueError("increment norm requires p >= 1")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema.validators import validator_for
 
+import chainsup
 from chainsup import cli, metric
 
 
@@ -585,7 +586,7 @@ class TestEndToEnd:
         report = json.loads((out / "report.json").read_text())
         assert report["passed"]
         assert report["experiment"] == "supremum"
-        assert report["tool_version"] == cli.VERSION
+        assert report["tool_version"] == chainsup.__version__
 
     def test_fail_exit_two(self, tmp_path, run_cli):
         cfg = self._write_config(tmp_path, {

@@ -5,7 +5,8 @@ gaussian tail and the tail quadrature), so a run that needs neither never
 pays for it; configs are checked by the package's own schema interpreter,
 so no run loads jsonschema.  Each check runs in a fresh child process,
 since this test process may already hold scipy and jsonschema.  Every
-name a module lists in `__all__` exists, once.
+name a module lists in `__all__` exists, once, and no module reads another
+module's private names.
 """
 
 import ast
@@ -78,3 +79,30 @@ def test_all_lists_each_existing_name_once(name):
     listed = list(getattr(module, "__all__", ()))
     assert [n for n in listed if not hasattr(module, n)] == []
     assert sorted(n for n in set(listed) if listed.count(n) > 1) == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    # the package imports its modules relatively: `from . import m [as a]`
+    # binds a module name, `from .m import x` reads a name of m
+    src = Path(chainsup.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    bound |= {a.asname or a.name for a in node.names if a.name in modules}
+                else:
+                    found += [f"{path.name}:{node.lineno} from .{node.module} import {a.name}"
+                              for a in node.names if _private(a.name)]
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound and _private(node.attr)]
+    assert found == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))

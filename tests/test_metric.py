@@ -51,6 +51,30 @@ class TestProcessSpec:
         assert x.shape == want.shape
         assert x.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("count, tile", [(1_000, 300), (1_000, 250), (7, 7),
+                                             (7, 50), (1, 4), (1, 1)])
+    def test_projected_tiles_cover_one_sample_matrix(self, count, tile):
+        # tile not dividing count, dividing it, equal to it, past it, and a
+        # single sample: the tiles are pts @ x.T in order, in one buffer
+        models = (dist.gaussian(), dist.rademacher(), dist.sym_exponential(),
+                  dist.sym_weibull(1.5), dist.three_point(3.0))
+        proc = ProcessSpec(models=models)
+        pts = np.random.default_rng(30).standard_normal((4, 5))
+        rng = np.random.default_rng(31)
+        tiles = list(proc.projected_tiles(rng, count, pts, tile))
+        ref = np.random.default_rng(31)
+        x = proc.sample_matrix(ref, count)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert [lo for lo, _ in tiles] == list(range(0, count, tile))
+        assert [v.shape for lo, v in tiles] == [(4, min(tile, count - lo)) for lo, _ in tiles]
+        assert all(np.shares_memory(v, tiles[0][1]) for _, v in tiles)
+        # each tile is read before the next overwrites the buffer
+        rng = np.random.default_rng(31)
+        got = np.hstack([v.copy() for _, v in proc.projected_tiles(rng, count, pts, tile)])
+        want = pts @ x.T
+        bound = 1e-14 * (np.abs(pts) @ np.abs(x).T)
+        assert np.all(np.abs(got - want) <= bound)
+
 
 class TestIndexSet:
     def test_basis(self):
@@ -175,6 +199,15 @@ class TestDistanceMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             metric.distance_matrix(gauss_proc(2), IndexSet(np.zeros((0, 2))), 2.0)
+
+    @pytest.mark.parametrize("make_proc", [gauss_proc, rad_proc, exp_proc])
+    def test_dimension_mismatch_raises(self, make_proc):
+        # the closed form and the enumeration read T alone, and Monte Carlo
+        # failed inside the projection
+        T = IndexSet(np.random.default_rng(5).standard_normal((4, 5)))
+        with pytest.raises(ValueError, match=r"dimension 5 does not match the "
+                                             r"process dimension 3"):
+            metric.distance_matrix(make_proc(3), T, 2.0, samples=1_000)
 
     def test_rademacher_enumeration_path(self):
         T = IndexSet.basis(4)
@@ -354,37 +387,6 @@ class TestMonteCarloKernel:
         return np.array(values), np.array(errors)
 
     @staticmethod
-    def whole_chunk(proc, pts, p, samples, seed):
-        """The kernel as it stood with each chunk projected whole, then
-        reduced tile by tile in the scratch buffer."""
-        diffs = metric._pair_diffs(pts)
-        rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
-        k = len(pts) - 1
-        rows = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
-        total = np.zeros(len(diffs))
-        total_sq = np.zeros(len(diffs))
-        tile = max(1, min(metric._MC_CHUNK, samples, metric.TILE_ELEMS // k))
-        scratch = np.empty(k * tile)
-        spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
-        n = 0
-        while n < samples:
-            chunk = min(metric._MC_CHUNK, samples - n)
-            v = pts @ proc.sample_matrix(rng, chunk).T
-            for lo in range(0, chunk, tile):
-                w = min(tile, chunk - lo)
-                for i in range(k):
-                    d = scratch[:(k - i) * w].reshape(k - i, w)
-                    np.subtract(v[i + 1:, lo:lo + w], v[i, lo:lo + w], out=d)
-                    d = metric._abs_power(d, p, spare)
-                    total[rows[i]:rows[i + 1]] += d.sum(axis=1)
-                    total_sq[rows[i]:rows[i + 1]] += np.einsum("ij,ij->i", d, d)
-            n += chunk
-        mean = total / n
-        stderr = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
-        err = 3.0 * np.where(mean > 0, stderr / (p * mean ** (1.0 - 1.0 / p)), stderr)
-        return mean ** (1.0 / p), err
-
-    @staticmethod
     def case(m):
         make = dist.sym_exponential if m != 3 else (lambda: dist.three_point(2.0))
         return (ProcessSpec.homogeneous(make(), 4),
@@ -404,18 +406,6 @@ class TestMonteCarloKernel:
         want_values, want_errors = self.naive(proc, pts, p, samples, 5)
         np.testing.assert_allclose(d.values(), want_values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(d.errors, want_errors, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("m", [2, 3, 70])
-    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0, math.log(5.0)])
-    def test_same_bytes_as_the_whole_chunk_projection(self, m, p):
-        # at 70 points the tiles are 3,799 samples wide, so most start off
-        # any BLAS panel boundary; the last chunk holds 1,234 samples
-        samples = 21_234
-        proc, pts = self.case(m)
-        d = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
-        want_values, want_errors = self.whole_chunk(proc, pts, p, samples, 5)
-        assert d.values().tobytes() == want_values.tobytes()
-        assert d.errors.tobytes() == want_errors.tobytes()
 
     def test_sudakov_packing_pass_holds_one_tile(self):
         # the 66 points of packing_set(2, 12): one chunk's projection alone

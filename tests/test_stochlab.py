@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +295,30 @@ class TestTiledProjection:
         assert peak < 32 * 2 ** 20
 
 
+def test_dense_sets_project_through_projected_tiles(monkeypatch):
+    # both Monte-Carlo kernels draw and project through the one method, and
+    # stochlab makes no sample matrix or matmul of its own
+    real = ProcessSpec.projected_tiles
+    counts = []
+
+    def spy(self, rng, count, pts, tile):
+        counts.append(count)
+        yield from real(self, rng, count, pts, tile)
+
+    monkeypatch.setattr(ProcessSpec, "projected_tiles", spy)
+    proc = ProcessSpec.homogeneous(dist.sym_exponential(), 3)
+    T = IndexSet(np.random.default_rng(19).standard_normal((5, 3)))
+    stochlab.estimate_sup(proc, T, 1_000, RngStream(20, 0))
+    assert counts == [1_000]
+    metric.distance_matrix(proc, T, 3.0, samples=1_000, seed=21)
+    assert counts == [1_000, 1_000]
+    tree = ast.parse(Path(stochlab.__file__).read_text())
+    own = [n.lineno for n in ast.walk(tree)
+           if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+           or isinstance(n, ast.Attribute) and n.attr in ("matmul", "dot", "sample_matrix")]
+    assert own == []
+
+
 class TestOrderStats:
     def test_rademacher_degenerate(self):
         recs = stochlab.order_stat_means(dist.rademacher(), 4, [1, 2, 4],
@@ -380,6 +406,30 @@ class TestContraction:
                                          samples=1_000, stream=RngStream(5, 0))
         assert out["passed"]
         assert seen == [(1_000, 5), (1_000, 5)]
+
+    def test_monte_carlo_near_tie_passes(self):
+        # 30 rademacher coordinates are past enumeration, so both norms are
+        # Monte Carlo; a is b with one coefficient scaled by 0.9999, far
+        # inside the noise of 2,000 samples.  Without the error bars, 10 of
+        # these 20 streams reported a violation
+        b = np.ones(30)
+        a = b.copy()
+        a[0] *= 0.9999
+        for seed in range(20):
+            out = stochlab.contraction_check(a, b, 4.0, samples=2_000,
+                                             stream=RngStream(seed, 0))
+            assert out["passed"], seed
+
+    @pytest.mark.parametrize("value_a, passed", [(1.71, False), (1.69, True)])
+    def test_planted_violation_past_both_bars_fails(self, monkeypatch, value_a, passed):
+        # norm_b 1.5 and two bars of 0.1: a norm_a past 1.7 is a violation
+        results = iter([metric.IncrementNormResult(value_a, 0.1, "monte_carlo"),
+                        metric.IncrementNormResult(1.5, 0.1, "monte_carlo")])
+        monkeypatch.setattr(stochlab, "increment_norm", lambda *a, **kw: next(results))
+        out = stochlab.contraction_check(np.full(30, 0.5), np.ones(30), 4.0,
+                                         samples=2_000)
+        assert (out["norm_a"], out["norm_b"]) == (value_a, 1.5)
+        assert out["passed"] is passed
 
     def test_random_pairs(self):
         rng = np.random.default_rng(10)
