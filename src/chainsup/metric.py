@@ -12,7 +12,12 @@ kernel shares one stream of draws across all pairs of a point set,
 projects it onto the points one tile of samples at a time and reduces
 each tile in place in one scratch buffer sized from a fixed element
 budget; integer p is raised by repeated squaring and multiplication, so
-p = 4 or 8 costs two or three multiplies per sample.
+p = 4 or 8 costs two or three multiplies per sample.  Every coordinate
+law is symmetric and the coordinates independent, so d_p(s, t) depends
+only on |s - t|, and only on its sorted entries when every coordinate
+holds one model object; the kernel reduces each such increment pattern
+once, at its lowest pair, and every pair of the pattern reads that value
+and error.
 `distance_matrix` is the one entry point to every backend: it returns a
 read-only `PairNorms` view of the condensed pair vector, scipy's pdist
 layout (pairs i < j, row-major), as a kept base vector times a scale,
@@ -56,6 +61,11 @@ _MC_CHUNK = 20_000
 # and a tile of projected process values in stochlab
 TILE_ELEMS = 1 << 18
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated or Monte-Carlo pass may take
+# multiply-xorshift mix of the increment-pattern row hash, and the rows it
+# hashes per block: each column pass then reads 4,096 cache lines (256 KiB)
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(29)
+_HASH_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -317,25 +327,77 @@ def _abs_power(d: np.ndarray, p: float, spare: Optional[np.ndarray]) -> np.ndarr
     return d if acc is None else np.multiply(acc, d, out=acc)
 
 
+def _increment_classes(proc: ProcessSpec, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, cls): the sorted positions of each increment pattern's
+    lowest pair, and each pair's index into `reps`.
+
+    Writes the patterns over `diffs`: |d|, sorted along the row when every
+    coordinate holds the same model object (identity, not a descriptor,
+    which need not fix a law).  Rows are hashed with integer ops and the
+    hashes sorted; only neighbours whose rows are bit for bit equal merge,
+    so a hash collision can split a class but never joins two patterns.
+    """
+    np.abs(diffs, out=diffs)
+    if all(m is proc.models[0] for m in proc.models):
+        diffs.sort(axis=1)
+    words = diffs.view(np.uint64)
+    pairs, dim = words.shape
+    # multiply-xorshift over each row's words, a block of rows at a time so
+    # that the column reads stay in cache
+    h = np.zeros(pairs, np.uint64)
+    shifted = np.empty(min(_HASH_ROWS, pairs), np.uint64)
+    for lo in range(0, pairs, _HASH_ROWS):
+        hb = h[lo:lo + _HASH_ROWS]
+        for c in range(dim):
+            hb ^= words[lo:lo + _HASH_ROWS, c]
+            hb *= _HASH_MUL
+            hb ^= np.right_shift(hb, _HASH_SHIFT, out=shifted[:len(hb)])
+    order = np.argsort(h)
+    h = h[order]
+    same = h[1:] == h[:-1]
+    cand = np.flatnonzero(same)
+    a, b = order[cand], order[cand + 1]
+    for c in range(dim):
+        same[cand] &= words[a, c] == words[b, c]
+    # runs of equal rows in hash order; a run's representative is its lowest pair
+    first = np.concatenate([[True], ~same])
+    run_rep = np.minimum.reduceat(order, np.flatnonzero(first))
+    rep_of = np.empty_like(order)
+    rep_of[order] = run_rep[np.cumsum(first) - 1]
+    is_rep = np.zeros(pairs, bool)
+    is_rep[run_rep] = True
+    return np.flatnonzero(is_rep), np.cumsum(is_rep)[rep_of] - 1
+
+
 def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
                          seed: int, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Values and 3-sigma errors of `distance_matrix` by sign enumeration or
     Monte Carlo, as `method` says.
 
     A pass whose estimated allocation (the pair differences, the stream
-    key's copy of them, one chunk's draws, one tile's projection and its
-    scratch buffers, and the two per-pair outputs) exceeds
-    `_PASS_MAX_BYTES` raises before it allocates.
+    key's copy of them, the pattern classes, one chunk's draws, one
+    tile's projection and its scratch buffers, and the two per-pair
+    outputs) exceeds `_PASS_MAX_BYTES` raises before it allocates.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
     `_MC_CHUNK` draws from one derived stream is projected onto the points
     one tile of samples at a time (`ProcessSpec.projected_tiles`), and each
     tile is reduced one row of pairs at a time, so the sample buffers stay
-    O(chunk * dim + tile * |pts|) whatever the pair count.  The reduction
-    runs in place in one scratch buffer of (|pts| - 1) x tile, reused for
-    every row, tile and chunk.  The tile width is the fixed element budget
-    `TILE_ELEMS` divided by |pts| - 1, capped at the chunk, so the buffers
-    stay cache-sized and a two-point call makes one tile per chunk.  |d|^p
+    O(chunk * dim + tile * |pts|) whatever the pair count.  Pairs whose
+    increments share a law (`_increment_classes`: equal |s - t|, sorted
+    when the coordinates are exchangeable) are reduced once, at the
+    class's lowest pair, and every pair of the class reads that value and
+    error: the same bits for the same law, and no minimum taken over
+    noisy copies of one number.  A row whose pairs are all
+    representatives subtracts the contiguous rows after it; any other
+    gathers its representatives first.  The stream is keyed on the
+    differences before they become patterns, so the classes change no
+    draw, and a set whose patterns are all distinct reduces every pair
+    by contiguous rows.  The reduction runs in place in one
+    scratch buffer of (|pts| - 1) x tile, reused for every row, tile and
+    chunk.  The tile width is the fixed element budget `TILE_ELEMS`
+    divided by |pts| - 1, capped at the chunk, so the buffers stay
+    cache-sized and a two-point call makes one tile per chunk.  |d|^p
     goes by `_abs_power` (integer p by multiplication) and the sum of
     |d|^(2p) by a row-wise dot product.  The draws do not depend on the
     tile; only the summation order does.
@@ -346,9 +408,10 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     tile = max(1, min(_MC_CHUNK, samples, TILE_ELEMS // k))
     need = 8 * pairs * (dim + 2)
     if method == "monte_carlo":
-        # the key's copy of the differences, one chunk's draws, one tile's
-        # projection, the scratch buffer and at most one spare
-        need += 8 * (pairs * dim + min(_MC_CHUNK, samples) * dim
+        # the key's copy of the differences, six pair-length vectors of
+        # the pattern classes, one chunk's draws, one tile's projection,
+        # the scratch buffer and at most one spare
+        need += 8 * (pairs * (dim + 6) + min(_MC_CHUNK, samples) * dim
                      + m * tile + 2 * k * tile)
     if need > _PASS_MAX_BYTES:
         raise ValueError(
@@ -363,10 +426,17 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
     rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
-    # pairs (i, j > i) occupy rows[i]:rows[i + 1] of the row-major order
+    reps, cls = _increment_classes(proc, diffs)
+    del diffs
+    # pairs (i, j > i) occupy rows[i]:rows[i + 1] of the row-major order,
+    # and their representatives reps[at[i]:at[i + 1]]
     rows = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
-    total = np.zeros(len(diffs))
-    total_sq = np.zeros(len(diffs))
+    at = np.searchsorted(reps, rows)
+    # (row, first, end, the points j to gather or None for all j > row)
+    work = [(i, a, b, None if b - a == k - i else reps[a:b] - (rows[i] - i - 1))
+            for i, (a, b) in enumerate(zip(at[:-1], at[1:])) if b > a]
+    total = np.zeros(len(reps))
+    total_sq = np.zeros(len(reps))
     scratch = np.empty(k * tile)
     # an integer p that is not a power of two keeps a running product
     spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
@@ -378,18 +448,22 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
             chunk = min(_MC_CHUNK, samples - n)
             for _, v in proc.projected_tiles(rng, chunk, pts, tile):
                 w = v.shape[1]
-                for i in range(k):
-                    d = scratch[:(k - i) * w].reshape(k - i, w)
-                    np.subtract(v[i + 1:], v[i], out=d)
+                for i, a, b, js in work:
+                    d = scratch[:(b - a) * w].reshape(b - a, w)
+                    if js is None:
+                        np.subtract(v[i + 1:], v[i], out=d)
+                    else:
+                        np.subtract(np.take(v, js, axis=0, out=d, mode="clip"), v[i], out=d)
                     d = _abs_power(d, p, spare)
-                    total[rows[i]:rows[i + 1]] += d.sum(axis=1)
-                    total_sq[rows[i]:rows[i + 1]] += np.einsum("ij,ij->i", d, d)
+                    total[a:b] += d.sum(axis=1)
+                    total_sq[a:b] += np.einsum("ij,ij->i", d, d)
             n += chunk
         mean = total / n
         stderr = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
         # delta method on m -> m^(1/p)
         err = 3.0 * np.where(mean > 0, stderr / (p * mean ** (1.0 - 1.0 / p)), stderr)
         values = mean ** (1.0 / p)
+    values, err = values[cls], err[cls]
     bad = np.count_nonzero(~(np.isfinite(values) & np.isfinite(err)))
     if bad:
         raise ValueError(

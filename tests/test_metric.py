@@ -430,6 +430,74 @@ class TestMonteCarloKernel:
             metric.distance_matrix(exp_proc(5), IndexSet(pts), 128, 21_234, 0)
 
 
+class TestIncrementClasses:
+    """Pairs whose increments share a law share one Monte-Carlo reduction."""
+
+    def test_permutations_and_sign_flips_share_the_bits(self):
+        # with one model object on every coordinate, d_p(0, t) depends only
+        # on the sorted |t|
+        d = np.array([0.5, -1.0, 2.0, 0.0, 1.5])
+        T = IndexSet.with_origin([d, d[::-1], -d, d * [1, 1, -1, 1, -1],
+                                  np.roll(-d, 2)])
+        v = metric.distance_matrix(exp_proc(5), T, 3.0, 5_000, 2)
+        assert v.method == "monte_carlo"
+        assert len(set(v.values()[:5].tolist())) == 1
+        assert len(set(v.errors[:5].tolist())) == 1
+        # other increments keep their own estimates
+        assert v.values()[5] != v.values()[0]
+
+    def test_coordinates_with_different_laws_do_not_merge(self):
+        proc = ProcessSpec(models=(dist.sym_exponential(), dist.three_point(2.0)))
+        v = metric.distance_matrix(proc, IndexSet.with_origin(np.eye(2)), 4.0, 5_000, 2)
+        assert v.method == "monte_carlo"
+        assert v.values()[0] != v.values()[1]
+        assert v.errors[0] != v.errors[1]
+
+    def test_exchangeable_means_one_model_object(self):
+        # two objects of one law: a descriptor need not fix a law, so the
+        # coordinates are not sorted and (0, e1), (0, e2) keep two estimates
+        T = IndexSet.with_origin(np.eye(2))
+        two = ProcessSpec(models=(dist.sym_exponential(), dist.sym_exponential()))
+        v = metric.distance_matrix(two, T, 4.0, 5_000, 2).values()
+        assert v[0] != v[1]
+        v = metric.distance_matrix(exp_proc(2), T, 4.0, 5_000, 2).values()
+        assert v[0] == v[1]
+
+    def test_sudakov_packing_holds_the_two_closed_forms(self):
+        # packing_set(2, 12): two points share one coordinate or none, so
+        # |s - t| has two or four ones, and under standardized Laplace
+        # coordinates (E X^4 = 6) d_4 is 18^(1/4) or 60^(1/4)
+        from chainsup import verify
+
+        v = metric.distance_matrix(exp_proc(12), verify.packing_set(2, 12), 4.0,
+                                   100_000, 3)
+        vals = v.values()
+        distinct, first = np.unique(vals, return_index=True)
+        assert len(distinct) == 2
+        for value, err, exact in zip(distinct, v.errors[first], [18 ** 0.25, 60 ** 0.25]):
+            assert abs(value - exact) <= err
+        assert np.array_equal(v.errors, v.errors[first][(vals == distinct[1]).astype(int)])
+
+    def test_hash_collisions_never_merge(self, monkeypatch):
+        # every row hashes to zero, so only the row comparison can merge
+        # lattice points repeat patterns; the normal points' pairs do not
+        rng = np.random.default_rng(4)
+        pts = np.vstack([rng.integers(-1, 2, size=(10, 3)), rng.standard_normal((3, 3))])
+        want = metric.distance_matrix(exp_proc(3), IndexSet(pts), 3.0, 3_000, 1)
+        monkeypatch.setattr(metric, "_HASH_MUL", np.uint64(0))
+        got = metric.distance_matrix(exp_proc(3), IndexSet(pts), 3.0, 3_000, 1)
+        patterns = np.sort(np.abs(metric._pair_diffs(pts)), axis=1)
+        _, inverse, counts = np.unique(patterns, axis=0, return_inverse=True,
+                                       return_counts=True)
+        for a, b in zip(*np.triu_indices(len(patterns), 1)):
+            if inverse[a] != inverse[b]:
+                assert got.values()[a] != got.values()[b]
+        # a pattern met once is its own class either way: the same value
+        once = counts[inverse] == 1
+        assert once.any()
+        assert np.array_equal(got.values()[once], want.values()[once])
+
+
 class TestPairNormCache:
     """Enumerated and Monte-Carlo pair norms are kept on the IndexSet."""
 

@@ -405,7 +405,8 @@ class TestContraction:
         out = stochlab.contraction_check(np.full(24, 0.5), np.ones(24), 3.0,
                                          samples=1_000, stream=RngStream(5, 0))
         assert out["passed"]
-        assert seen == [(1_000, 5), (1_000, 5)]
+        # both norms from one pass over {0, a, b}
+        assert seen == [(1_000, 5)]
 
     def test_monte_carlo_near_tie_passes(self):
         # 30 rademacher coordinates are past enumeration, so both norms are
@@ -422,14 +423,37 @@ class TestContraction:
 
     @pytest.mark.parametrize("value_a, passed", [(1.71, False), (1.69, True)])
     def test_planted_violation_past_both_bars_fails(self, monkeypatch, value_a, passed):
-        # norm_b 1.5 and two bars of 0.1: a norm_a past 1.7 is a violation
-        results = iter([metric.IncrementNormResult(value_a, 0.1, "monte_carlo"),
-                        metric.IncrementNormResult(1.5, 0.1, "monte_carlo")])
-        monkeypatch.setattr(stochlab, "increment_norm", lambda *a, **kw: next(results))
+        # norm_b 1.5 and two bars of 0.1: a norm_a past 1.7 is a violation;
+        # the pass over {0, a, b} holds (0, a), (0, b), then (a, b)
+        planted = metric.PairNorms(np.array([value_a, 1.5, 0.4]), 1.0,
+                                   np.array([0.1, 0.1, 0.1]), "monte_carlo")
+        monkeypatch.setattr(metric, "distance_matrix", lambda *a, **kw: planted)
         out = stochlab.contraction_check(np.full(30, 0.5), np.ones(30), 4.0,
                                          samples=2_000)
         assert (out["norm_a"], out["norm_b"]) == (value_a, 1.5)
         assert out["passed"] is passed
+
+    def test_sign_flip_reads_the_same_bits(self):
+        # (0, -b) and (0, b) share one increment law, so one estimate
+        b = np.linspace(0.5, 1.5, 24)
+        out = stochlab.contraction_check(-b, b, 3.0, samples=2_000, stream=RngStream(3, 0))
+        assert out["norm_a"] == out["norm_b"]
+        assert out["passed"]
+
+    def test_both_esup_estimates_read_one_child_stream(self, monkeypatch):
+        streams = []
+        real = stochlab.estimate_sup
+
+        def spy(proc, T, samples, stream, **kw):
+            streams.append(stream)
+            return real(proc, T, samples, stream, **kw)
+
+        monkeypatch.setattr(stochlab, "estimate_sup", spy)
+        T = IndexSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        out = stochlab.contraction_check([0.5, 0.8], [1.0, 1.0], 2.0, T=T,
+                                         samples=2_000, stream=RngStream(8, 0))
+        assert streams == [RngStream(8, 0).child(0)] * 2
+        assert out["passed"]
 
     def test_random_pairs(self):
         rng = np.random.default_rng(10)
@@ -458,6 +482,30 @@ class TestSymmetrization:
                                             samples=60_000, stream=RngStream(14, 0))
         ex, es = out["esup_base"], out["esup_sym"]
         assert abs(ex.mean - es.mean) <= 4 * (ex.stderr + es.stderr)
+
+    def test_one_symmetrized_model_per_base_model(self, monkeypatch):
+        # a homogeneous process stays homogeneous, so its coordinates stay
+        # exchangeable; distinct base objects keep distinct symmetrized ones
+        procs = []
+        real = metric.distance_matrix
+
+        def spy(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
+            procs.append(proc)
+            return real(proc, T, p, samples, seed)
+
+        monkeypatch.setattr(metric, "distance_matrix", spy)
+        pts = np.random.default_rng(15).standard_normal((3, 3))
+        exp = dist.sym_exponential()
+        mixed = ProcessSpec(models=(exp, dist.three_point(2.0), exp))
+        for proc in (ProcessSpec.homogeneous(exp, 3), mixed):
+            stochlab.symmetrization_check(proc, IndexSet(pts), 3.0, samples=1_000,
+                                          stream=RngStream(16, 0))
+        homo, mixed_sym = procs[1].models, procs[3].models
+        assert homo[0] is homo[1] is homo[2]
+        assert mixed_sym[0] is mixed_sym[2] and mixed_sym[0] is not mixed_sym[1]
+        assert [m.family for m in mixed_sym] == ["sym_exponential_symmetrized",
+                                                 "three_point_symmetrized",
+                                                 "sym_exponential_symmetrized"]
 
     @staticmethod
     def _patch_distance_matrix(monkeypatch, scale_second=1.0):
