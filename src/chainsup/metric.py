@@ -61,11 +61,6 @@ _MC_CHUNK = 20_000
 # and a tile of projected process values in stochlab
 TILE_ELEMS = 1 << 18
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated or Monte-Carlo pass may take
-# multiply-xorshift mix of the increment-pattern row hash, and the rows it
-# hashes per block: each column pass then reads 4,096 cache lines (256 KiB)
-_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
-_HASH_SHIFT = np.uint64(29)
-_HASH_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -333,33 +328,21 @@ def _increment_classes(proc: ProcessSpec, diffs: np.ndarray) -> tuple[np.ndarray
 
     Writes the patterns over `diffs`: |d|, sorted along the row when every
     coordinate holds the same model object (identity, not a descriptor,
-    which need not fix a law).  Rows are hashed with integer ops and the
-    hashes sorted; only neighbours whose rows are bit for bit equal merge,
-    so a hash collision can split a class but never joins two patterns.
+    which need not fix a law).  Rows are sorted by their bytes, so equal
+    rows are neighbours, and neighbours that are bit for bit equal merge:
+    the classes are exact.
     """
     np.abs(diffs, out=diffs)
     if all(m is proc.models[0] for m in proc.models):
         diffs.sort(axis=1)
     words = diffs.view(np.uint64)
     pairs, dim = words.shape
-    # multiply-xorshift over each row's words, a block of rows at a time so
-    # that the column reads stay in cache
-    h = np.zeros(pairs, np.uint64)
-    shifted = np.empty(min(_HASH_ROWS, pairs), np.uint64)
-    for lo in range(0, pairs, _HASH_ROWS):
-        hb = h[lo:lo + _HASH_ROWS]
-        for c in range(dim):
-            hb ^= words[lo:lo + _HASH_ROWS, c]
-            hb *= _HASH_MUL
-            hb ^= np.right_shift(hb, _HASH_SHIFT, out=shifted[:len(hb)])
-    order = np.argsort(h)
-    h = h[order]
-    same = h[1:] == h[:-1]
-    cand = np.flatnonzero(same)
-    a, b = order[cand], order[cand + 1]
+    order = np.argsort(diffs.view(np.dtype((np.void, 8 * dim))).ravel())
+    same = np.ones(pairs - 1, bool)
+    a, b = order[:-1], order[1:]
     for c in range(dim):
-        same[cand] &= words[a, c] == words[b, c]
-    # runs of equal rows in hash order; a run's representative is its lowest pair
+        same &= words[a, c] == words[b, c]
+    # runs of equal rows in byte order; a run's representative is its lowest pair
     first = np.concatenate([[True], ~same])
     run_rep = np.minimum.reduceat(order, np.flatnonzero(first))
     rep_of = np.empty_like(order)
@@ -420,8 +403,10 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
             f"past the {_PASS_MAX_BYTES / 2**20:,.0f} MiB limit of one pass")
     diffs = _pair_diffs(pts)
     if method == "enumeration":
-        values = np.array([np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0])) ** p)
-                           ** (1.0 / p) for d in diffs])
+        # each increment scaled by its largest |c|, so no power under- or overflows
+        tops = np.abs(diffs).max(axis=1)
+        values = np.array([t * np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0] / t)) ** p)
+                           ** (1.0 / p) if t else 0.0 for d, t in zip(diffs, tops)])
         return values, np.zeros(len(diffs))
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dist, metric
 from .dist import DistributionModel
-from .metric import TILE_ELEMS, IndexSet, ProcessSpec, increment_norm
+from .metric import TILE_ELEMS, IndexSet, ProcessSpec
 from .streams import RngStream
 
 __all__ = [
@@ -67,20 +67,21 @@ class SupremumEstimate:
 
 
 def _accumulate(stream: RngStream, samples: int, draw_chunk, workers: int = 1):
-    """Chunked mean/stderr accumulation: (mean, stderr, n).
+    """Chunked mean/stderr accumulation: (mean, stderr).
 
-    `draw_chunk(rng, rows)` returns one value per row, or a (rows, k)
-    array for k means at once; sums run along axis 0.  Each chunk draws
-    from its own child stream and partial sums are merged in chunk order,
-    so the result is bitwise identical for any worker count; workers > 1
-    only parallelizes the chunk computations.
+    `draw_chunk(rng, rows)` returns one value per row, or a C-ordered
+    (k, rows) array for k means of the same draws; sums run along the
+    last axis, so each row is summed pairwise, bit for bit like a lone
+    vector.  Each chunk draws from its own child stream and partial sums
+    are merged in chunk order, so the result is bitwise identical for
+    any worker count; workers > 1 only parallelizes the chunk work.
     """
     sizes = [min(_CHUNK, samples - i * _CHUNK)
              for i in range((samples + _CHUNK - 1) // _CHUNK)]
 
     def work(i: int):
         vals = draw_chunk(stream.child(i + 1).generator(), sizes[i])
-        return vals.sum(axis=0), (vals * vals).sum(axis=0)
+        return vals.sum(axis=-1), (vals * vals).sum(axis=-1)
 
     if workers <= 1:
         parts = [work(i) for i in range(len(sizes))]
@@ -93,10 +94,9 @@ def _accumulate(stream: RngStream, samples: int, draw_chunk, workers: int = 1):
     for s, s2 in parts:
         total += s
         total_sq += s2
-    n = sum(sizes)
-    mean = total / n
-    var = np.maximum(total_sq / n - mean * mean, 0.0)
-    return mean, np.sqrt(var / n), n
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean * mean, 0.0)
+    return mean, np.sqrt(var / samples)
 
 
 def _selection(pts: np.ndarray):
@@ -202,8 +202,8 @@ def estimate_sup(proc: ProcessSpec, T: IndexSet, samples: int,
         return SupremumEstimate(0.0, 0.0, samples, stream.master_seed,
                                 stream.stream_id, target)
     draw = _tiled_draw(proc, T.points, _REDUCERS[target])
-    mean, stderr, n = _accumulate(stream, samples, draw, workers=workers)
-    return SupremumEstimate(float(mean), float(stderr), n, stream.master_seed,
+    mean, stderr = _accumulate(stream, samples, draw, workers=workers)
+    return SupremumEstimate(float(mean), float(stderr), samples, stream.master_seed,
                             stream.stream_id, target)
 
 
@@ -226,13 +226,14 @@ def estimate_mean(proc: ProcessSpec, T: IndexSet, samples: int, stream: RngStrea
 
     `transform` maps the (rows,) vectors of the row max `hi` and row min
     `lo` of the process values over T to one number per row, such as
-    np.maximum(hi, -lo) ** p for sup_t |X_t|^p; each chunk is reduced as
-    in `estimate_sup`.  Used for weak/strong-moment experiments.
+    np.maximum(hi, -lo) ** p for sup_t |X_t|^p, or to a (k, rows) array
+    of k functionals, whose k means and stderrs (two lists) read one set
+    of draws, each bit for bit a one-functional call on the same stream.
     """
     _check_inputs(proc, T, samples)
     draw = _tiled_draw(proc, T.points, transform)
-    mean, stderr, _ = _accumulate(stream, samples, draw, workers=workers)
-    return float(mean), float(stderr)
+    mean, stderr = _accumulate(stream, samples, draw, workers=workers)
+    return mean.tolist(), stderr.tolist()
 
 
 def order_stat_means(model: DistributionModel, n: int, ks: Sequence[int],
@@ -252,9 +253,9 @@ def order_stat_means(model: DistributionModel, n: int, ks: Sequence[int],
     def draw(rng, chunk):
         x = np.abs(model.sample_with(rng, chunk * n).reshape(chunk, n))
         x.sort(axis=1)
-        return x[:, cols]
+        return x[:, cols].T
 
-    means, stderrs, _ = _accumulate(stream, samples, draw)
+    means, stderrs = _accumulate(stream, samples, draw)
     return [{
         "k": k,
         "estimate": float(mean),
@@ -369,8 +370,13 @@ def symmetrization_check(proc: ProcessSpec, T: IndexSet, p: float,
     bracket_ok = bool(np.all((0.5 * dx - err <= dxs) & (dxs <= 2.0 * dx + err)))
 
     e_x = estimate_sup(proc, T, samples, stream.child(0))
-    e_sym = estimate_sup(sproc, T, samples, stream.child(1))
-    e_sym_max = estimate_sup(sproc, T, samples, stream.child(2), target="max_only")
+    # sup (X_s - X_t) and sup X_t of the symmetrized process from one pass
+    child = stream.child(1)
+    means, errs = estimate_mean(sproc, T, samples, child,
+                                lambda hi, lo: np.stack([hi - lo, hi]))
+    e_sym, e_sym_max = (SupremumEstimate(m, e, samples, child.master_seed,
+                                         child.stream_id, target)
+                        for m, e, target in zip(means, errs, ("sup_increments", "max_only")))
     slack = 3.0 * (e_x.stderr + e_sym.stderr + e_sym_max.stderr)
     esup_ok = (0.5 * e_x.mean - slack <= e_sym.mean <= 2.0 * e_x.mean + slack)
     identity_ok = abs(e_sym.mean - 2.0 * e_sym_max.mean) <= 3.0 * (

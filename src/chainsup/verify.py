@@ -157,14 +157,20 @@ def weak_strong_experiment(proc: ProcessSpec, T: IndexSet, p: float,
                            samples: int, stream: RngStream,
                            workers: int = 1) -> dict:
     """Observed constant in the weak/strong moment comparison:
-    (E sup|X_t|^p)^(1/p) / (E sup|X_t| + sup_t ||X_t||_p)."""
+    (E sup|X_t|^p)^(1/p) / (E sup|X_t| + sup_t ||X_t||_p), with both
+    E sup terms from one pass on stream.child(1)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    strong_mean, strong_err = estimate_mean(
-        proc, T, samples, stream.child(0),
-        lambda hi, lo: np.maximum(hi, -lo) ** p, workers=workers)
-    weak_sup = estimate_sup(proc, T, samples, stream.child(1), target="sup_abs",
-                            workers=workers)
+
+    def sup_abs_and_power(hi, lo):
+        a = np.maximum(hi, -lo)
+        return np.stack([a, a ** p])
+
+    child = stream.child(1)
+    (weak_mean, strong_mean), (weak_err, strong_err) = estimate_mean(
+        proc, T, samples, child, sup_abs_and_power, workers=workers)
+    weak_sup = SupremumEstimate(weak_mean, weak_err, samples, child.master_seed,
+                                child.stream_id, "sup_abs")
     norms = [increment_norm(proc, t, np.zeros(proc.dimension), p,
                             samples=samples, seed=stream.master_seed).value
              for t in T.points]

@@ -478,24 +478,31 @@ class TestIncrementClasses:
             assert abs(value - exact) <= err
         assert np.array_equal(v.errors, v.errors[first][(vals == distinct[1]).astype(int)])
 
-    def test_hash_collisions_never_merge(self, monkeypatch):
-        # every row hashes to zero, so only the row comparison can merge
-        # lattice points repeat patterns; the normal points' pairs do not
-        rng = np.random.default_rng(4)
-        pts = np.vstack([rng.integers(-1, 2, size=(10, 3)), rng.standard_normal((3, 3))])
-        want = metric.distance_matrix(exp_proc(3), IndexSet(pts), 3.0, 3_000, 1)
-        monkeypatch.setattr(metric, "_HASH_MUL", np.uint64(0))
-        got = metric.distance_matrix(exp_proc(3), IndexSet(pts), 3.0, 3_000, 1)
-        patterns = np.sort(np.abs(metric._pair_diffs(pts)), axis=1)
-        _, inverse, counts = np.unique(patterns, axis=0, return_inverse=True,
-                                       return_counts=True)
-        for a, b in zip(*np.triu_indices(len(patterns), 1)):
-            if inverse[a] != inverse[b]:
-                assert got.values()[a] != got.values()[b]
-        # a pattern met once is its own class either way: the same value
-        once = counts[inverse] == 1
-        assert once.any()
-        assert np.array_equal(got.values()[once], want.values()[once])
+
+# lattice point sets repeat increment patterns; the classes must be those
+# of a plain grouping of the patterns by their bytes
+@given(pts=st.integers(1, 5).flatmap(lambda dim: st.lists(
+           st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                    min_size=dim, max_size=dim), min_size=2, max_size=12)),
+       mixed=st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_increment_classes_equal_a_grouping_by_row_bytes(pts, mixed):
+    pts = np.array(pts)
+    dim = pts.shape[1]
+    if mixed:  # no two coordinates share a model object: rows are not sorted
+        proc = ProcessSpec(models=tuple(dist.sym_exponential() if j % 2 else
+                                        dist.three_point(2.0) for j in range(dim)))
+    else:
+        proc = exp_proc(dim)
+    diffs = metric._pair_diffs(pts)
+    patterns = np.abs(diffs)
+    if all(m is proc.models[0] for m in proc.models):
+        patterns.sort(axis=1)
+    lowest = {}
+    want = [lowest.setdefault(row.tobytes(), k) for k, row in enumerate(patterns)]
+    reps, cls = metric._increment_classes(proc, diffs)
+    assert reps.tolist() == sorted(lowest.values())
+    assert reps[cls].tolist() == want
 
 
 class TestPairNormCache:
@@ -776,19 +783,25 @@ def test_is_exact_metric():
     assert not metric.is_exact_metric(exp_proc(2), IndexSet.basis(2))
 
 
-# nonzero coordinates in [1e-3, 1e3]: unless the one difference d of the point
-# set {0, d} is 0 (then d_p is 0 at every p), 1e-3 <= sum |d_j| <= 9e3, so the
-# enumerated mean of |sum|^p (its term with the signs of d alone is
-# >= 1e-96 / 2^9) neither underflows nor overflows for p <= 32 in R^9
+@pytest.mark.parametrize("p", [2.0, 16.0, 32.0, 40.0])
+def test_enumerated_tiny_increment_does_not_underflow(p):
+    # unscaled, (1e-20)^32 underflows to 0.0 and two distinct points sat at
+    # distance 0 in the metric of greedy level 5
+    assert increment_norm(rad_proc(1), [1e-20], [0.0], p).value == 1e-20
+
+
+# nonzero coordinates in [1e-30, 1e30]: the enumeration scales each
+# increment by its largest |d_j| before the power, so at p <= 128 in R^9
+# no power of a signed sum underflows to a zero norm or overflows
 _MODERATE_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-                             st.floats(min_value=1e-3, max_value=1e3),
-                             st.floats(min_value=-1e3, max_value=-1e-3))
+                             st.floats(min_value=1e-30, max_value=1e30),
+                             st.floats(min_value=-1e30, max_value=-1e-30))
 
 
 @given(d=st.sampled_from([1, 2, 3, 9]).flatmap(
            lambda dim: st.lists(_MODERATE_COORDS, min_size=dim, max_size=dim)),
        family=st.sampled_from([dist.gaussian, dist.rademacher]),
-       ps=st.lists(st.floats(min_value=1.0, max_value=32.0), min_size=2, max_size=2,
+       ps=st.lists(st.floats(min_value=1.0, max_value=128.0), min_size=2, max_size=2,
                    unique=True).map(sorted))
 @example(d=[1.0, -1.0, 0.5], family=dist.rademacher, ps=[1.0, 1.0 + 1e-9])
 @settings(max_examples=150, deadline=None, derandomize=True)

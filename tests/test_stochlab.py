@@ -216,6 +216,21 @@ class TestTiledProjection:
         assert got == self.naive(self.proc, pts, self.samples, stream,
                                  lambda v: np.abs(v).max(axis=1) ** 4)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", [*_SELECTIONS, *_NOT_SELECTIONS])
+    def test_k_functionals_equal_k_one_functional_calls(self, uneven_tiles, name,
+                                                        workers):
+        pts = {**_SELECTIONS, **_NOT_SELECTIONS}[name]
+        fs = (lambda hi, lo: hi - lo, lambda hi, lo: hi,
+              lambda hi, lo: np.maximum(hi, -lo) ** 3)
+        stream = RngStream(29, 7)
+        means, errs = stochlab.estimate_mean(
+            self.proc, IndexSet(pts), self.samples, stream,
+            lambda hi, lo: np.stack([f(hi, lo) for f in fs]), workers=workers)
+        assert list(zip(means, errs)) == [
+            stochlab.estimate_mean(self.proc, IndexSet(pts), self.samples, stream, f)
+            for f in fs]
+
     @pytest.mark.parametrize("target", stochlab.TARGETS)
     def test_selection_that_skips_coordinates(self, target):
         # e_1 and e_5 in R^8: coordinates 2-4 and 6-8 are drawn but unused,
@@ -523,7 +538,6 @@ class TestSymmetrization:
 
         monkeypatch.setattr(metric, "distance_matrix", counting)
         monkeypatch.setattr(metric, "increment_norm", no_pair_loop)
-        monkeypatch.setattr(stochlab, "increment_norm", no_pair_loop)
         return calls
 
     def test_moment_bracket_takes_two_pair_norm_passes(self, monkeypatch):
@@ -541,6 +555,36 @@ class TestSymmetrization:
         out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 3.0,
                                             samples=20_000, stream=RngStream(16, 0))
         assert not out["moment_bracket_ok"] and not out["passed"]
+
+    def test_symmetrized_sups_take_one_pass(self, monkeypatch):
+        passes = []
+        real = stochlab._accumulate
+
+        def spy(stream, *args, **kw):
+            passes.append(stream)
+            return real(stream, *args, **kw)
+
+        monkeypatch.setattr(stochlab, "_accumulate", spy)
+        pts = np.random.default_rng(15).standard_normal((4, 3))
+        out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 2.0,
+                                            samples=2_000, stream=RngStream(16, 0))
+        assert passes == [RngStream(16, 0).child(0), RngStream(16, 0).child(1)]
+        assert out["esup_sym"].stream_id == out["esup_sym_max"].stream_id
+
+    def test_esup_identity_can_fail(self, monkeypatch):
+        # E sup X_t planted 1.5 times too large breaks E sup (X_s - X_t) = 2 E sup X_t
+        real = stochlab.estimate_mean
+
+        def planted(*args, **kw):
+            (sup_inc, sup_max), errs = real(*args, **kw)
+            return [sup_inc, 1.5 * sup_max], errs
+
+        monkeypatch.setattr(stochlab, "estimate_mean", planted)
+        pts = np.random.default_rng(11).standard_normal((4, 3))
+        out = stochlab.symmetrization_check(gauss_proc(3), IndexSet(pts), 2.0,
+                                            samples=40_000, stream=RngStream(12, 0))
+        assert out["moment_bracket_ok"] and out["esup_bracket_ok"]
+        assert not out["esup_identity_ok"] and not out["passed"]
 
     def test_nan_distance_fails_the_bracket(self, monkeypatch):
         real = metric.distance_matrix

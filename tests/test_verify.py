@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import squareform
 
-from chainsup import dist, gamma, metric, verify
+from chainsup import dist, gamma, metric, stochlab, verify
 from chainsup.metric import IndexSet, ProcessSpec
 from chainsup.streams import RngStream
 
@@ -170,6 +170,26 @@ class TestWeakStrong:
         assert 0.0 < out["C_obs"] <= 4.0
         assert out["sup_increment_norm"] == pytest.approx(
             dist.gaussian().moment(4), rel=1e-12)
+
+    def test_process_drawn_once(self, monkeypatch):
+        # E sup|X_t| and E sup|X_t|^p read one pass; the first is the
+        # estimate_sup of the same stream, bit for bit
+        passes = []
+        real = stochlab._accumulate
+
+        def spy(*args, **kw):
+            passes.append(args[0])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(stochlab, "_accumulate", spy)
+        proc = ProcessSpec.homogeneous(dist.sym_exponential(), 3)
+        T = IndexSet(np.random.default_rng(26).standard_normal((5, 3)))
+        stream = RngStream(25, 2)
+        out = verify.weak_strong_experiment(proc, T, p=3.0, samples=3_000,
+                                            stream=stream)
+        assert passes == [stream.child(1)]
+        assert out["esup_abs"] == stochlab.estimate_sup(proc, T, 3_000, stream.child(1),
+                                                        target="sup_abs")
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
