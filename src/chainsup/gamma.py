@@ -110,8 +110,8 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
                          functional: str = "gammaX",
                          samples: int = metric_mod.MC_DEFAULT_SAMPLES,
                          seed: int = 0) -> float:
-    """sup_t sum_n of the weighted level-n block diameters; an upper bound
-    on the corresponding functional."""
+    """sup_t sum_n of the weighted level-n block diameters, read inside the
+    blocks of each level n >= 1 only; an upper bound on the functional."""
     if functional not in ("gamma2", "gammaX"):
         raise ValueError(f"unknown functional {functional!r}")
     tree.validate(len(T))
@@ -121,7 +121,7 @@ def evaluate_certificate(tree: PartitionTree, T: IndexSet, proc: ProcessSpec,
             break
         p = _level_p(functional, n)
         w = _level_weight(functional, n)
-        v = metric_mod.distance_matrix(proc, T, p, samples=samples, seed=seed)
+        v = metric_mod.distance_matrix(proc, T, p, samples, seed, level if n else None)
         for block in level:
             if len(block) > 1:
                 totals[block] += w * v.diameter(block)
@@ -225,15 +225,20 @@ def _farthest_point_split(block: list, k: int, v: metric_mod.PairNorms) -> list:
 
 def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
                   samples: int, seed: int) -> tuple[float, PartitionTree]:
+    """Farthest-point levels, each reading d_p only inside the blocks it splits."""
     m = len(T)
     levels = [[list(range(m))]]
     n = 0
     while any(len(b) > 1 for b in levels[-1]):
         n += 1
-        cap = min(level_cap(n), m)
+        cap = level_cap(n)
         current = levels[-1]
+        if cap >= m:  # every block splits into singletons, whatever its diameter
+            levels.append([[i] for i in range(m)])
+            break
         p_split = _level_p(functional, n)
-        v = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed)
+        v = metric_mod.distance_matrix(proc, T, p_split, samples=samples, seed=seed,
+                                       blocks=current if n > 1 else None)
         diams = [v.diameter(block) for block in current]
         # every block keeps one child; spare capacity goes to the block
         # with the largest diameter per child, ties to the lowest index,
@@ -241,9 +246,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         # left, or they would never reach singletons
         alloc = [1] * len(current)
         spare = cap - len(current)
-        if cap >= m:  # the blocks partition T: every block splits into singletons
-            alloc, spare = [len(b) for b in current], 0
-        # while spare > 0, sum(alloc) < cap <= m, so some block has room
+        # while spare > 0, sum(alloc) < cap < m, so some block has room
         while spare > 0:
             best = None
             for bi, block in enumerate(current):

@@ -5,10 +5,9 @@ coordinate laws allow (gaussian closed form, rademacher sign enumeration)
 and by chunked Monte Carlo with a CLT error bound otherwise.  The gaussian
 closed form is ||g||_p |s - t|_2, so every p scales one vector of
 Euclidean pair lengths that an IndexSet computes once, row by row.  Every
-other pair-norm vector is computed once per IndexSet and (process, p,
-samples, seed) and kept on the set, so the greedy split, the certificate
-and the hull that ask for the same d_p share one pass.  The Monte Carlo
-kernel shares one stream of draws across all pairs of a point set,
+other pair-norm vector is kept on the IndexSet per (process, p, samples,
+seed), and a pass reduces only the pairs its caller asks for.  The Monte
+Carlo kernel shares one stream of draws across all pairs of a point set,
 projects it onto the points one tile of samples at a time and reduces
 each tile in place in one scratch buffer sized from a fixed element
 budget; integer p is raised by repeated squaring and multiplication, so
@@ -130,8 +129,7 @@ class IndexSet:
     points: np.ndarray
     _lengths: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                            compare=False)
-    # (proc, p, samples, seed) -> PairNorms of the enumerated or
-    # Monte-Carlo pair norms; filled by distance_matrix
+    # (proc, p, samples, seed) -> (values and errors, NaN where unreduced; their view)
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -197,6 +195,8 @@ class PairNorms:
     empty.  Gathering and scaling by a float commute bit for bit, and
     rounding is monotone, so every read gathers base entries and scales
     only those, and `max` reads the scaled vector without building it.
+    An enumerated or Monte-Carlo view is NaN at the pairs no request has
+    reduced, which `block`, `max` and `values` raise LookupError at.
     """
 
     base: np.ndarray
@@ -213,10 +213,16 @@ class PairNorms:
         an integer or 1-d `cols`, with no square built: the same values in
         the same layout, and +0.0 where a row meets its own column."""
         rows = np.asarray(rows)[:, None]
-        out = self.base[pair_index(rows, cols, self.n_points())]
+        k = pair_index(rows, cols, self.n_points())
+        self._check(k[rows != cols] if self.method != "closed_form" else [])
+        out = self.base[k]
         out *= self.scale
         out[rows == cols] = 0.0
         return out
+
+    def _check(self, k=slice(None)) -> None:
+        if self.method != "closed_form" and np.isnan(self.errors[k]).any():
+            raise LookupError(f"{self.method} pair norms read at a pair no request reduced")
 
     def tiles(self, rows, cols):
         """block(rows, cols) as consecutive tiles of rows, each holding at
@@ -259,10 +265,12 @@ class PairNorms:
 
     def max(self) -> float:
         """The max of values(), taken before scaling."""
+        self._check()
         return self.base.max() * self.scale
 
     def values(self) -> np.ndarray:
         """A fresh base * scale, which the caller may write into."""
+        self._check()
         return self.base * self.scale
 
 
@@ -322,40 +330,39 @@ def _abs_power(d: np.ndarray, p: float, spare: Optional[np.ndarray]) -> np.ndarr
     return d if acc is None else np.multiply(acc, d, out=acc)
 
 
-def _increment_classes(proc: ProcessSpec, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, cls): the sorted positions of each increment pattern's
-    lowest pair, and each pair's index into `reps`.
+def _increment_classes(proc: ProcessSpec, diffs: np.ndarray) -> np.ndarray:
+    """Each pair's representative: the position of its increment pattern's
+    lowest pair.
 
     Writes the patterns over `diffs`: |d|, sorted along the row when every
     coordinate holds the same model object (identity, not a descriptor,
     which need not fix a law).  Rows are sorted by their bytes, so equal
-    rows are neighbours, and neighbours that are bit for bit equal merge:
-    the classes are exact.
+    rows are neighbours, and neighbours that are bit for bit equal, as
+    whole rows compared 2^16 at a time, merge: the classes are exact.
     """
     np.abs(diffs, out=diffs)
     if all(m is proc.models[0] for m in proc.models):
         diffs.sort(axis=1)
-    words = diffs.view(np.uint64)
-    pairs, dim = words.shape
-    order = np.argsort(diffs.view(np.dtype((np.void, 8 * dim))).ravel())
-    same = np.ones(pairs - 1, bool)
-    a, b = order[:-1], order[1:]
-    for c in range(dim):
-        same &= words[a, c] == words[b, c]
+    pairs, dim = diffs.shape
+    rows = diffs.view(np.dtype((np.void, 8 * dim))).ravel()
+    order = np.argsort(rows)
+    same = np.empty(pairs - 1, bool)
+    for lo in range(0, pairs - 1, 1 << 16):
+        a = order[lo:lo + (1 << 16) + 1]
+        same[lo:lo + len(a) - 1] = rows[a[:-1]] == rows[a[1:]]
     # runs of equal rows in byte order; a run's representative is its lowest pair
     first = np.concatenate([[True], ~same])
     run_rep = np.minimum.reduceat(order, np.flatnonzero(first))
     rep_of = np.empty_like(order)
     rep_of[order] = run_rep[np.cumsum(first) - 1]
-    is_rep = np.zeros(pairs, bool)
-    is_rep[run_rep] = True
-    return np.flatnonzero(is_rep), np.cumsum(is_rep)[rep_of] - 1
+    return rep_of
 
 
 def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
-                         seed: int, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Values and 3-sigma errors of `distance_matrix` by sign enumeration or
-    Monte Carlo, as `method` says.
+                         seed: int, method: str, want: np.ndarray) -> np.ndarray:
+    """Values and 3-sigma errors (two rows) of `distance_matrix` by sign
+    enumeration or Monte Carlo, as `method` says, at least at the pairs
+    the mask `want` marks (none: no draw), and NaN at those left unreduced.
 
     A pass whose estimated allocation (the pair differences, the stream
     key's copy of them, the pattern classes, one chunk's draws, one
@@ -371,19 +378,21 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     when the coordinates are exchangeable) are reduced once, at the
     class's lowest pair, and every pair of the class reads that value and
     error: the same bits for the same law, and no minimum taken over
-    noisy copies of one number.  A row whose pairs are all
+    noisy copies of one number.  Only the classes holding a wanted pair
+    are reduced, but the stream and the classes span every pair, so no
+    value depends on what else is wanted.  A row whose pairs are all
     representatives subtracts the contiguous rows after it; any other
     gathers its representatives first.  The stream is keyed on the
     differences before they become patterns, so the classes change no
     draw, and a set whose patterns are all distinct reduces every pair
-    by contiguous rows.  The reduction runs in place in one
-    scratch buffer of (|pts| - 1) x tile, reused for every row, tile and
-    chunk.  The tile width is the fixed element budget `TILE_ELEMS`
-    divided by |pts| - 1, capped at the chunk, so the buffers stay
-    cache-sized and a two-point call makes one tile per chunk.  |d|^p
+    by contiguous rows.  The reduction runs in place in one scratch
+    buffer of (|pts| - 1) x tile, reused for every row, tile and chunk.
+    The tile width is the fixed element budget `TILE_ELEMS` divided by
+    |pts| - 1, capped at the chunk, so the buffers stay cache-sized and
+    a two-point call makes one tile per chunk.  |d|^p
     goes by `_abs_power` (integer p by multiplication) and the sum of
-    |d|^(2p) by a row-wise dot product.  The draws do not depend on the
-    tile; only the summation order does.
+    |d|^(2p) by `np.vecdot`, alike for a row alone or in a block.  The
+    draws do not depend on the tile; only the summation order does.
     """
     m, dim = pts.shape
     pairs = m * (m - 1) // 2
@@ -404,15 +413,19 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     diffs = _pair_diffs(pts)
     if method == "enumeration":
         # each increment scaled by its largest |c|, so no power under- or overflows
-        tops = np.abs(diffs).max(axis=1)
-        values = np.array([t * np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0] / t)) ** p)
-                           ** (1.0 / p) if t else 0.0 for d, t in zip(diffs, tops)])
-        return values, np.zeros(len(diffs))
+        tops = np.abs(diffs).max(axis=1)[want]
+        out = np.full((2, pairs), np.nan)
+        out[0, want] = [t * np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0] / t)) ** p)
+                        ** (1.0 / p) if t else 0.0 for d, t in zip(diffs[want], tops)]
+        out[1, want] = 0.0
+        return out
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
     rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
-    reps, cls = _increment_classes(proc, diffs)
+    rep_of = _increment_classes(proc, diffs)
     del diffs
+    hit = np.bincount(rep_of[want], minlength=pairs)
+    reps = np.flatnonzero(hit)
     # pairs (i, j > i) occupy rows[i]:rows[i + 1] of the row-major order,
     # and their representatives reps[at[i]:at[i + 1]]
     rows = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
@@ -429,7 +442,7 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     # at large p the sums of |d|^p and |d|^(2p) can overflow; a value or
     # error that is then not finite raises below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while n < samples:
+        while n < samples and work:
             chunk = min(_MC_CHUNK, samples - n)
             for _, v in proc.projected_tiles(rng, chunk, pts, tile):
                 w = v.shape[1]
@@ -441,21 +454,23 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
                         np.subtract(np.take(v, js, axis=0, out=d, mode="clip"), v[i], out=d)
                     d = _abs_power(d, p, spare)
                     total[a:b] += d.sum(axis=1)
-                    total_sq[a:b] += np.einsum("ij,ij->i", d, d)
+                    total_sq[a:b] += np.vecdot(d, d)
             n += chunk
         mean = total / n
         stderr = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
         # delta method on m -> m^(1/p)
         err = 3.0 * np.where(mean > 0, stderr / (p * mean ** (1.0 - 1.0 / p)), stderr)
         values = mean ** (1.0 / p)
-    values, err = values[cls], err[cls]
-    bad = np.count_nonzero(~(np.isfinite(values) & np.isfinite(err)))
+    out = np.full((2, pairs), np.nan)
+    out[:, reps] = values, err
+    out = out[:, rep_of]
+    bad = np.count_nonzero((hit[rep_of] > 0) & ~np.isfinite(out).all(axis=0))
     if bad:
         raise ValueError(
-            f"Monte-Carlo d_p at p = {p:g} overflows a float on {bad} of {len(values)} "
+            f"Monte-Carlo d_p at p = {p:g} overflows a float on {bad} of {pairs} "
             f"pairs of the {proc.family or 'mixed'} process (a value or its 3-sigma "
             f"error is not finite); use a smaller p")
-    return values, err
+    return out
 
 
 def increment_norm(proc: ProcessSpec, s, t, p: float,
@@ -475,19 +490,20 @@ def is_exact_metric(proc: ProcessSpec, T: IndexSet) -> bool:
 
 
 def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
-                    samples: int = MC_DEFAULT_SAMPLES, seed: int = 0) -> PairNorms:
+                    samples: int = MC_DEFAULT_SAMPLES, seed: int = 0,
+                    blocks=None) -> PairNorms:
     """d_p over the pairs i < j of T, row-major (scipy's pdist layout), as a
     read-only `PairNorms` view: base vector, scale, 3-sigma errors and the
     method.
 
     p is taken as a float, so p = 4 and p = 4.0 draw the same samples.  The
     gaussian closed form is T's cached pair lengths with scale ||g||_p, so
-    no scaled copy is built; its errors are one read-only zero broadcast.
-    Enumerated and Monte-Carlo vectors are computed once per IndexSet and
-    (proc, p, samples, seed) by `_uncached_pair_norms` and kept on the set,
-    read-only, with scale 1: a hit is exact, since the points are a
-    read-only copy and the stream a function of the key and the points,
-    and returns the kept view itself, with nothing copied.
+    no scaled copy is built; its errors are one read-only zero broadcast,
+    and it ignores `blocks`.  Any other d_p is kept on T per (proc, p,
+    samples, seed) behind one read-only view with scale 1.  `blocks`, a
+    list of index lists, asks only for the pairs inside them (None: all):
+    one pass on the same stream reduces those not yet known, bit for bit
+    as a full pass would, and the view raises LookupError at the others.
     """
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
@@ -503,11 +519,21 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
         return PairNorms(lengths, dist.gaussian().moment(p),
                          np.broadcast_to(0.0, len(lengths)), method)
     key = (proc, p, samples, seed)
-    if key not in T._norms:
-        values, errors = _uncached_pair_norms(proc, T.points, p, samples, seed, method)
-        values.flags.writeable = errors.flags.writeable = False
-        T._norms[key] = PairNorms(values, 1.0, errors, method)
-    return T._norms[key]
+    kept = T._norms.get(key)
+    want = np.isnan(kept[0][1]) if kept else np.ones(len(T) * (len(T) - 1) // 2, bool)
+    if blocks is not None:
+        inside = np.zeros_like(want)
+        for b in blocks:
+            inside[pair_index(*np.take(b, np.triu_indices(len(b), 1)), len(T))] = True
+        want &= inside
+    if not kept or want.any():
+        new = _uncached_pair_norms(proc, T.points, p, samples, seed, method, want)
+        if not kept:
+            ro = np.lib.stride_tricks.as_strided(new, writeable=False)
+            kept = T._norms[key] = new, PairNorms(ro[0], 1.0, ro[1], method)
+        else:
+            np.copyto(kept[0], new, where=~np.isnan(new[1]))
+    return kept[1]
 
 
 def pair_index(i, j, m: int) -> np.ndarray:

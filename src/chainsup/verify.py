@@ -267,7 +267,7 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
     chain point per block, normalized by the d_{2^(n+1)} length of the
     step; the telescoping sum must reconstruct s - t exactly and every
     normalized step must satisfy ||X_step||_{ln(k+2)} <= 1 under the level
-    bookkeeping.
+    bookkeeping; each level reads d only at its steps that move.
     """
     tree.validate(len(T))
     pts = T.points
@@ -285,7 +285,8 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
     # vector or step norm shows in the residuals
     recon = np.repeat(pts[:1], m, axis=0)
     for n in range(1, tree.depth):
-        v = metric_mod.distance_matrix(proc, T, float(2 ** (n + 1)), samples, seed)
+        steps = [[blk[0], rep[blk[0]]] for blk in tree.levels[n] if blk[0] != rep[blk[0]]]
+        v = metric_mod.distance_matrix(proc, T, float(2 ** (n + 1)), samples, seed, steps)
         k = caps[n - 1]
         for block in tree.levels[n]:
             a = block[0]

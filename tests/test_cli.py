@@ -352,9 +352,9 @@ class TestRun:
         seen = []
         pair_norms = metric.distance_matrix
 
-        def spy(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
+        def spy(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0, blocks=None):
             seen.append(samples)
-            return pair_norms(proc, T, p, samples, seed)
+            return pair_norms(proc, T, p, samples, seed, blocks)
 
         monkeypatch.setattr(metric, "distance_matrix", spy)
         return seen

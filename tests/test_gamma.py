@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 import tracemalloc
@@ -400,6 +401,36 @@ def test_scan_at_a_cap_of_every_point_splits_every_block_into_singletons(case):
     assert scan_allocation(diams, sizes, cap) == sizes
 
 
+@pytest.mark.parametrize("m, functional, want", [
+    # gammaX: d_2 splits level 1 of all of T, d_4 the level-1 blocks into
+    # level 2; level 3's cap 256 reaches |T| and takes no d_8
+    (20, "gammaX", [("split", 2.0, None), ("split", 4.0, "blocks"),
+                    ("certificate", 1.0, None), ("certificate", 2.0, "blocks"),
+                    ("certificate", 4.0, "blocks")]),
+    # level 1's cap 4 reaches |T|: no split reads any distance
+    (4, "gammaX", [("certificate", 1.0, None)]),
+    (6, "gamma2", [("split", 2.0, None), ("certificate", 2.0, None),
+                   ("certificate", 2.0, "blocks")]),
+])
+def test_greedy_reads_no_distance_at_the_singleton_level(m, functional, want):
+    # every greedy and certificate pass, with the blocks it asks for
+    calls = []
+    real = metric.distance_matrix
+
+    def spy(proc, T, p, samples=metric.MC_DEFAULT_SAMPLES, seed=0, blocks=None):
+        caller = "certificate" if any(f.function == "evaluate_certificate"
+                                      for f in inspect.stack()[1:3]) else "split"
+        calls.append((caller, p, blocks and "blocks"))
+        return real(proc, T, p, samples, seed, blocks)
+
+    T = IndexSet(np.random.default_rng(3).standard_normal((m, 3)))
+    proc = ProcessSpec.homogeneous(dist.sym_exponential(), 3)
+    with mock.patch.object(metric, "distance_matrix", spy):
+        _, tree = gamma.compute_gamma(T, proc, functional, mode="greedy", samples=1_000)
+    tree.validate(m)
+    assert calls == want
+
+
 def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
     # The oracle builds a full matrix, row i = |pts[i] - pts|_2, with no
     # cached pair lengths, and hands every level its strict upper triangle,
@@ -417,7 +448,7 @@ def test_greedy_4000_gaussian_points_match_the_per_level_oracle():
     upper = euclid[np.triu_indices(len(pts), 1)]
     del euclid
 
-    def per_level(proc, T, p, samples=0, seed=0):
+    def per_level(proc, T, p, samples=0, seed=0, blocks=None):
         # scaled before it is read, as the closed form once returned it
         return metric.PairNorms(upper * dist.gaussian().moment(p), 1.0,
                                 np.broadcast_to(0.0, len(upper)), "closed_form")

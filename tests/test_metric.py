@@ -500,9 +500,9 @@ def test_increment_classes_equal_a_grouping_by_row_bytes(pts, mixed):
         patterns.sort(axis=1)
     lowest = {}
     want = [lowest.setdefault(row.tobytes(), k) for k, row in enumerate(patterns)]
-    reps, cls = metric._increment_classes(proc, diffs)
-    assert reps.tolist() == sorted(lowest.values())
-    assert reps[cls].tolist() == want
+    rep_of = metric._increment_classes(proc, diffs)
+    assert sorted(set(rep_of.tolist())) == sorted(lowest.values())
+    assert rep_of.tolist() == want
 
 
 class TestPairNormCache:
@@ -530,11 +530,15 @@ class TestPairNormCache:
         T = IndexSet(np.random.default_rng(4).standard_normal((32, 16)))
         _, tree = gamma.compute_gamma(T, proc, "gammaX", mode="greedy",
                                       samples=2_000, seed=3)
-        # the split and the certificate share d_2 and d_4
-        assert sorted(passes) == [1.0, 2.0, 4.0, 8.0]
+        # the split and the certificate share d_2 and d_4; level 3's cap
+        # 256 reaches the 32 points, so it is all singletons and reads no d_8
+        assert sorted(passes) == [1.0, 2.0, 4.0]
         verify.convex_hull_decomposition(T, tree, proc, samples=2_000, seed=3)
-        # the hull steps at d_4, d_8 and d_16; only d_16 is new
-        assert sorted(passes) == [1.0, 2.0, 4.0, 8.0, 16.0]
+        # the hull steps at d_4, d_8 and d_16.  Its level-1 steps join
+        # points of different level-1 blocks, pairs the d_4 pass of the
+        # split (inside those blocks) did not reduce, so d_4 takes a second
+        # pass on the same stream for them alone
+        assert sorted(passes) == [1.0, 2.0, 4.0, 4.0, 8.0, 16.0]
 
     def test_gaussian_sets_keep_no_vectors(self):
         T = IndexSet(np.random.default_rng(5).standard_normal((12, 3)))
@@ -552,6 +556,89 @@ class TestPairNormCache:
             want = metric.distance_matrix(proc, IndexSet(pts), 3.0, samples, seed).values()
             assert got.tobytes() == want.tobytes()
         assert len(T._norms) == 4
+
+    @pytest.mark.parametrize("make_proc", [exp_proc, rad_proc])
+    def test_a_pair_never_requested_cannot_be_read(self, make_proc):
+        T, proc = IndexSet(np.random.default_rng(7).standard_normal((4, 3))), make_proc(3)
+        v = metric.distance_matrix(proc, T, 3.0, 1_000, 1, blocks=[[0, 1]])
+        assert v.method != "closed_form"
+        assert v.block([0, 1], [0, 1])[0, 1] == v.block([1], 0).item() > 0.0
+        for read in (lambda: v.block([0], [2]), v.max, v.values):
+            with pytest.raises(LookupError):
+                read()
+        # a later request fills the same view, and reads of all of T work
+        assert metric.distance_matrix(proc, T, 3.0, 1_000, 1) is v
+        assert v.max() == v.values().max() > 0.0
+
+    def test_a_request_of_known_pairs_draws_nothing(self, monkeypatch):
+        T, proc = IndexSet(np.random.default_rng(8).standard_normal((6, 3))), exp_proc(3)
+        metric.distance_matrix(proc, T, 3.0, 1_000, 1, blocks=[[0, 1, 2], [3, 4]])
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return derived_stream(*args)
+
+        monkeypatch.setattr(metric, "derived_stream", spy)
+        metric.distance_matrix(proc, T, 3.0, 1_000, 1, blocks=[[0, 2], [4, 3], [5]])
+        assert calls == []
+        metric.distance_matrix(proc, T, 3.0, 1_000, 1, blocks=[[1, 5]])
+        assert calls == [1]
+
+
+def _pair_positions(blocks, m):
+    """Positions of the pairs inside the blocks, sorted."""
+    return np.unique(np.concatenate(
+        [metric.pair_index(*np.take(b, np.triu_indices(len(b), 1)), m) for b in blocks]
+        + [np.zeros(0, int)])).astype(int)
+
+
+@st.composite
+def restricted_requests(draw):
+    """An index set on the sphere or a small lattice (many equal increment
+    patterns), a process and p, and two random partitions of its points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    m, dim = draw(st.integers(2, 9)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pts = rng.standard_normal((m, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:
+        pts = rng.integers(-2, 3, (m, dim)).astype(float)
+    model = draw(st.sampled_from([dist.sym_exponential(), dist.three_point(2.0),
+                                  dist.sym_weibull(1.5), dist.rademacher()]))
+    p = draw(st.sampled_from([1.0, 1.7, 2.0, 3.0, 4.0]))
+
+    def partition():
+        labels = rng.integers(0, draw(st.integers(1, m)), m)
+        return [np.flatnonzero(labels == c).tolist() for c in np.unique(labels)]
+
+    return pts, ProcessSpec.homogeneous(model, dim), p, partition(), partition()
+
+
+@given(case=restricted_requests(), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_restricted_pass_equals_a_full_pass_at_the_requested_pairs(case, seed):
+    pts, proc, p, first, second = case
+    m = len(pts)
+    full = metric.distance_matrix(proc, IndexSet(pts), p, 40_000, seed)
+    T = IndexSet(pts)
+    part = metric.distance_matrix(proc, T, p, 40_000, seed, blocks=first)
+    if part.method == "closed_form":
+        return
+    # values and 3-sigma errors at every reduced pair, the requested ones
+    # among them, are bit for bit those of one pass over every pair
+    known = np.flatnonzero(~np.isnan(part.errors))
+    assert set(_pair_positions(first, m)) <= set(known)
+    assert part.base[known].tobytes() == full.base[known].tobytes()
+    assert part.errors[known].tobytes() == full.errors[known].tobytes()
+    for b in first:
+        assert part.block(b, b).tobytes() == full.block(b, b).tobytes()
+    # two requests in turn reduce what one request of their union does
+    metric.distance_matrix(proc, T, p, 40_000, seed, blocks=second)
+    union = metric.distance_matrix(proc, IndexSet(pts), p, 40_000, seed,
+                                   blocks=first + second)
+    assert part.base.tobytes() == union.base.tobytes()
+    assert part.errors.tobytes() == union.errors.tobytes()
 
 
 @given(pts=st.lists(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
