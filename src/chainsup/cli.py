@@ -1,9 +1,11 @@
 """Experiment runner.
 
 Parses a JSON config, dispatches to the experiment modules, writes a
-JSON report plus plot-ready CSV tables.  Reports embed the resolved
-config, its hash and every seed, and contain nothing run-dependent, so
-identical configs give byte-identical reports.
+JSON report plus plot-ready CSV tables.  A report embeds the config as
+given, with the --samples/--seed/--mode flags folded into `params`, and
+its hash; the defaults `EXPERIMENT_TABLE` fills in are not written back.
+Reports contain nothing run-dependent, so identical configs give
+byte-identical reports.
 
 Exit codes: 0 pass, 2 assertion failure, 1 error.
 """

@@ -337,8 +337,7 @@ def three_point(a: float) -> DistributionModel:
     )
 
 
-def _tail_quad_raw_moment(tail_fn, support_bound: float, p: float,
-                          rel_tol: float = 1e-10) -> float:
+def _tail_quad_raw_moment(tail_fn, support_bound: float, p: float) -> float:
     """E|X|^p = int_0^inf p t^(p-1) exp(-N(t)) dt by adaptive quadrature.
 
     The upper limit doubles until the last interval contributes less than
@@ -353,12 +352,12 @@ def _tail_quad_raw_moment(tail_fn, support_bound: float, p: float,
             return p * np.asarray(t) ** (p - 1.0) * np.exp(-np.minimum(n, 745.0))
 
     if math.isfinite(support_bound):
-        val, _ = integrate.quad(integrand, 0.0, support_bound, limit=300, epsrel=rel_tol)
+        val, _ = integrate.quad(integrand, 0.0, support_bound, limit=300, epsrel=1e-10)
         return val
     total = 0.0
     lo, hi = 0.0, 1.0
     while True:
-        piece, _ = integrate.quad(integrand, lo, hi, limit=300, epsrel=rel_tol)
+        piece, _ = integrate.quad(integrand, lo, hi, limit=300, epsrel=1e-10)
         total += piece
         if hi > 1.0 and abs(piece) < 1e-12 * max(total, 1e-300):
             return total

@@ -118,20 +118,18 @@ def _check_sublinear(f, c: float, t0: float, slack: float = 1e-9) -> None:
             raise SublinearityError(lam, float(ts[i]), float(lhs[i]), float(rhs[i]))
 
 
-def convex_minorant(f, c: float, t0: float = 0.0,
-                    check_precondition: bool = True) -> TailFunction:
+def convex_minorant(f, c: float, t0: float = 0.0) -> TailFunction:
     """Convex g with g(c*t0) = 0 and g(t) <= f(t) <= g(c^2 t) for t >= c*t0.
 
     Requires the sublinear growth f(c*lambda*t) >= lambda*f(t) for
-    lambda >= 1, t >= t0 (verified on a lambda x t grid unless disabled).
+    lambda >= 1, t >= t0 (verified on a lambda x t grid).
     """
     if c < 2:
         raise ValueError("convex minorant requires c >= 2")
     if t0 < 0:
         raise ValueError("t0 must be >= 0")
     support = float(getattr(f, "support_bound", math.inf))
-    if check_precondition:
-        _check_sublinear(f, c, t0)
+    _check_sublinear(f, c, t0)
     integral = _RunningSupIntegral(f, c, start=c * t0, support_bound=support)
     return TailFunction(integral, c * support, start=c * t0)
 
@@ -173,12 +171,7 @@ def log_concave_envelope(model: DistributionModel, alpha: float,
             f"witness {witness.witness_pair}, ratio {witness.ratio}"
         )
     consts = regularity_constants(alpha)
-    g = convex_minorant(
-        model.tail,
-        c=consts.kappa_alpha,
-        t0=consts.t0,
-        check_precondition=False,  # guaranteed by alpha-regularity
-    )
+    g = convex_minorant(model.tail, c=consts.kappa_alpha, t0=consts.t0)
 
     def evaluator(t):
         return np.where(t <= consts.T_alpha, 0.0, g(np.maximum(t, consts.T_alpha)))

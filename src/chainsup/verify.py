@@ -300,7 +300,7 @@ def convex_hull_decomposition(T: IndexSet, tree: PartitionTree,
             k += 1
             vec = (pts[a] - pts[b]) / d
             cap = increment_norm(proc, vec, np.zeros(proc.dimension),
-                                 max(math.log(k + 2), 1.0), samples=samples,
+                                 math.log(k + 2), samples=samples,
                                  seed=seed).value
             chain_points.append({"level": n, "k": k, "vector": vec,
                                  "step_norm": d, "norm_cap": cap})

@@ -336,26 +336,65 @@ def test_dense_sets_project_through_projected_tiles(monkeypatch):
 
 class TestOrderStats:
     def test_rademacher_degenerate(self):
-        recs = stochlab.order_stat_means(dist.rademacher(), 4, [1, 2, 4],
-                                         20_000, RngStream(5, 0), qs=(2.0, 4.0))
+        recs = stochlab.order_stat_means(dist.rademacher(), 4, [1, 2, 4], qs=(2.0, 4.0))
         for rec in recs:
-            assert rec["estimate"] == pytest.approx(1.0, abs=1e-12)
+            assert rec["mean"] == pytest.approx(1.0, abs=1e-12)
             for q, bound in rec["bounds"].items():
                 assert bound == pytest.approx(2.0 * (4.0 / rec["k"]) ** (1.0 / q))
-                assert rec["estimate"] <= bound
+                assert rec["mean"] <= bound
 
     def test_gaussian_ordering_and_bounds(self):
-        recs = stochlab.order_stat_means(dist.gaussian(), 8, [1, 3, 8],
-                                         100_000, RngStream(5, 1), qs=(2.0, 4.0))
-        ests = [r["estimate"] for r in recs]
-        assert ests[0] >= ests[1] >= ests[2]  # k-th largest decreases in k
+        recs = stochlab.order_stat_means(dist.gaussian(), 8, [1, 3, 8], qs=(2.0, 4.0))
+        means = [r["mean"] for r in recs]
+        assert means[0] > means[1] > means[2] > 0.0  # k-th largest decreases in k
         for rec in recs:
+            assert set(rec) == {"k", "mean", "bounds"}
             for bound in rec["bounds"].values():
-                assert rec["estimate"] <= bound + 3 * rec["stderr"]
+                assert rec["mean"] <= bound
+
+    @pytest.mark.parametrize("n", [1, 9, 16])
+    def test_sym_exponential_matches_the_harmonic_sums(self, n):
+        # |X| ~ Exp with mean 1/sqrt(2); the k-th largest of n has mean
+        # (1/sqrt(2)) sum_{j=k}^n 1/j (Renyi's representation)
+        recs = stochlab.order_stat_means(dist.sym_exponential(), n, range(1, n + 1))
+        for rec in recs:
+            harmonic = sum(1.0 / j for j in range(rec["k"], n + 1)) / math.sqrt(2.0)
+            assert rec["mean"] == pytest.approx(harmonic, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 9, 16])
+    def test_three_point_matches_the_binomial_tail(self, n):
+        # |X| is a with probability 1/a^2, else 0: E|X|_(k) = a P(Bin(n, 1/a^2) >= k)
+        a, q = 3.0, 1.0 / 9.0
+        recs = stochlab.order_stat_means(dist.three_point(a), n, range(1, n + 1))
+        for rec in recs:
+            tail = sum(math.comb(n, j) * q ** j * (1.0 - q) ** (n - j)
+                       for j in range(rec["k"], n + 1))
+            assert rec["mean"] == pytest.approx(a * tail, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("model", [dist.gaussian(), dist.sym_weibull(1.5)],
+                             ids=["gaussian", "sym_weibull_1.5"])
+    def test_largest_within_4_sigma_of_monte_carlo(self, model):
+        n = 9
+        (rec,) = stochlab.order_stat_means(model, n, [1])
+        mean, stderr = stochlab.estimate_mean(ProcessSpec.homogeneous(model, n),
+                                              IndexSet.basis(n), 50_000, RngStream(31, 0),
+                                              lambda hi, lo: np.maximum(hi, -lo))
+        assert abs(rec["mean"] - mean) <= 4.0 * stderr
+
+    def test_draws_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("order_stat_means drew a sample")
+
+        monkeypatch.setattr(dist.DistributionModel, "sample_with", no_draw)
+        monkeypatch.setattr(stochlab, "_accumulate", no_draw)
+        for model in (dist.gaussian(), dist.sym_weibull(0.5), dist.three_point(3.0)):
+            recs = stochlab.order_stat_means(model, 5, [1, 3, 5])
+            assert all(r["mean"] > 0.0 for r in recs)
 
     def test_bad_k(self):
-        with pytest.raises(ValueError):
-            stochlab.order_stat_means(dist.gaussian(), 4, [5], 1000, RngStream(0, 0))
+        for k in (0, 5):
+            with pytest.raises(ValueError):
+                stochlab.order_stat_means(dist.gaussian(), 4, [k])
 
 
 class TestPaleyZygmund:

@@ -132,6 +132,22 @@ class TestEnvelope:
         mid = np.asarray(env((a + b) / 2.0))
         assert np.all(mid <= 0.5 * (np.asarray(env(a)) + np.asarray(env(b))) + 1e-6)
 
+    def test_checks_sublinearity_at_kappa(self, monkeypatch):
+        # alpha-regularity is checked on a p grid only, so the envelope also
+        # checks the minorant's own precondition at c = kappa_alpha
+        calls = []
+        real = tailkit._check_sublinear
+
+        def spy(f, c, t0, *args, **kwargs):
+            calls.append((f, c, t0))
+            return real(f, c, t0, *args, **kwargs)
+
+        monkeypatch.setattr(tailkit, "_check_sublinear", spy)
+        model = dist.sym_exponential()
+        tailkit.log_concave_envelope(model, 2.0)
+        consts = tailkit.regularity_constants(2.0)
+        assert calls == [(model.tail, consts.kappa_alpha, consts.t0)]
+
     def test_irregular_model_rejected(self):
         with pytest.raises(ValueError):
             tailkit.log_concave_envelope(dist.three_point(100.0), 2.0)
