@@ -231,8 +231,11 @@ def _run_tails(config, par, T, proc, tables, workers):
 
 
 def _run_hull(config, par, T, proc, tables, workers):
-    _, tree = gamma.compute_gamma(T, proc, "gammaX", mode=par["mode"],
-                                  samples=par["samples"], seed=par["seed"])
+    # the hull reads the tree alone, so greedy mode evaluates no certificate
+    if par["mode"] == "greedy":
+        tree = gamma.greedy_tree(T, proc, "gammaX", par["samples"], par["seed"])
+    else:
+        _, tree = gamma.compute_gamma(T, proc, "gammaX", mode=par["mode"])
     rep = verify.convex_hull_decomposition(T, tree, proc, samples=par["samples"],
                                            seed=par["seed"])
     passed = rep.max_residual <= 1e-9 and rep.max_norm_cap <= 1.0 + 1e-9

@@ -24,6 +24,7 @@ __all__ = [
     "TreeValidationError",
     "level_cap",
     "evaluate_certificate",
+    "greedy_tree",
     "compute_gamma",
     "uniform_space_gamma",
 ]
@@ -223,10 +224,18 @@ def _farthest_point_split(block: list, k: int, v: metric_mod.PairNorms) -> list:
     return [idx[owner == j].tolist() for j in range(k)]
 
 
-def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
-                  samples: int, seed: int) -> tuple[float, PartitionTree]:
-    """Farthest-point levels, each reading d_p only inside the blocks it splits."""
+def greedy_tree(T: IndexSet, proc: ProcessSpec, functional: str = "gammaX",
+                samples: int = metric_mod.MC_DEFAULT_SAMPLES,
+                seed: int = 0) -> PartitionTree:
+    """The greedy certificate's tree: farthest-point levels, each reading
+    d_p only inside the blocks it splits.  Its value is
+    `evaluate_certificate`'s, which `compute_gamma` adds; a caller that
+    needs only the tree reads no level-0 d_p."""
+    if functional not in ("gamma2", "gammaX"):
+        raise ValueError(f"unknown functional {functional!r}")
     m = len(T)
+    if m > GREEDY_LIMIT:
+        raise ValueError(f"greedy mode caps |T| at {GREEDY_LIMIT}")
     levels = [[list(range(m))]]
     n = 0
     while any(len(b) > 1 for b in levels[-1]):
@@ -261,9 +270,7 @@ def _greedy_gamma(T: IndexSet, proc: ProcessSpec, functional: str,
         for block, k in zip(current, alloc):
             nxt.extend(_farthest_point_split(block, k, v))
         levels.append(nxt)
-    tree = PartitionTree(levels=levels)
-    value = evaluate_certificate(tree, T, proc, functional, samples=samples, seed=seed)
-    return value, tree
+    return PartitionTree(levels=levels)
 
 
 def compute_gamma(T: IndexSet, proc: ProcessSpec, functional: str = "gammaX",
@@ -285,9 +292,8 @@ def compute_gamma(T: IndexSet, proc: ProcessSpec, functional: str = "gammaX",
                 "this process would inject Monte-Carlo noise")
         return _exact_gamma(T, proc, functional)
     if mode == "greedy":
-        if m > GREEDY_LIMIT:
-            raise ValueError(f"greedy mode caps |T| at {GREEDY_LIMIT}")
-        return _greedy_gamma(T, proc, functional, samples, seed)
+        tree = greedy_tree(T, proc, functional, samples, seed)
+        return evaluate_certificate(tree, T, proc, functional, samples, seed), tree
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -1,12 +1,15 @@
 """Increment metrics of canonical processes.
 
 d_p(s, t) = ||sum_i (s_i - t_i) X_i||_p, computed exactly where the
-coordinate laws allow (gaussian closed form, rademacher sign enumeration)
-and by chunked Monte Carlo with a CLT error bound otherwise.  The gaussian
-closed form is ||g||_p |s - t|_2, so every p scales one vector of
-Euclidean pair lengths that an IndexSet computes once, row by row.  Every
-other pair-norm vector is kept on the IndexSet per (process, p, samples,
-seed), and a pass reduces only the pairs its caller asks for.  The Monte
+coordinate laws allow (gaussian closed form, rademacher sign enumeration,
+and for all-`sym_exponential` (Laplace) coordinates at 1 <= p < 4, p != 2,
+quadrature of the characteristic function to 1e-13 relative, in `laplace`)
+and by chunked Monte Carlo with a CLT error bound otherwise.
+The gaussian closed form is ||g||_p |s - t|_2, so every p scales one
+vector of Euclidean pair lengths that an IndexSet computes once, row by
+row.  Every other pair-norm vector is kept on the IndexSet per (process,
+p, samples, seed), and a pass reduces only the pairs its caller asks for;
+enumeration and quadrature draw nothing and carry error 0.  The Monte
 Carlo kernel shares one stream of draws across all pairs of a point set,
 projects it onto the points one tile of samples at a time and reduces
 each tile in place in one scratch buffer sized from a fixed element
@@ -57,9 +60,10 @@ MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
 # elements of one tile (2 MiB): the pair-by-sample scratch buffer of a
 # Monte-Carlo pass, a block of pair norms read through `PairNorms.tiles`,
-# and a tile of projected process values in stochlab
+# a pair-by-node buffer of a quadrature pass, and a tile of projected
+# process values in stochlab
 TILE_ELEMS = 1 << 18
-_PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated or Monte-Carlo pass may take
+_PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated, quadrature or Monte-Carlo pass may take
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ class IndexSet:
 class IncrementNormResult:
     value: float
     error_bound: float
-    method: str  # closed_form | enumeration | monte_carlo
+    method: str  # closed_form | enumeration | quadrature | monte_carlo
 
 
 @dataclass(frozen=True)
@@ -195,14 +199,15 @@ class PairNorms:
     empty.  Gathering and scaling by a float commute bit for bit, and
     rounding is monotone, so every read gathers base entries and scales
     only those, and `max` reads the scaled vector without building it.
-    An enumerated or Monte-Carlo view is NaN at the pairs no request has
-    reduced, which `block`, `max` and `values` raise LookupError at.
+    An enumerated, quadrature or Monte-Carlo view is NaN at the pairs no
+    request has reduced, which `block`, `max` and `values` raise
+    LookupError at.
     """
 
     base: np.ndarray
     scale: float
     errors: np.ndarray
-    method: str  # closed_form | enumeration | monte_carlo
+    method: str  # closed_form | enumeration | quadrature | monte_carlo
 
     def n_points(self) -> int:
         """m, from the m (m - 1) / 2 pairs."""
@@ -288,12 +293,15 @@ def _pair_diffs(pts: np.ndarray) -> np.ndarray:
     return pts[ii] - pts[jj]
 
 
-def _method(proc: ProcessSpec, pts: np.ndarray) -> str:
+def _method(proc: ProcessSpec, pts: np.ndarray, p: float) -> str:
     """How the d_p norms of the pair increments of `pts` are computed.
 
     Reads the increments one row of pairs at a time: the points are all
     equal iff every pts[j] - pts[0] is zero, and rademacher enumerates
-    while no increment has more than ENUMERATION_LIMIT nonzeros.
+    while no increment has more than ENUMERATION_LIMIT nonzeros.  A
+    process whose every coordinate is `sym_exponential` takes the
+    characteristic-function quadrature at 1 <= p < 4, p != 2; p = 2 and
+    p >= 4 stay Monte Carlo.
     """
     fam = proc.family
     if fam == "gaussian" or not np.any(pts[1:] - pts[:1]):
@@ -302,6 +310,8 @@ def _method(proc: ProcessSpec, pts: np.ndarray) -> str:
             np.count_nonzero(pts[i] - pts[i + 1:], axis=1).max() <= ENUMERATION_LIMIT
             for i in range(len(pts) - 1)):
         return "enumeration"
+    if fam == "sym_exponential" and 1.0 <= p < 4.0 and p != 2.0:
+        return "quadrature"
     return "monte_carlo"
 
 
@@ -336,38 +346,51 @@ def _increment_classes(proc: ProcessSpec, diffs: np.ndarray) -> np.ndarray:
 
     Writes the patterns over `diffs`: |d|, sorted along the row when every
     coordinate holds the same model object (identity, not a descriptor,
-    which need not fix a law).  Rows are sorted by their bytes, so equal
-    rows are neighbours, and neighbours that are bit for bit equal, as
-    whole rows compared 2^16 at a time, merge: the classes are exact.
+    which need not fix a law).  A row whose first entry no other row has
+    is a class of its own; the first entries are nonnegative floats, so
+    equal values are equal bits, and one float sort finds the shared ones.
+    Only the rows that share a first entry are sorted by their whole
+    bytes, so equal rows are neighbours, and neighbours that are bit for
+    bit equal, as whole rows compared 2^16 at a time, merge: the classes
+    are exact.
     """
     np.abs(diffs, out=diffs)
     if all(m is proc.models[0] for m in proc.models):
         diffs.sort(axis=1)
     pairs, dim = diffs.shape
+    rep_of = np.arange(pairs)
+    first = diffs[:, 0]
+    ranked = np.sort(first)
+    tied = ranked[1:][ranked[1:] == ranked[:-1]]
+    if not tied.size:
+        return rep_of
+    shared = np.flatnonzero(tied[np.searchsorted(tied, first).clip(max=len(tied) - 1)] == first)
     rows = diffs.view(np.dtype((np.void, 8 * dim))).ravel()
-    order = np.argsort(rows)
-    same = np.empty(pairs - 1, bool)
-    for lo in range(0, pairs - 1, 1 << 16):
+    order = shared[np.argsort(rows[shared])]
+    same = np.empty(len(order) - 1, bool)
+    for lo in range(0, len(order) - 1, 1 << 16):
         a = order[lo:lo + (1 << 16) + 1]
         same[lo:lo + len(a) - 1] = rows[a[:-1]] == rows[a[1:]]
     # runs of equal rows in byte order; a run's representative is its lowest pair
-    first = np.concatenate([[True], ~same])
-    run_rep = np.minimum.reduceat(order, np.flatnonzero(first))
-    rep_of = np.empty_like(order)
-    rep_of[order] = run_rep[np.cumsum(first) - 1]
+    starts = np.concatenate([[True], ~same])
+    run_rep = np.minimum.reduceat(order, np.flatnonzero(starts))
+    rep_of[order] = run_rep[np.cumsum(starts) - 1]
     return rep_of
 
 
 def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
                          seed: int, method: str, want: np.ndarray) -> np.ndarray:
     """Values and 3-sigma errors (two rows) of `distance_matrix` by sign
-    enumeration or Monte Carlo, as `method` says, at least at the pairs
-    the mask `want` marks (none: no draw), and NaN at those left unreduced.
+    enumeration, quadrature (`laplace.increment_norms`) or Monte Carlo, as `method`
+    says, at least at the pairs the mask `want` marks (none: no draw), and
+    NaN at those left unreduced.  Enumeration and quadrature fill exactly
+    the wanted pairs, with error 0.
 
-    A pass whose estimated allocation (the pair differences, the stream
-    key's copy of them, the pattern classes, one chunk's draws, one
-    tile's projection and its scratch buffers, and the two per-pair
-    outputs) exceeds `_PASS_MAX_BYTES` raises before it allocates.
+    A pass whose estimated allocation (the pair differences and the two
+    per-pair outputs; for quadrature seven tiles; for Monte Carlo the
+    stream key's copy of the differences, the pattern classes, one chunk's
+    draws, one tile's projection and its scratch buffers) exceeds
+    `_PASS_MAX_BYTES` raises before it allocates.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
     `_MC_CHUNK` draws from one derived stream is projected onto the points
@@ -399,7 +422,11 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     k = m - 1
     tile = max(1, min(_MC_CHUNK, samples, TILE_ELEMS // k))
     need = 8 * pairs * (dim + 2)
-    if method == "monte_carlo":
+    if method == "quadrature":
+        # a tile of the wanted differences, their scaled squares, the rows
+        # a later rule still refines and four pair-by-node buffers
+        need += 8 * 7 * TILE_ELEMS
+    elif method == "monte_carlo":
         # the key's copy of the differences, six pair-length vectors of
         # the pattern classes, one chunk's draws, one tile's projection,
         # the scratch buffer and at most one spare
@@ -411,13 +438,22 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
             f"{proc.family or 'mixed'} process need about {need / 2**20:,.0f} MiB, "
             f"past the {_PASS_MAX_BYTES / 2**20:,.0f} MiB limit of one pass")
     diffs = _pair_diffs(pts)
-    if method == "enumeration":
+    if method != "monte_carlo":
+        out = np.full((2, pairs), np.nan)
+        out[1, want] = 0.0
+        if method == "quadrature":
+            from . import laplace  # on first use, off the package's import
+
+            rows = np.flatnonzero(want)
+            step = max(1, TILE_ELEMS // dim)
+            for lo in range(0, len(rows), step):
+                out[0, rows[lo:lo + step]] = laplace.increment_norms(
+                    diffs[rows[lo:lo + step]], p, TILE_ELEMS)
+            return out
         # each increment scaled by its largest |c|, so no power under- or overflows
         tops = np.abs(diffs).max(axis=1)[want]
-        out = np.full((2, pairs), np.nan)
         out[0, want] = [t * np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0] / t)) ** p)
                         ** (1.0 / p) if t else 0.0 for d, t in zip(diffs[want], tops)]
-        out[1, want] = 0.0
         return out
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
@@ -485,8 +521,9 @@ def increment_norm(proc: ProcessSpec, s, t, p: float,
 
 
 def is_exact_metric(proc: ProcessSpec, T: IndexSet) -> bool:
-    """Whether the d_p distances over T avoid Monte-Carlo noise."""
-    return _method(proc, T.points) != "monte_carlo"
+    """Whether the d_p distances over T avoid Monte-Carlo noise at every
+    p >= 1; the quadrature leaves out p = 2, so p = 2 decides."""
+    return _method(proc, T.points, 2.0) != "monte_carlo"
 
 
 def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
@@ -513,7 +550,7 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     p = float(p)
     if p < 1:
         raise ValueError("increment norm requires p >= 1")
-    method = _method(proc, T.points)
+    method = _method(proc, T.points, p)
     if method == "closed_form":
         lengths = T.pair_lengths()
         return PairNorms(lengths, dist.gaussian().moment(p),

@@ -369,6 +369,26 @@ class TestRun:
         })
         assert len(pair_norm_samples) > 1 and set(pair_norm_samples) == {1_000}
 
+    def test_greedy_hull_makes_no_level_zero_pass(self, monkeypatch):
+        # the hull reads the greedy tree alone; only the certificate's value,
+        # which the hull does not report, reads d_1
+        passes = []
+        uncached = metric._uncached_pair_norms
+
+        def spy(proc, pts, p, *args):
+            passes.append(p)
+            return uncached(proc, pts, p, *args)
+
+        monkeypatch.setattr(metric, "_uncached_pair_norms", spy)
+        report = cli.run({
+            "experiment": "hull",
+            "process": {"family": "sym_weibull", "shape": 1.5},
+            "index_set": {"type": "sphere_random", "count": 16, "n": 8, "seed": 5},
+            "params": {"mode": "greedy", "seed": 5, "samples": 2_000},
+        })
+        assert report["passed"]
+        assert 2.0 in passes and 1.0 not in passes
+
     def test_sudakov_samples_reach_the_separation_pass(self, pair_norm_samples):
         cli.run({
             "experiment": "sudakov",

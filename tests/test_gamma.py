@@ -356,7 +356,7 @@ def test_split_matches_the_list_based_oracle(case):
 
 
 def scan_allocation(diams, sizes, cap):
-    """A copy of the spare-capacity scan in _greedy_gamma: each spare slot
+    """A copy of the spare-capacity scan in greedy_tree: each spare slot
     to the first open block whose diameter per child beats the running
     best by more than 1e-15."""
     alloc = [1] * len(sizes)
@@ -395,7 +395,7 @@ def saturated_allocation_cases(draw):
 @example(case=([0.0, 0.0, 2.0], [5, 3, 2], 10))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_scan_at_a_cap_of_every_point_splits_every_block_into_singletons(case):
-    # _greedy_gamma skips the scan when cap >= |T|, the blocks' total size,
+    # greedy_tree skips the scan when cap >= |T|, the blocks' total size,
     # and takes this final state directly
     diams, sizes, cap = case
     assert scan_allocation(diams, sizes, cap) == sizes

@@ -50,6 +50,23 @@ def test_import_loads_no_scipy(run_python, module):
     assert run_python(f"import {module}\n{_HEAVY_LOADED}").strip() == "[]"
 
 
+# the greedy gamma and hull configs of the mc-certify benchmark workload,
+# at fewer samples
+_GREEDY_RUNS = """
+from chainsup import cli
+for experiment, count, n in (("gamma", 32, 16), ("hull", 16, 8)):
+    cli.run({"experiment": experiment, "process": {"family": "sym_exponential"},
+             "index_set": {"type": "sphere_random", "count": count, "n": n, "seed": 1},
+             "params": {"mode": "greedy", "samples": 2_000, "seed": 1}})
+"""
+
+
+def test_greedy_gamma_and_hull_runs_load_no_scipy(run_python):
+    # the metric's quadrature and its Gauss-Legendre nodes are numpy and
+    # math alone; a scipy one would add its import to every such run
+    assert run_python(f"{_GREEDY_RUNS}\n{_HEAVY_LOADED}").strip() == "[]"
+
+
 def test_no_module_imports_jsonschema():
     src = Path(chainsup.__file__).parent
     for path in sorted(src.glob("*.py")):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import squareform
 
-from chainsup import dist, metric
+from chainsup import dist, laplace, metric
 from chainsup.metric import IndexSet, ProcessSpec, increment_norm, latala_norm
 from chainsup.streams import derived_stream
 
@@ -23,6 +23,11 @@ def rad_proc(n):
 
 def exp_proc(n):
     return ProcessSpec.homogeneous(dist.sym_exponential(), n)
+
+
+def weibull_proc(n):
+    # a law no exact backend covers: its d_p is Monte Carlo at every p
+    return ProcessSpec.homogeneous(dist.sym_weibull(1.5), n)
 
 
 class TestProcessSpec:
@@ -136,14 +141,15 @@ class TestIncrementNorm:
 
     def test_mc_deterministic(self):
         s, t = np.array([1.0, 2.0]), np.zeros(2)
-        a = increment_norm(exp_proc(2), s, t, 3.0, samples=50_000, seed=5)
-        b = increment_norm(exp_proc(2), s, t, 3.0, samples=50_000, seed=5)
+        a = increment_norm(weibull_proc(2), s, t, 3.0, samples=50_000, seed=5)
+        b = increment_norm(weibull_proc(2), s, t, 3.0, samples=50_000, seed=5)
+        assert a.method == "monte_carlo"
         assert a.value == b.value
 
     def test_mc_seed_sensitivity(self):
         s, t = np.array([1.0, 2.0]), np.zeros(2)
-        a = increment_norm(exp_proc(2), s, t, 3.0, samples=50_000, seed=5)
-        b = increment_norm(exp_proc(2), s, t, 3.0, samples=50_000, seed=6)
+        a = increment_norm(weibull_proc(2), s, t, 3.0, samples=50_000, seed=5)
+        b = increment_norm(weibull_proc(2), s, t, 3.0, samples=50_000, seed=6)
         assert a.value != b.value
 
     def test_monotone_in_p(self):
@@ -184,7 +190,7 @@ class TestDistanceMatrix:
         # one condensed entry per pair i < j: the square is symmetric with a
         # zero diagonal by construction
         T = IndexSet(np.random.default_rng(4).standard_normal((6, 3)))
-        v = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1).values()
+        v = metric.distance_matrix(weibull_proc(3), T, 3.0, samples=20_000, seed=1).values()
         assert v.shape == (15,)
         dm = squareform(v)
         assert np.array_equal(dm, dm.T)
@@ -192,8 +198,8 @@ class TestDistanceMatrix:
 
     def test_mc_determinism(self):
         T = IndexSet(np.random.default_rng(4).standard_normal((6, 3)))
-        a = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1).values()
-        b = metric.distance_matrix(exp_proc(3), T, 3.0, samples=20_000, seed=1).values()
+        a = metric.distance_matrix(weibull_proc(3), T, 3.0, samples=20_000, seed=1).values()
+        b = metric.distance_matrix(weibull_proc(3), T, 3.0, samples=20_000, seed=1).values()
         assert np.array_equal(a, b)
 
     def test_empty_rejected(self):
@@ -257,7 +263,7 @@ class TestDistanceMatrix:
         T = IndexSet(np.random.default_rng(9).standard_normal((200, 3)))
         tracemalloc.start()
         try:
-            metric.distance_matrix(exp_proc(3), T, 3.0, samples=2_000, seed=1)
+            metric.distance_matrix(weibull_proc(3), T, 3.0, samples=2_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -269,20 +275,37 @@ class TestDistanceMatrix:
         T = IndexSet(np.random.default_rng(0).standard_normal((1_000, 16)))
         tracemalloc.start()
         try:
-            metric.distance_matrix(exp_proc(16), T, 3.0, samples=200)
+            metric.distance_matrix(weibull_proc(16), T, 3.0, samples=200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 160 * 2 ** 20
 
+    def test_quadrature_memory_holds_the_differences_and_tiles(self):
+        # 44,850 pairs in R^128 whose increments have at most two nonzeros:
+        # 44 MiB of differences, whose subtraction peaks at 88 MiB; two
+        # copies of them next to them would pass 128 MiB, and the quadrature
+        # reads them one tile of pairs at a time
+        T = IndexSet(np.eye(128)[np.arange(300) % 128] * (1.0 + np.arange(300)[:, None]))
+        tracemalloc.start()
+        try:
+            v = metric.distance_matrix(exp_proc(128), T, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.method == "quadrature" and np.isfinite(v.values()).all()
+        assert peak < 112 * 2 ** 20
+
     @pytest.mark.parametrize("make_proc, method", [(exp_proc, "monte_carlo"),
-                                                   (rad_proc, "enumeration")])
+                                                   (rad_proc, "enumeration"),
+                                                   (exp_proc, "quadrature")])
     def test_pass_past_the_byte_limit_raises_before_it_allocates(self, make_proc, method,
                                                                   monkeypatch):
         def no_diffs(pts):
             raise AssertionError("(pairs x dim) difference array built")
 
-        # 44,850 pairs in R^16: 6.0 MiB of differences and outputs alone
+        # 44,850 pairs in R^16: 6.0 MiB of differences and outputs alone;
+        # sym_exponential is Monte Carlo at p = 4 and quadrature at p = 3
         monkeypatch.setattr(metric, "_PASS_MAX_BYTES", 1 << 20)
         monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
         proc = make_proc(16)
@@ -290,7 +313,8 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match=rf"^{method} pair norms of 300 points in "
                                              rf"R\^16 under the {proc.family} process "
                                              r"need about [\d,]+ MiB, past the 1 MiB"):
-            metric.distance_matrix(proc, T, 3.0, samples=1_000)
+            metric.distance_matrix(proc, T, 4.0 if method == "monte_carlo" else 3.0,
+                                   samples=1_000)
 
     def test_single_point_is_one_zero(self):
         # no pairs; the square of the empty condensed vector is one zero
@@ -388,7 +412,7 @@ class TestMonteCarloKernel:
 
     @staticmethod
     def case(m):
-        make = dist.sym_exponential if m != 3 else (lambda: dist.three_point(2.0))
+        make = (lambda: dist.sym_weibull(1.5)) if m != 3 else (lambda: dist.three_point(2.0))
         return (ProcessSpec.homogeneous(make(), 4),
                 np.random.default_rng(m).standard_normal((m, 4)))
 
@@ -439,7 +463,7 @@ class TestIncrementClasses:
         d = np.array([0.5, -1.0, 2.0, 0.0, 1.5])
         T = IndexSet.with_origin([d, d[::-1], -d, d * [1, 1, -1, 1, -1],
                                   np.roll(-d, 2)])
-        v = metric.distance_matrix(exp_proc(5), T, 3.0, 5_000, 2)
+        v = metric.distance_matrix(weibull_proc(5), T, 3.0, 5_000, 2)
         assert v.method == "monte_carlo"
         assert len(set(v.values()[:5].tolist())) == 1
         assert len(set(v.errors[:5].tolist())) == 1
@@ -477,6 +501,116 @@ class TestIncrementClasses:
         for value, err, exact in zip(distinct, v.errors[first], [18 ** 0.25, 60 ** 0.25]):
             assert abs(value - exact) <= err
         assert np.array_equal(v.errors, v.errors[first][(vals == distinct[1]).astype(int)])
+
+
+_QUAD_PS = [1.0, math.log(4.0), 1.5, math.log(7.0), 1.999, 2.001, math.log(8.0), E, 3.0, 3.99]
+
+
+def _laplace_moment(c, p):
+    """E|sum_i c_i X_i|^p for standardized Laplace X_i and distinct
+    alpha_i = c_i^2 / 2, from the partial fractions of the characteristic
+    function: Gamma(p + 1) sum_i alpha_i^(p/2) prod_(j != i) alpha_i / (alpha_i - alpha_j)."""
+    alpha = [x * x / 2.0 for x in c]
+    return math.gamma(p + 1.0) * sum(
+        ai ** (p / 2.0) * math.prod(ai / (ai - aj) for j, aj in enumerate(alpha) if j != i)
+        for i, ai in enumerate(alpha))
+
+
+class TestLaplaceQuadrature:
+    """sym_exponential d_p at 1 <= p < 4, p != 2, by characteristic-function quadrature."""
+
+    @pytest.mark.parametrize("p", _QUAD_PS)
+    def test_one_coordinate(self, p):
+        r = increment_norm(exp_proc(1), [-2.5], [0.0], p)
+        assert r.method == "quadrature" and r.error_bound == 0.0
+        want = 2.5 * math.gamma(p + 1.0) ** (1.0 / p) / math.sqrt(2.0)
+        assert r.value == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", _QUAD_PS)
+    def test_distinct_coefficients_match_the_partial_fractions(self, p):
+        for c in ([1.0, -0.5], [0.3, -1.2, 2.0], [1.0, 0.7, -0.2, 0.05]):
+            v = metric.distance_matrix(exp_proc(len(c)), IndexSet.with_origin([c]), p)
+            assert v.method == "quadrature" and not v.errors.any()
+            want = _laplace_moment(c, p) ** (1.0 / p)
+            assert v.values()[0] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_tends_to_the_euclidean_length_at_p_2(self):
+        d = np.array([0.3, -1.2, 2.0, 0.0])
+        T = IndexSet.with_origin([d])
+        two = float(np.linalg.norm(d))
+        for h in (1e-2, 1e-4, 1e-6):
+            lo, hi = (metric.distance_matrix(exp_proc(4), T, 2.0 + s * h).values()[0]
+                      for s in (-1, 1))
+            assert lo < two < hi
+            assert hi - lo <= h * two
+
+    def test_extreme_scales_and_zero_increments(self):
+        d = np.array([0.3, -1.2, 2.0])
+        for p in (1.0, 1.5, 3.0):
+            one = increment_norm(exp_proc(3), d, np.zeros(3), p).value
+            for c in (1e-300, 1e200):
+                v = increment_norm(exp_proc(3), c * d, np.zeros(3), p).value
+                assert math.isfinite(v) and v == pytest.approx(c * one, rel=1e-14, abs=0)
+            # 1e-300 next to 1e200 adds nothing a float can hold
+            v = increment_norm(exp_proc(2), [1e-300, 1e200], [0.0, 0.0], p).value
+            assert v == pytest.approx(1e200 * math.gamma(p + 1.0) ** (1.0 / p) / math.sqrt(2.0),
+                                      rel=1e-12, abs=0)
+            # a repeated point: its pair is 0, the others are not
+            v = metric.distance_matrix(exp_proc(3), IndexSet([d, d, -d]), p)
+            assert v.method == "quadrature" and v.values()[0] == 0.0 and v.values()[1] > 0.0
+
+    def test_permutations_and_sign_flips_share_the_bits(self):
+        d = np.array([0.5, -1.0, 2.0, 0.0, 1.5])
+        T = IndexSet.with_origin([d, d[::-1], -d, d * [1, 1, -1, 1, -1], np.roll(-d, 2)])
+        v = metric.distance_matrix(exp_proc(5), T, 3.0)
+        assert v.method == "quadrature"
+        assert len(set(v.values()[:5].tolist())) == 1
+
+    def test_fills_the_requested_pairs_and_draws_nothing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a quadrature pass drew samples")
+
+        pts = np.random.default_rng(12).standard_normal((6, 3))
+        full = metric.distance_matrix(exp_proc(3), IndexSet(pts), 3.0)
+        monkeypatch.setattr(metric, "derived_stream", no_draws)
+        monkeypatch.setattr(ProcessSpec, "sample_matrix", no_draws)
+        blocks = [[0, 1, 2], [4, 5]]
+        part = metric.distance_matrix(exp_proc(3), IndexSet(pts), 3.0, blocks=blocks)
+        known = np.flatnonzero(~np.isnan(part.errors))
+        assert known.tolist() == _pair_positions(blocks, 6).tolist()
+        assert part.base[known].tobytes() == full.base[known].tobytes()
+        assert not part.errors[known].any()
+        with pytest.raises(LookupError):
+            part.block([0], [3])
+
+    def test_within_four_sigma_of_monte_carlo(self):
+        d = np.array([0.3, -1.2, 2.0, 0.7])
+        rng = np.random.default_rng(13)
+        model = dist.sym_exponential()
+        s = np.abs(np.column_stack([model.sample_with(rng, 200_000) for _ in d]) @ d)
+        for p in (1.0, 1.5, 3.0):
+            y = s ** p
+            exact = increment_norm(exp_proc(4), d, np.zeros(4), p).value ** p
+            assert abs(y.mean() - exact) <= 4.0 * y.std() / math.sqrt(len(y))
+
+    def test_raises_past_the_node_cap_and_on_overflow(self, monkeypatch):
+        # 1e308 - (-1e308) overflows to inf: no value is returned for it
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            increment_norm(exp_proc(1), [1e308], [-1e308], 1.5)
+        monkeypatch.setattr(laplace, "_MAX_NODES", laplace._FIRST_NODES)
+        with pytest.raises(ValueError, match=r"did not converge on 1 increments within 48 nodes"):
+            increment_norm(exp_proc(2), [1.0, 0.5], [0.0, 0.0], 3.0)
+
+    def test_imports_no_scipy_and_calls_no_eigen_solver(self):
+        import ast
+        from pathlib import Path
+
+        tree = ast.parse(Path(laplace.__file__).read_text())
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert imported == {"__future__", "functools", "math", "numpy"}
+        assert not [n.lineno for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr == "linalg"]
 
 
 # lattice point sets repeat increment patterns; the classes must be those
@@ -526,7 +660,7 @@ class TestPairNormCache:
             return derived_stream(seed, *tokens)
 
         monkeypatch.setattr(metric, "derived_stream", spy)
-        proc = exp_proc(16)
+        proc = weibull_proc(16)
         T = IndexSet(np.random.default_rng(4).standard_normal((32, 16)))
         _, tree = gamma.compute_gamma(T, proc, "gammaX", mode="greedy",
                                       samples=2_000, seed=3)
@@ -571,7 +705,7 @@ class TestPairNormCache:
         assert v.max() == v.values().max() > 0.0
 
     def test_a_request_of_known_pairs_draws_nothing(self, monkeypatch):
-        T, proc = IndexSet(np.random.default_rng(8).standard_normal((6, 3))), exp_proc(3)
+        T, proc = IndexSet(np.random.default_rng(8).standard_normal((6, 3))), weibull_proc(3)
         metric.distance_matrix(proc, T, 3.0, 1_000, 1, blocks=[[0, 1, 2], [3, 4]])
         calls = []
 
@@ -833,7 +967,7 @@ def test_gather_then_scale_is_scale_then_gather(base, scale, picks):
     assert v.values().tobytes() == scaled.tobytes()
 
 
-def _method_from_diffs(proc, pts):
+def _method_from_diffs(proc, pts, p):
     """The dispatch rule read off the whole (pairs x dim) difference array."""
     diffs = metric._pair_diffs(pts)
     fam = proc.family
@@ -842,25 +976,28 @@ def _method_from_diffs(proc, pts):
     if fam == "rademacher" and \
             np.count_nonzero(diffs, axis=1).max() <= metric.ENUMERATION_LIMIT:
         return "enumeration"
+    if fam == "sym_exponential" and 1.0 <= p < 4.0 and p != 2.0:
+        return "quadrature"
     return "monte_carlo"
 
 
 @given(pts=point_sets(coords=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                       dims=(1, 3, 20, 21, 24)),
        zero_rows=st.integers(0, 2),
-       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential, None]))
+       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential, None]),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 3.999, 4.0, 8.0]))
 # increments with exactly ENUMERATION_LIMIT and ENUMERATION_LIMIT + 1 nonzeros
-@example(pts=np.ones((1, 20)), zero_rows=1, make=dist.rademacher)
-@example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher)
+@example(pts=np.ones((1, 20)), zero_rows=1, make=dist.rademacher, p=1.0)
+@example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher, p=1.0)
 @settings(max_examples=300, deadline=None)
-def test_method_matches_the_difference_array_rule(pts, zero_rows, make):
+def test_method_matches_the_difference_array_rule(pts, zero_rows, make, p):
     pts = np.vstack([pts, np.zeros((zero_rows, pts.shape[1]))])
     n = pts.shape[1]
     if make is None:  # no common family
         proc = ProcessSpec(models=(dist.rademacher(),) * (n - 1) + (dist.gaussian(),))
     else:
         proc = ProcessSpec.homogeneous(make(), n)
-    assert metric._method(proc, pts) == _method_from_diffs(proc, pts)
+    assert metric._method(proc, pts, p) == _method_from_diffs(proc, pts, p)
 
 
 def test_is_exact_metric():
@@ -885,21 +1022,46 @@ _MODERATE_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                              st.floats(min_value=-1e30, max_value=-1e-30))
 
 
+def _orders(family):
+    """Two sorted orders p at which `family` has an exact backend: any
+    p <= 128, or for sym_exponential the quadrature's 1 <= p < 4 with
+    p = 2 among them."""
+    if family is dist.sym_exponential:
+        p = st.one_of(st.just(2.0), st.floats(min_value=1.0, max_value=4.0,
+                                              exclude_max=True))
+    else:
+        p = st.floats(min_value=1.0, max_value=128.0)
+    return st.lists(p, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def _exact_pair_norm(proc, T, p):
+    """distance_matrix's view, but at p = 2 the exact ||d||_2 of any
+    standardized law, where sym_exponential has no exact backend."""
+    if p == 2.0:
+        lengths = T.pair_lengths()
+        return metric.PairNorms(lengths, 1.0, np.zeros(len(lengths)), "closed_form")
+    return metric.distance_matrix(proc, T, p)
+
+
 @given(d=st.sampled_from([1, 2, 3, 9]).flatmap(
            lambda dim: st.lists(_MODERATE_COORDS, min_size=dim, max_size=dim)),
-       family=st.sampled_from([dist.gaussian, dist.rademacher]),
-       ps=st.lists(st.floats(min_value=1.0, max_value=128.0), min_size=2, max_size=2,
-                   unique=True).map(sorted))
-@example(d=[1.0, -1.0, 0.5], family=dist.rademacher, ps=[1.0, 1.0 + 1e-9])
+       case=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential]).flatmap(
+           lambda family: st.tuples(st.just(family), _orders(family))))
+@example(d=[1.0, -1.0, 0.5], case=(dist.rademacher, [1.0, 1.0 + 1e-9]))
+@example(d=[1.0, -1.0, 0.5], case=(dist.sym_exponential, [2.0 - 1e-9, 2.0]))
+@example(d=[1.0, -1.0, 0.5], case=(dist.sym_exponential, [2.0, 2.0 + 1e-9]))
+@example(d=[1e-30, 3.0], case=(dist.sym_exponential, [3.999, 3.9999]))
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_d_p_nondecreasing_in_p_on_exact_backends(d, family, ps):
-    # ||Y||_p is nondecreasing in p (Lyapunov); the closed form and the
-    # sign enumeration must keep that to rounding
+def test_d_p_nondecreasing_in_p_on_exact_backends(d, case):
+    # ||Y||_p is nondecreasing in p (Lyapunov); the closed form, the sign
+    # enumeration and the quadrature, next to the exact d_2, must keep that
+    # to rounding
+    family, ps = case
     pts = np.array([np.zeros(len(d)), d])
     proc = ProcessSpec.homogeneous(family(), pts.shape[1])
     T = IndexSet(pts)
-    lo, hi = (metric.distance_matrix(proc, T, p) for p in ps)
-    assert lo.method in ("closed_form", "enumeration")
+    lo, hi = (_exact_pair_norm(proc, T, p) for p in ps)
+    assert {lo.method, hi.method} <= {"closed_form", "enumeration", "quadrature"}
     lo, lo_err, hi, hi_err = lo.values(), lo.errors, hi.values(), hi.errors
     assert not lo_err.any() and not hi_err.any()
     assert np.all(hi >= lo * (1.0 - 1e-12))

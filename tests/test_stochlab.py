@@ -321,7 +321,7 @@ def test_dense_sets_project_through_projected_tiles(monkeypatch):
         yield from real(self, rng, count, pts, tile)
 
     monkeypatch.setattr(ProcessSpec, "projected_tiles", spy)
-    proc = ProcessSpec.homogeneous(dist.sym_exponential(), 3)
+    proc = ProcessSpec.homogeneous(dist.sym_weibull(1.5), 3)
     T = IndexSet(np.random.default_rng(19).standard_normal((5, 3)))
     stochlab.estimate_sup(proc, T, 1_000, RngStream(20, 0))
     assert counts == [1_000]
