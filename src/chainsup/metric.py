@@ -9,7 +9,8 @@ The gaussian closed form is ||g||_p |s - t|_2, so every p scales one
 vector of Euclidean pair lengths that an IndexSet computes once, row by
 row.  Every other pair-norm vector is kept on the IndexSet per (process,
 p, samples, seed), and a pass reduces only the pairs its caller asks for;
-enumeration and quadrature draw nothing and carry error 0.  The Monte
+enumeration and quadrature draw nothing, carry error 0 and read their
+differences a tile at a time; Monte Carlo builds them all.  The Monte
 Carlo kernel shares one stream of draws across all pairs of a point set,
 projects it onto the points one tile of samples at a time and reduces
 each tile in place in one scratch buffer sized from a fixed element
@@ -24,10 +25,9 @@ and error.
 read-only `PairNorms` view of the condensed pair vector, scipy's pdist
 layout (pairs i < j, row-major), as a kept base vector times a scale,
 with its 3-sigma errors and the method, and `increment_norm` is its
-two-point case.  The view alone knows that layout: it reads blocks of
-the square, a tile at a time, block diameters and the pair at a
-position, so no |T| x |T| square is built and no other module computes
-a pair position.
+two-point case.  `pair_index` and its inverse `pair_of` map a pair to
+its position and back; the view reads blocks of the square, a tile at
+a time, and block diameters, so no |T| x |T| square is built.
 Also hosts the product-moment functional |||(a_i X_i)|||_r solved by
 bisection.
 """
@@ -59,9 +59,9 @@ MC_DEFAULT_SAMPLES = 100_000
 MC_MAX_P = 128.0
 _MC_CHUNK = 20_000
 # elements of one tile (2 MiB): the pair-by-sample scratch buffer of a
-# Monte-Carlo pass, a block of pair norms read through `PairNorms.tiles`,
-# a pair-by-node buffer of a quadrature pass, and a tile of projected
-# process values in stochlab
+# Monte-Carlo pass, the pair differences an exact pass reads at a time, a
+# block of pair norms read through `PairNorms.tiles`, a pair-by-node
+# buffer of a quadrature pass, and a tile of projected values in stochlab
 TILE_ELEMS = 1 << 18
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated, quadrature or Monte-Carlo pass may take
 
@@ -193,12 +193,12 @@ class PairNorms:
     layout), read as the read-only `base` vector times `scale`, with the
     read-only 3-sigma `errors` and the `method`.
 
-    The one reader of that layout: blocks of the square, tile by tile,
-    block diameters and the pair at a position all come from here.  The
-    point count follows from the pair count, since an index set is never
-    empty.  Gathering and scaling by a float commute bit for bit, and
-    rounding is monotone, so every read gathers base entries and scales
-    only those, and `max` reads the scaled vector without building it.
+    Blocks of the square, tile by tile, and block diameters are read
+    here, through `pair_index`.  The point count follows from the pair
+    count, since an index set is never empty.  Gathering and scaling by a
+    float commute bit for bit, and rounding is monotone, so every read
+    gathers base entries and scales only those, and `max` reads the scaled
+    vector without building it.
     An enumerated, quadrature or Monte-Carlo view is NaN at the pairs no
     request has reduced, which `block`, `max` and `values` raise
     LookupError at.
@@ -255,19 +255,6 @@ class PairNorms:
         block = np.asarray(block)
         return float(np.max([t.max() for t in self.tiles(block, block)]))
 
-    def pair(self, k) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (i, j), i < j, at position k, broadcasting over k.
-
-        Row i starts at i (2m - i - 1) / 2, so i is the last of the m - 1
-        row starts at or below k, and j follows from k's offset in that
-        row.
-        """
-        m = self.n_points()
-        k = np.asarray(k)
-        r = np.arange(m - 1)
-        i = np.searchsorted(r * (2 * m - r - 1) // 2, k, side="right") - 1
-        return i, k - i * (2 * m - i - 1) // 2 + i + 1
-
     def max(self) -> float:
         """The max of values(), taken before scaling."""
         self._check()
@@ -287,10 +274,10 @@ def _enumerate_signed_sums(coeffs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _pair_diffs(pts: np.ndarray) -> np.ndarray:
-    """pts[i] - pts[j] over the pairs i < j, row-major."""
-    ii, jj = np.triu_indices(len(pts), 1)
-    return pts[ii] - pts[jj]
+def _pair_diffs(pts: np.ndarray, k=None) -> np.ndarray:
+    """pts[i] - pts[j] over the pairs i < j, row-major, or at positions k."""
+    i, j = pair_of(np.arange(len(pts) * (len(pts) - 1) // 2) if k is None else k, len(pts))
+    return pts[i] - pts[j]
 
 
 def _method(proc: ProcessSpec, pts: np.ndarray, p: float) -> str:
@@ -384,13 +371,14 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     enumeration, quadrature (`laplace.increment_norms`) or Monte Carlo, as `method`
     says, at least at the pairs the mask `want` marks (none: no draw), and
     NaN at those left unreduced.  Enumeration and quadrature fill exactly
-    the wanted pairs, with error 0.
+    the wanted pairs, with error 0, a tile of `TILE_ELEMS // dim` pairs at
+    a time, and raise ValueError at a difference that is not finite.
 
-    A pass whose estimated allocation (the pair differences and the two
-    per-pair outputs; for quadrature seven tiles; for Monte Carlo the
-    stream key's copy of the differences, the pattern classes, one chunk's
-    draws, one tile's projection and its scratch buffers) exceeds
-    `_PASS_MAX_BYTES` raises before it allocates.
+    A pass whose estimated allocation (for an exact pass the two per-pair
+    outputs, the wanted positions and a few tiles; for Monte Carlo the
+    differences, the stream key's copy, the outputs, the pattern classes,
+    one chunk's draws, one tile's projection and its scratch buffers)
+    exceeds `_PASS_MAX_BYTES` raises before it allocates.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
     `_MC_CHUNK` draws from one derived stream is projected onto the points
@@ -421,53 +409,54 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     pairs = m * (m - 1) // 2
     k = m - 1
     tile = max(1, min(_MC_CHUNK, samples, TILE_ELEMS // k))
-    need = 8 * pairs * (dim + 2)
-    if method == "quadrature":
-        # a tile of the wanted differences, their scaled squares, the rows
-        # a later rule still refines and four pair-by-node buffers
-        need += 8 * 7 * TILE_ELEMS
-    elif method == "monte_carlo":
-        # the key's copy of the differences, six pair-length vectors of
-        # the pattern classes, one chunk's draws, one tile's projection,
-        # the scratch buffer and at most one spare
-        need += 8 * (pairs * (dim + 6) + min(_MC_CHUNK, samples) * dim
-                     + m * tile + 2 * k * tile)
+    step = max(1, TILE_ELEMS // dim)  # pairs in a tile of an exact pass
+    if method == "monte_carlo":
+        # the differences and the key's copy of them, the outputs, six
+        # pair-length vectors of the pattern classes, one chunk's draws, one
+        # tile's projection, the scratch buffer and at most one spare
+        need = 8 * (pairs * (2 * dim + 8) + min(_MC_CHUNK, samples) * dim
+                    + m * tile + 2 * k * tile)
+    else:
+        # the outputs, the wanted positions, a tile of differences with its
+        # gather's operands and indices, and quadrature's six more tiles
+        need = 8 * (3 * pairs + step * (3 * dim + 4)
+                    + (6 * TILE_ELEMS if method == "quadrature" else 0))
     if need > _PASS_MAX_BYTES:
         raise ValueError(
             f"{method} pair norms of {m} points in R^{dim} under the "
             f"{proc.family or 'mixed'} process need about {need / 2**20:,.0f} MiB, "
             f"past the {_PASS_MAX_BYTES / 2**20:,.0f} MiB limit of one pass")
-    diffs = _pair_diffs(pts)
     if method != "monte_carlo":
-        out = np.full((2, pairs), np.nan)
-        out[1, want] = 0.0
         if method == "quadrature":
             from . import laplace  # on first use, off the package's import
-
-            rows = np.flatnonzero(want)
-            step = max(1, TILE_ELEMS // dim)
-            for lo in range(0, len(rows), step):
-                out[0, rows[lo:lo + step]] = laplace.increment_norms(
-                    diffs[rows[lo:lo + step]], p, TILE_ELEMS)
-            return out
-        # each increment scaled by its largest |c|, so no power under- or overflows
-        tops = np.abs(diffs).max(axis=1)[want]
-        out[0, want] = [t * np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0] / t)) ** p)
-                        ** (1.0 / p) if t else 0.0 for d, t in zip(diffs[want], tops)]
+        out = np.full((2, pairs), np.nan)
+        rows = np.flatnonzero(want)
+        out[1, rows] = 0.0
+        for lo in range(0, len(rows), step):
+            pos = rows[lo:lo + step]
+            diffs = _pair_diffs(pts, pos)
+            if not np.isfinite(diffs).all():
+                raise ValueError(f"{method} d_p at p = {p:g} of an increment that is not finite")
+            if method == "quadrature":
+                out[0, pos] = laplace.increment_norms(diffs, p, TILE_ELEMS)
+            else:  # scaled by max |c|: no tiny or huge increment's power under- or overflows
+                out[0, pos] = [t * np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0] / t))
+                                           ** p) ** (1.0 / p) if t else 0.0
+                               for d, t in zip(diffs, np.abs(diffs).max(axis=1))]
         return out
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
+    diffs = _pair_diffs(pts)
     rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
     rep_of = _increment_classes(proc, diffs)
     del diffs
     hit = np.bincount(rep_of[want], minlength=pairs)
     reps = np.flatnonzero(hit)
-    # pairs (i, j > i) occupy rows[i]:rows[i + 1] of the row-major order,
-    # and their representatives reps[at[i]:at[i + 1]]
-    rows = np.concatenate([[0], np.cumsum(np.arange(k, 0, -1))])
-    at = np.searchsorted(reps, rows)
+    # the representatives of row i's pairs (i, j > i) are reps[at[i]:at[i + 1]]
+    ri, rj = pair_of(reps, m)
+    at = np.searchsorted(ri, np.arange(m))
     # (row, first, end, the points j to gather or None for all j > row)
-    work = [(i, a, b, None if b - a == k - i else reps[a:b] - (rows[i] - i - 1))
+    work = [(i, a, b, None if b - a == k - i else rj[a:b])
             for i, (a, b) in enumerate(zip(at[:-1], at[1:])) if b > a]
     total = np.zeros(len(reps))
     total_sq = np.zeros(len(reps))
@@ -573,10 +562,19 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     return kept[1]
 
 
+def pair_of(k, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (i, j), i < j, at position k of an m-point set's condensed
+    vector, broadcasting over k; the inverse of `pair_index`.  Row i starts
+    at i (2m - i - 1) / 2, so i is the last row start at or below k."""
+    r = np.arange(m - 1)
+    i = np.searchsorted(r * (2 * m - r - 1) // 2, k, side="right") - 1
+    return i, k - i * (2 * m - i - 1) // 2 + i + 1
+
+
 def pair_index(i, j, m: int) -> np.ndarray:
     """Position of the pair (i, j), i != j, in the condensed vector of an
     m-point set, symmetric in i and j and broadcasting like any ufunc; the
-    inverse of `PairNorms.pair`.
+    inverse of `pair_of`.
 
     Row r of the pairs starts at r (2m - r - 1) / 2, so (i, j) with i < j
     sits at off(i) + j with off(r) = r (2m - r - 3) / 2 - 1.  off is

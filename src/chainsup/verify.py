@@ -73,7 +73,7 @@ def sudakov_experiment(proc: ProcessSpec, T: IndexSet, p: float, u: float,
     separation_ok = min_sep >= u - tol
     worst_pair = None
     if not separation_ok:
-        worst_pair = tuple(int(x) for x in dm.pair(k))
+        worst_pair = tuple(int(x) for x in metric_mod.pair_of(k, len(T)))
     esup = estimate_sup(proc, T, samples, stream, workers=workers)
     return SudakovReport(
         p=float(p), u=float(u),
@@ -219,7 +219,7 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
         bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * (1.0 + dx))))
         if bad.size:
             k = bad[0]
-            i, j = mx.pair(k)
+            i, j = metric_mod.pair_of(k, len(T))
             raise ValueError(
                 f"domination precondition fails at (s={i}, t={j}, p={p}): "
                 f"||Y_s-Y_t||_p = {dy[k]} > ||X_s-X_t||_p = {dx[k]}")

@@ -553,6 +553,23 @@ class TestEndToEnd:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_overflowed_increment_exit_one(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows to inf, whose enumerated d_p was NaN:
+        # the exact search passed on it and wrote "nan"
+        cfg = self._write_config(tmp_path, {
+            "index_set": {"type": "explicit",
+                          "points": [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]},
+            "process": {"family": "rademacher"},
+            "params": {"mode": "exact"},
+        })
+        with np.errstate(over="ignore"):
+            assert cli.main(["gamma", "--config", str(cfg),
+                             "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: enumeration d_p at p = \S+ of an increment that is "
+                            r"not finite\n", err), err
+        assert not (tmp_path / "o").exists()
+
     def test_config_not_an_object_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text("[]")

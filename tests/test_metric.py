@@ -30,6 +30,12 @@ def weibull_proc(n):
     return ProcessSpec.homogeneous(dist.sym_weibull(1.5), n)
 
 
+def axis_points(m, dim):
+    # m scaled unit vectors, cycling through the axes: every increment has
+    # at most two nonzeros, so rademacher enumerates it
+    return np.eye(dim)[np.arange(m) % dim] * (1.0 + np.arange(m)[:, None])
+
+
 class TestProcessSpec:
     def test_family_detection(self):
         assert gauss_proc(3).family == "gaussian"
@@ -245,11 +251,17 @@ class TestDistanceMatrix:
         assert peak < 16 * 2 ** 20
 
     def test_exact_paths_build_no_difference_array(self, monkeypatch):
-        def no_diffs(pts):
-            raise AssertionError("(pairs x dim) difference array built")
+        real = metric._pair_diffs
+        calls = []
+
+        def tile_diffs(pts, k=None):
+            assert k is not None and len(k) <= metric.TILE_ELEMS // pts.shape[1], \
+                "(pairs x dim) difference array built"
+            calls.append(k)
+            return real(pts, k)
 
         T = IndexSet(np.random.default_rng(6).standard_normal((40, 24)))
-        monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
+        monkeypatch.setattr(metric, "_pair_diffs", tile_diffs)
         v = metric.distance_matrix(gauss_proc(24), T, 8.0).values()
         assert v[0] == np.linalg.norm(T.points[0] - T.points[1]) * \
             dist.gaussian().moment(8.0)
@@ -257,6 +269,19 @@ class TestDistanceMatrix:
         assert not metric.is_exact_metric(rad_proc(24), T)
         assert not metric.is_exact_metric(exp_proc(24), T)
         assert metric.is_exact_metric(exp_proc(24), IndexSet(np.ones((40, 24))))
+        assert calls == []
+        # 780 pairs with at most two nonzeros, 64 to a tile: each wanted
+        # position is gathered once, and each value is the two-point pass's
+        monkeypatch.setattr(metric, "TILE_ELEMS", 64 * 24)
+        pts = axis_points(40, 24)
+        for make_proc, method in ((rad_proc, "enumeration"), (exp_proc, "quadrature")):
+            calls.clear()
+            v = metric.distance_matrix(make_proc(24), IndexSet(pts), 3.0)
+            assert v.method == method and len(calls) == 13
+            assert np.array_equal(np.concatenate(calls), np.arange(780))
+            i, j = metric.pair_of(np.arange(0, 780, 97), 40)
+            assert [increment_norm(make_proc(24), pts[a], pts[b], 3.0).value
+                    for a, b in zip(i, j)] == v.values()[::97].tolist()
 
     def test_mc_memory_bounded_in_pairs(self):
         # 19,900 pairs: a (samples x pairs) array alone would take 300 MiB
@@ -281,27 +306,49 @@ class TestDistanceMatrix:
             tracemalloc.stop()
         assert peak < 160 * 2 ** 20
 
-    def test_quadrature_memory_holds_the_differences_and_tiles(self):
+    @pytest.mark.parametrize("make_proc, method", [(exp_proc, "quadrature"),
+                                                   (rad_proc, "enumeration")],
+                             ids=["quadrature", "enumeration"])
+    def test_exact_pass_holds_tiles_not_differences(self, make_proc, method):
         # 44,850 pairs in R^128 whose increments have at most two nonzeros:
-        # 44 MiB of differences, whose subtraction peaks at 88 MiB; two
-        # copies of them next to them would pass 128 MiB, and the quadrature
+        # 44 MiB of differences, whose gather peaks at 88 MiB; an exact pass
         # reads them one tile of pairs at a time
-        T = IndexSet(np.eye(128)[np.arange(300) % 128] * (1.0 + np.arange(300)[:, None]))
+        T = IndexSet(axis_points(300, 128))
         tracemalloc.start()
         try:
-            v = metric.distance_matrix(exp_proc(128), T, 1.5)
+            v = metric.distance_matrix(make_proc(128), T, 1.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert v.method == "quadrature" and np.isfinite(v.values()).all()
-        assert peak < 112 * 2 ** 20
+        assert v.method == method and np.isfinite(v.values()).all()
+        assert peak < 32 * 2 ** 20
+
+    def test_exact_passes_fit_a_limit_below_their_differences(self, monkeypatch):
+        # the 44 MiB of differences above under a 32 MiB limit: both exact
+        # passes run, Monte Carlo (sym_exponential at p = 4) raises
+        monkeypatch.setattr(metric, "_PASS_MAX_BYTES", 32 << 20)
+        pts = axis_points(300, 128)
+        for make_proc, method in ((exp_proc, "quadrature"), (rad_proc, "enumeration")):
+            assert metric.distance_matrix(make_proc(128), IndexSet(pts), 1.5).method == method
+        with pytest.raises(ValueError, match=r"^monte_carlo pair norms of 300 points in "
+                                             r"R\^128 .* past the 32 MiB limit of one pass$"):
+            metric.distance_matrix(exp_proc(128), IndexSet(pts), 4.0, samples=1_000)
+
+    @pytest.mark.parametrize("make_proc, method", [(rad_proc, "enumeration"),
+                                                   (exp_proc, "quadrature")])
+    def test_an_overflowed_increment_raises(self, make_proc, method):
+        # 1e308 - (-1e308) overflows to inf: no value is returned for it
+        T = IndexSet([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=rf"^{method} d_p at p = 1.5 of an increment that is not finite$"):
+            metric.distance_matrix(make_proc(2), T, 1.5)
 
     @pytest.mark.parametrize("make_proc, method", [(exp_proc, "monte_carlo"),
                                                    (rad_proc, "enumeration"),
                                                    (exp_proc, "quadrature")])
     def test_pass_past_the_byte_limit_raises_before_it_allocates(self, make_proc, method,
                                                                   monkeypatch):
-        def no_diffs(pts):
+        def no_diffs(pts, k=None):
             raise AssertionError("(pairs x dim) difference array built")
 
         # 44,850 pairs in R^16: 6.0 MiB of differences and outputs alone;
@@ -332,12 +379,31 @@ def test_pair_of_inverts_pair_index(m, data):
     k = np.arange(m * (m - 1) // 2)
     v = metric.PairNorms(np.zeros(len(k)), 1.0, np.zeros(len(k)), "closed_form")
     assert v.n_points() == m
-    i, j = v.pair(k)
+    i, j = metric.pair_of(k, m)
     ii, jj = np.triu_indices(m, 1)
     assert np.array_equal(i, ii) and np.array_equal(j, jj)
     assert np.array_equal(metric.pair_index(i, j, m), k)
+    assert np.array_equal(metric.pair_index(j, i, m), k)
     one = data.draw(st.integers(0, len(k) - 1))
-    assert tuple(int(x) for x in v.pair(one)) == (ii[one], jj[one])
+    assert tuple(int(x) for x in metric.pair_of(one, m)) == (ii[one], jj[one])
+    # broadcasting over a 2-d array of positions keeps its shape
+    grid = np.array(data.draw(st.lists(st.integers(0, len(k) - 1), min_size=6, max_size=6)))
+    i, j = metric.pair_of(grid.reshape(2, 3), m)
+    assert i.shape == j.shape == (2, 3)
+    assert np.array_equal(i.ravel(), ii[grid]) and np.array_equal(j.ravel(), jj[grid])
+
+
+@given(m=st.integers(1, 40), dim=st.sampled_from([1, 3, 17]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_diffs_at_positions_equal_the_triu_gather(m, dim, data):
+    pts = np.random.default_rng(m * dim).standard_normal((m, dim))
+    ii, jj = np.triu_indices(m, 1)
+    full = pts[ii] - pts[jj]
+    assert metric._pair_diffs(pts).tobytes() == full.tobytes()
+    k = np.array(data.draw(st.lists(st.integers(0, max(len(ii) - 1, 0)),
+                                    max_size=60 if len(ii) else 0)), dtype=np.intp)
+    got = metric._pair_diffs(pts, k)
+    assert got.shape == (len(k), pts.shape[1]) and got.tobytes() == full[k].tobytes()
 
 
 def test_every_pair_norm_pass_enters_through_distance_matrix(monkeypatch):
@@ -961,7 +1027,7 @@ def test_gather_then_scale_is_scale_then_gather(base, scale, picks):
     idx = np.array(picks, dtype=np.intp) % len(base)
     v = metric.PairNorms(base, scale, np.zeros(len(base)), "closed_form")
     scaled = base * scale
-    i, j = v.pair(idx)
+    i, j = metric.pair_of(idx, m)
     assert np.diagonal(v.block(i, j)).tobytes() == scaled[idx].tobytes()
     assert v.max() == scaled.max()
     assert v.values().tobytes() == scaled.tobytes()
