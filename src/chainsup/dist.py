@@ -156,7 +156,8 @@ class TailFunction:
 
 
 class DistributionModel:
-    """A standardized symmetric law: moments, tail exponent, sampler.
+    """A standardized symmetric law: moments ||X||_p (`moment`, uncached,
+    so E X^(2k) is `moment(2k) ** (2k)`), tail exponent, sampler.
 
     `sampler(rng, out)` fills the contiguous float64 vector `out` with
     i.i.d. draws.
@@ -173,7 +174,6 @@ class DistributionModel:
         self._sampler = sampler
         self.support_bound = float(support_bound)
         self.tail = TailFunction(tail_fn, self.support_bound)
-        self._even_moment_cache: dict[int, float] = {}
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -186,16 +186,6 @@ class DistributionModel:
         if p < 1:
             raise ValueError(f"moment order must be >= 1, got {p}")
         return float(self._moment_fn(float(p)))
-
-    def even_moment(self, k: int) -> float:
-        """E X^(2k), cached (used by the product-moment functional)."""
-        if k not in self._even_moment_cache:
-            if k == 0:
-                v = 1.0
-            else:
-                v = self.moment(2 * k) ** (2 * k)
-            self._even_moment_cache[k] = v
-        return self._even_moment_cache[k]
 
     # -- tails --------------------------------------------------------
 

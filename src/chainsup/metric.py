@@ -1,7 +1,8 @@
 """Increment metrics of canonical processes.
 
 d_p(s, t) = ||sum_i (s_i - t_i) X_i||_p, computed exactly where the
-coordinate laws allow (gaussian closed form, rademacher sign enumeration,
+coordinate laws allow (gaussian closed form, rademacher sign enumeration
+over half the sign patterns of the increment scaled by sum_i |s_i - t_i|,
 and for all-`sym_exponential` (Laplace) coordinates at 1 <= p < 4, p != 2,
 quadrature of the characteristic function to 1e-13 relative, in `laplace`)
 and by chunked Monte Carlo with a CLT error bound otherwise.
@@ -28,8 +29,8 @@ with its 3-sigma errors and the method, and `increment_norm` is its
 two-point case.  `pair_index` and its inverse `pair_of` map a pair to
 its position and back; the view reads blocks of the square, a tile at
 a time, and block diameters, so no |T| x |T| square is built.
-Also hosts the product-moment functional |||(a_i X_i)|||_r solved by
-bisection.
+Also hosts the product-moment functional |||(a_i X_i)|||_r, solved for
+a / max|a_i| by bisection between two proved ends and scaled back.
 """
 
 from __future__ import annotations
@@ -267,9 +268,11 @@ class PairNorms:
 
 
 def _enumerate_signed_sums(coeffs: np.ndarray) -> np.ndarray:
-    """All 2^k values of sum(c_i * sigma_i) over sign patterns."""
-    vals = np.array([0.0])
-    for c in coeffs:
+    """The 2^(k-1) values of sum(c_i * sigma_i) over the sign patterns with
+    sigma_1 = +1, k >= 1: a global sign flip keeps |sum|, so |sum| has the
+    same law over these as over all 2^k patterns."""
+    vals = coeffs[:1]
+    for c in coeffs[1:]:
         vals = np.concatenate([vals + c, vals - c])
     return vals
 
@@ -431,7 +434,7 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
             from . import laplace  # on first use, off the package's import
         out = np.full((2, pairs), np.nan)
         rows = np.flatnonzero(want)
-        out[1, rows] = 0.0
+        out[:, rows] = 0.0
         for lo in range(0, len(rows), step):
             pos = rows[lo:lo + step]
             diffs = _pair_diffs(pts, pos)
@@ -439,10 +442,16 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
                 raise ValueError(f"{method} d_p at p = {p:g} of an increment that is not finite")
             if method == "quadrature":
                 out[0, pos] = laplace.increment_norms(diffs, p, TILE_ELEMS)
-            else:  # scaled by max |c|: no tiny or huge increment's power under- or overflows
-                out[0, pos] = [t * np.mean(np.abs(_enumerate_signed_sums(d[d != 0.0] / t))
-                                           ** p) ** (1.0 / p) if t else 0.0
-                               for d, t in zip(diffs, np.abs(diffs).max(axis=1))]
+            else:
+                # scaled by sum |c|, so no |signed sum| exceeds 1 and no power over- or
+                # underflows; first by 2^e > max |c|, exactly, so the sum cannot overflow
+                for k, d in zip(pos, diffs):
+                    if (c := d[d != 0.0]).size:
+                        e = np.frexp(np.abs(c).max())[1]
+                        c = np.ldexp(c, -e)
+                        t = np.abs(c).sum()
+                        out[0, k] = np.ldexp(
+                            t * np.mean(np.abs(_enumerate_signed_sums(c / t)) ** p) ** (1.0 / p), e)
         return out
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
@@ -597,8 +606,13 @@ def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:
     """|||(a_i X_i)|||_r = inf{u > 0 : prod_i E|1 + a_i X_i / u|^r <= e^r}.
 
     For symmetric coordinates and even r the product expands into even
-    moments and is strictly decreasing in u, so the threshold is a unique
-    root found by bisection to 1e-10 relative.
+    moments and is strictly decreasing in u.  The functional is
+    1-homogeneous in a, so it is solved for b = a / max|a_i| and scaled
+    back: the root of F(u) = sum_i log E(1 + b_i X_i / u)^r = r is
+    bisected to 1e-10 relative between two ends, F(lo) >= r >= F(hi):
+    lo = ||X_j||_r exp(-1 - log1p(-e^-r) / r), |b_j| = 1: E X_j^r / lo^r = e^r - 1.
+    hi = sum_i |b_i| ||X_i||_r: Minkowski, then log1p(x) <= x.
+    A NaN or infinite coefficient raises ValueError.
     """
     r = int(r)
     if r < 2 or r % 2 != 0:
@@ -606,46 +620,40 @@ def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:
     a = np.asarray(coeffs, dtype=float)
     if a.shape != (proc.dimension,):
         raise ValueError("coefficient vector must match the process dimension")
-    if not np.any(a):
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"coefficient {a[bad[0]]} at position {bad[0]} is not finite")
+    top = int(np.abs(a).argmax())
+    scale = abs(float(a[top]))
+    if scale == 0.0:
         return 0.0
-    half = r // 2
-    binoms = [math.comb(r, 2 * k) for k in range(half + 1)]
-    tables = []
-    for ai, model in zip(a, proc.models):
-        if ai != 0.0:
-            tables.append((ai, [model.even_moment(k) for k in range(half + 1)]))
+    # per model object: ||X||_r and C(r, 2k) E X^(2k) for k = r/2, ..., 1 (Horner order)
+    tables = {}
+    terms = []
+    for bi, model in zip((a / scale).tolist(), proc.models):
+        if bi != 0.0:
+            if model not in tables:
+                tables[model] = model.moment(r), [
+                    math.comb(r, 2 * k) * model.moment(2 * k) ** (2 * k)
+                    for k in range(r // 2, 0, -1)]
+            terms.append((bi, *tables[model]))
 
     def log_product(u: float) -> float:
         total = 0.0
-        for ai, moms in tables:
-            z = (ai / u) ** 2
-            # Horner evaluation of sum_{k>=1} binom(r,2k) E X^(2k) z^k
+        for bi, _, coefs in terms:
+            z = (bi / u) ** 2
             s = 0.0
-            for k in range(half, 0, -1):
-                s = s * z + binoms[k] * moms[k]
+            for c in coefs:
+                s = s * z + c
             total += math.log1p(s * z)
         return total
 
-    target = float(r)
-    lo, hi = None, None
-    u = 1.0
-    for _ in range(200):
-        if log_product(u) > target:
-            lo = u
-            if hi is not None:
-                break
-            u *= 2.0
-        else:
-            hi = u
-            if lo is not None:
-                break
-            u /= 2.0
-    if lo is None or hi is None:
-        raise RuntimeError("failed to bracket the product-moment root")
+    lo = tables[proc.models[top]][0] * math.exp(-1.0 - math.log1p(-math.exp(-r)) / r)
+    hi = sum(abs(bi) * norm for bi, norm, _ in terms)
     while (hi - lo) > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
-        if log_product(mid) > target:
+        if log_product(mid) > r:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) * scale

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -889,6 +890,18 @@ class TestLatalaNorm:
         v1 = latala_norm(a, proc, 4)
         v2 = latala_norm(3.0 * a, proc, 4)
         assert v2 == pytest.approx(3.0 * v1, rel=1e-8)
+        # solved on a / max|a_i|: a power of two scales the result bit for
+        # bit, and no scale a float holds leaves the bracket
+        for k in (200, -200):
+            assert latala_norm(2.0 ** k * a, proc, 4) == 2.0 ** k * v1
+        for scale in (1e100, 1e-100, 1e300, 1e-300):
+            v = latala_norm(scale * a, proc, 4)
+            assert math.isfinite(v) and v == pytest.approx(scale * v1, rel=1e-8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"^coefficient {bad} at position 1 is not finite$"):
+            latala_norm([1.0, bad], gauss_proc(2), 4)
 
     def test_threshold_is_root(self):
         # at the returned u the log-moment product sits at the target e^r
@@ -1080,6 +1093,27 @@ def test_enumerated_tiny_increment_does_not_underflow(p):
     assert increment_norm(rad_proc(1), [1e-20], [0.0], p).value == 1e-20
 
 
+def test_enumerated_huge_increment_does_not_overflow():
+    # sum |d_i| of (1e308, 1e308) is past the largest float, but the
+    # increment is first scaled by a power of two: E|e_1 + e_2| = 1
+    assert increment_norm(rad_proc(2), [1e308, 1e308], [0.0, 0.0], 1.0).value == 1e308
+
+
+@given(c=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=10)
+       .filter(lambda c: any(c)),
+       p=st.floats(min_value=1.0, max_value=64.0))
+@settings(max_examples=150, deadline=None)
+def test_half_sign_table_matches_all_sign_patterns(c, p):
+    # |sum| is even in a global sign flip, so the 2^(k-1) sums with the
+    # first sign fixed give the mean of |s|^p over all 2^k patterns; the
+    # coefficients are scaled by sum |c_i|, as the enumeration scales them
+    c = np.array(c) / np.abs(c).sum()
+    half = np.mean(np.abs(metric._enumerate_signed_sums(c)) ** p)
+    full = np.mean([abs(sum(ci * si for ci, si in zip(c, signs))) ** p
+                    for signs in itertools.product((1.0, -1.0), repeat=len(c))])
+    assert half == pytest.approx(full, rel=1e-14)
+
+
 # nonzero coordinates in [1e-30, 1e30]: the enumeration scales each
 # increment by its largest |d_j| before the power, so at p <= 128 in R^9
 # no power of a signed sum underflows to a zero norm or overflows
@@ -1117,11 +1151,13 @@ def _exact_pair_norm(proc, T, p):
 @example(d=[1.0, -1.0, 0.5], case=(dist.sym_exponential, [2.0 - 1e-9, 2.0]))
 @example(d=[1.0, -1.0, 0.5], case=(dist.sym_exponential, [2.0, 2.0 + 1e-9]))
 @example(d=[1e-30, 3.0], case=(dist.sym_exponential, [3.999, 3.9999]))
+# 20^p overflows past p = 237 unless the signed sums are scaled below 1
+@example(d=[1.0] * 20, case=(dist.rademacher, [300.0, 1000.0]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_d_p_nondecreasing_in_p_on_exact_backends(d, case):
     # ||Y||_p is nondecreasing in p (Lyapunov); the closed form, the sign
     # enumeration and the quadrature, next to the exact d_2, must keep that
-    # to rounding
+    # to rounding, and rademacher's d_p stays below sum |d_i| at every p
     family, ps = case
     pts = np.array([np.zeros(len(d)), d])
     proc = ProcessSpec.homogeneous(family(), pts.shape[1])
@@ -1130,4 +1166,7 @@ def test_d_p_nondecreasing_in_p_on_exact_backends(d, case):
     assert {lo.method, hi.method} <= {"closed_form", "enumeration", "quadrature"}
     lo, lo_err, hi, hi_err = lo.values(), lo.errors, hi.values(), hi.errors
     assert not lo_err.any() and not hi_err.any()
+    assert np.isfinite(hi).all()
     assert np.all(hi >= lo * (1.0 - 1e-12))
+    if family is dist.rademacher:
+        assert np.all(hi <= np.abs(d).sum() * (1.0 + 1e-12))
