@@ -1,27 +1,30 @@
 """Increment metrics of canonical processes.
 
 d_p(s, t) = ||sum_i (s_i - t_i) X_i||_p, computed exactly where the
-coordinate laws allow (gaussian closed form, rademacher sign enumeration
-over half the sign patterns of the increment scaled by sum_i |s_i - t_i|,
-and for all-`sym_exponential` (Laplace) coordinates at 1 <= p < 4, p != 2,
-quadrature of the characteristic function to 1e-13 relative, in `laplace`)
-and by chunked Monte Carlo with a CLT error bound otherwise.
+coordinate laws allow (gaussian closed form; even moments at even
+p <= MC_MAX_P, p >= 4 on any mix of `sym_exponential`, `three_point` and
+`sym_weibull` coordinates and every even p on rademacher, from one table
+of E X^(2l) / (2l)! per model; rademacher sign enumeration over half the
+sign patterns of the increment scaled by sum_i |s_i - t_i| at the other
+p; and for all-`sym_exponential` (Laplace) coordinates at 1 <= p < 4,
+p != 2, quadrature of the characteristic function to 1e-13 relative, in
+`laplace`) and by chunked Monte Carlo with a CLT error bound otherwise.
 The gaussian closed form is ||g||_p |s - t|_2, so every p scales one
 vector of Euclidean pair lengths that an IndexSet computes once, row by
 row.  Every other pair-norm vector is kept on the IndexSet per (process,
 p, samples, seed), and a pass reduces only the pairs its caller asks for;
-enumeration and quadrature draw nothing, carry error 0 and read their
-differences a tile at a time; Monte Carlo builds them all.  The Monte
-Carlo kernel shares one stream of draws across all pairs of a point set,
-projects it onto the points one tile of samples at a time and reduces
-each tile in place in one scratch buffer sized from a fixed element
-budget; integer p is raised by repeated squaring and multiplication, so
-p = 4 or 8 costs two or three multiplies per sample.  Every coordinate
-law is symmetric and the coordinates independent, so d_p(s, t) depends
-only on |s - t|, and only on its sorted entries when every coordinate
-holds one model object; the kernel reduces each such increment pattern
-once, at its lowest pair, and every pair of the pattern reads that value
-and error.
+the even moments, enumeration and quadrature draw nothing, carry error 0
+and read their differences a tile at a time; Monte Carlo builds them
+all.  The Monte Carlo kernel shares one stream of draws across all pairs
+of a point set, projects it onto the points one tile of samples at a
+time and reduces each tile in place in one scratch buffer sized from a
+fixed element budget; integer p is raised by repeated squaring and
+multiplication, so p = 4 or 8 costs two or three multiplies per
+sample.  Every coordinate law is symmetric and the coordinates
+independent, so d_p(s, t) depends only on |s - t|, and only on its
+sorted entries when every coordinate holds one model object; the kernel
+reduces each such increment pattern once, at its lowest pair, and every
+pair of the pattern reads that value and error.
 `distance_matrix` is the one entry point to every backend: it returns a
 read-only `PairNorms` view of the condensed pair vector, scipy's pdist
 layout (pairs i < j, row-major), as a kept base vector times a scale,
@@ -30,7 +33,8 @@ two-point case.  `pair_index` and its inverse `pair_of` map a pair to
 its position and back; the view reads blocks of the square, a tile at
 a time, and block diameters, so no |T| x |T| square is built.
 Also hosts the product-moment functional |||(a_i X_i)|||_r, solved for
-a / max|a_i| by bisection between two proved ends and scaled back.
+a / max|a_i| by bisection between two proved ends and scaled back, on
+the same even-moment table in log space.
 """
 
 from __future__ import annotations
@@ -57,7 +61,10 @@ __all__ = [
 
 ENUMERATION_LIMIT = 20        # nonzero rademacher coords per enumerated increment
 MC_DEFAULT_SAMPLES = 100_000
-MC_MAX_P = 128.0
+MC_MAX_P = 128.0              # top p of Monte Carlo and of the even moments
+# families whose mixes take the even moments at even p >= 4; rademacher
+# alone takes them at every even p, and gaussian alone has its closed form
+_EVEN_MOMENT_FAMILIES = frozenset({"sym_exponential", "sym_weibull", "three_point"})
 _MC_CHUNK = 20_000
 # elements of one tile (2 MiB): the pair-by-sample scratch buffer of a
 # Monte-Carlo pass, the pair differences an exact pass reads at a time, a
@@ -185,7 +192,7 @@ class IndexSet:
 class IncrementNormResult:
     value: float
     error_bound: float
-    method: str  # closed_form | enumeration | quadrature | monte_carlo
+    method: str  # closed_form | even_moments | enumeration | quadrature | monte_carlo
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,7 @@ class PairNorms:
     float commute bit for bit, and rounding is monotone, so every read
     gathers base entries and scales only those, and `max` reads the scaled
     vector without building it.
-    An enumerated, quadrature or Monte-Carlo view is NaN at the pairs no
+    Any view but the closed form's is NaN at the pairs no
     request has reduced, which `block`, `max` and `values` raise
     LookupError at.
     """
@@ -208,7 +215,7 @@ class PairNorms:
     base: np.ndarray
     scale: float
     errors: np.ndarray
-    method: str  # closed_form | enumeration | quadrature | monte_carlo
+    method: str  # closed_form | even_moments | enumeration | quadrature | monte_carlo
 
     def n_points(self) -> int:
         """m, from the m (m - 1) / 2 pairs."""
@@ -286,16 +293,23 @@ def _pair_diffs(pts: np.ndarray, k=None) -> np.ndarray:
 def _method(proc: ProcessSpec, pts: np.ndarray, p: float) -> str:
     """How the d_p norms of the pair increments of `pts` are computed.
 
-    Reads the increments one row of pairs at a time: the points are all
-    equal iff every pts[j] - pts[0] is zero, and rademacher enumerates
-    while no increment has more than ENUMERATION_LIMIT nonzeros.  A
-    process whose every coordinate is `sym_exponential` takes the
-    characteristic-function quadrature at 1 <= p < 4, p != 2; p = 2 and
-    p >= 4 stay Monte Carlo.
+    The points are all equal iff every pts[j] - pts[0] is zero.  Even
+    p <= MC_MAX_P takes the even moments when every coordinate is
+    rademacher, or when p >= 4 and every coordinate's law is in
+    `_EVEN_MOMENT_FAMILIES` (mixes included).  Otherwise rademacher
+    enumerates while no increment has more than ENUMERATION_LIMIT
+    nonzeros, read one row of pairs at a time, and a process whose every
+    coordinate is `sym_exponential` takes the characteristic-function
+    quadrature at 1 <= p < 4, p != 2.  p = 2 on the other laws, the other
+    non-even p, mixes with gaussian or rademacher coordinates and
+    `log_concave_from_tail` stay Monte Carlo.
     """
     fam = proc.family
     if fam == "gaussian" or not np.any(pts[1:] - pts[:1]):
         return "closed_form"
+    if p % 2 == 0 and p <= MC_MAX_P and (fam == "rademacher" or p >= 4 and all(
+            m.family in _EVEN_MOMENT_FAMILIES for m in proc.models)):
+        return "even_moments"
     if fam == "rademacher" and all(
             np.count_nonzero(pts[i] - pts[i + 1:], axis=1).max() <= ENUMERATION_LIMIT
             for i in range(len(pts) - 1)):
@@ -303,6 +317,87 @@ def _method(proc: ProcessSpec, pts: np.ndarray, p: float) -> str:
     if fam == "sym_exponential" and 1.0 <= p < 4.0 and p != 2.0:
         return "quadrature"
     return "monte_carlo"
+
+
+def _log_even_moments(model: DistributionModel, k: int) -> np.ndarray:
+    """log w_l = log(E X^(2l) / (2l)!) = 2l log ||X||_(2l) - lgamma(2l + 1)
+    for l = 0..k: neither the moment nor the factorial is formed, so
+    neither overflows."""
+    return np.array([0.0] + [2 * l * math.log(model.moment(2 * l)) - math.lgamma(2 * l + 1.0)
+                             for l in range(1, k + 1)])
+
+
+def _even_moment_norms(proc: ProcessSpec, diffs: np.ndarray, k: int,
+                       tile: int) -> np.ndarray:
+    """d_(2k) of the finite increments `diffs` (rows, overwritten), from
+    E S^(2k) = (2k)! [z^k] prod_i sum_(l <= k) d_i^(2l) w_l z^l, w_l from
+    each coordinate's `_log_even_moments` (Latala 1997): every term is
+    >= 0, so nothing cancels.
+
+    Each row is sorted when every coordinate holds one model object and
+    divided by its largest |d_i|, to c; with sigma_i = ||X_i||_(2k) and
+    sigma_t = max_i c_i sigma_i, the row's scale, coordinate i has weight
+    e_i = c_i sigma_i / sigma_t <= 1, and z = y / ((2k)!^(1/k) sigma_t^2)
+    turns its factor into sum_l e_i^(2l) v_l y^l with v_l =
+    w_l (2k)!^(l/k) / sigma_i^(2l), v_k = 1 exactly.  So the top weight
+    alone gives [y^k] >= 1, d_(2k) = max|d_i| sigma_t [y^k]^(1/(2k)) forms
+    no power of a factorial, and a single coordinate gives |d_i| sigma_i
+    to the bit.  The coordinates multiply into a (rows x (k + 1))
+    accumulator one at a time, at most `tile` entries, rescaled by powers
+    of two so that no sum overflows; columns that are zero across a block
+    are skipped.  A zero increment has norm 0, and a value that is not
+    finite (an increment near the float range) raises ValueError.
+    """
+    models = proc.models
+    d = np.abs(diffs, out=diffs)
+    if all(m is models[0] for m in models):
+        d.sort(axis=1)
+    ls = np.arange(1, k + 1)
+    tables = {}
+    for m in models:
+        if m not in tables:
+            s = m.moment(2 * k)
+            v = np.exp(_log_even_moments(m, k)[1:] + ls / k * math.lgamma(2 * k + 1.0)
+                       - 2 * ls * math.log(s))
+            v[-1] = 1.0
+            tables[m] = s, v
+    sigma = np.array([tables[m][0] for m in models])
+    v = np.array([tables[m][1] for m in models])
+    scale = sigma.max()
+    weight = sigma / scale
+    out = np.zeros(len(d))
+    top = d.max(axis=1)
+    live = np.flatnonzero(top)
+    rows = max(1, tile // (k + 1))
+    for lo in range(0, len(live), rows):
+        at = live[lo:lo + rows]
+        e = d[at] / top[at, None]
+        e *= weight
+        most = e.max(axis=1)
+        e /= most[:, None]
+        acc = np.zeros((len(at), k + 1))
+        acc[:, 0] = 1.0
+        lift = np.zeros(len(at))  # acc is 2^-lift times the product's coefficients
+        for j in np.flatnonzero(e.any(axis=0)):
+            a = np.power(np.square(e[:, j])[:, None], ls)
+            a *= v[j]
+            # [y^n] gains sum_(l >= 1) acc[n - l] a_l, highest n first so
+            # that every acc read is the previous coordinate's
+            for n in range(k, 0, -1):
+                acc[:, n] += np.vecdot(acc[:, :n], a[:, n - 1::-1])
+            # a row past 2^512 (p near MC_MAX_P on a thousand or more dense
+            # coordinates) is scaled down by 2^512, exactly, so no sum overflows
+            big = acc.max(axis=1) > 2.0 ** 512
+            if big.any():
+                acc[big] *= 2.0 ** -512
+                lift[big] += 512.0
+        # only an increment near the float range, times sigma_t, overflows
+        with np.errstate(over="ignore"):
+            out[at] = top[at] * (scale * most * acc[:, k] ** (0.5 / k)
+                                 * np.exp2(lift / (2 * k)))
+    if not np.isfinite(out).all():
+        raise ValueError(f"even-moment d_p at p = {2 * k} overflows a float")
+    return out
 
 
 def _abs_power(d: np.ndarray, p: float, spare: Optional[np.ndarray]) -> np.ndarray:
@@ -370,12 +465,13 @@ def _increment_classes(proc: ProcessSpec, diffs: np.ndarray) -> np.ndarray:
 
 def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
                          seed: int, method: str, want: np.ndarray) -> np.ndarray:
-    """Values and 3-sigma errors (two rows) of `distance_matrix` by sign
-    enumeration, quadrature (`laplace.increment_norms`) or Monte Carlo, as `method`
+    """Values and 3-sigma errors (two rows) of `distance_matrix` by even
+    moments (`_even_moment_norms`, even p <= MC_MAX_P), sign enumeration,
+    quadrature (`laplace.increment_norms`) or Monte Carlo, as `method`
     says, at least at the pairs the mask `want` marks (none: no draw), and
-    NaN at those left unreduced.  Enumeration and quadrature fill exactly
-    the wanted pairs, with error 0, a tile of `TILE_ELEMS // dim` pairs at
-    a time, and raise ValueError at a difference that is not finite.
+    NaN at those left unreduced.  The exact methods fill exactly the
+    wanted pairs, with error 0, a tile of `TILE_ELEMS // dim` pairs at a
+    time, and raise ValueError at a difference that is not finite.
 
     A pass whose estimated allocation (for an exact pass the two per-pair
     outputs, the wanted positions and a few tiles; for Monte Carlo the
@@ -421,14 +517,18 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
                     + m * tile + 2 * k * tile)
     else:
         # the outputs, the wanted positions, a tile of differences with its
-        # gather's operands and indices, and quadrature's six more tiles
+        # gather's operands and indices, and quadrature's six more tiles or
+        # the even moments' scaled copy of the differences and two tiles
         need = 8 * (3 * pairs + step * (3 * dim + 4)
-                    + (6 * TILE_ELEMS if method == "quadrature" else 0))
+                    + {"quadrature": 6 * TILE_ELEMS,
+                       "even_moments": step * dim + 2 * TILE_ELEMS}.get(method, 0))
     if need > _PASS_MAX_BYTES:
         raise ValueError(
             f"{method} pair norms of {m} points in R^{dim} under the "
             f"{proc.family or 'mixed'} process need about {need / 2**20:,.0f} MiB, "
             f"past the {_PASS_MAX_BYTES / 2**20:,.0f} MiB limit of one pass")
+    if method == "even_moments" and (p % 2 or p > MC_MAX_P):
+        raise ValueError(f"even-moment d_p needs an even p <= {MC_MAX_P:g}, not p = {p:g}")
     if method != "monte_carlo":
         if method == "quadrature":
             from . import laplace  # on first use, off the package's import
@@ -442,6 +542,8 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
                 raise ValueError(f"{method} d_p at p = {p:g} of an increment that is not finite")
             if method == "quadrature":
                 out[0, pos] = laplace.increment_norms(diffs, p, TILE_ELEMS)
+            elif method == "even_moments":
+                out[0, pos] = _even_moment_norms(proc, diffs, int(p) // 2, TILE_ELEMS)
             else:
                 # scaled by sum |c|, so no |signed sum| exceeds 1 and no power over- or
                 # underflows; first by 2^e > max |c|, exactly, so the sum cannot overflow
@@ -520,8 +622,9 @@ def increment_norm(proc: ProcessSpec, s, t, p: float,
 
 def is_exact_metric(proc: ProcessSpec, T: IndexSet) -> bool:
     """Whether the d_p distances over T avoid Monte-Carlo noise at every
-    p >= 1; the quadrature leaves out p = 2, so p = 2 decides."""
-    return _method(proc, T.points, 2.0) != "monte_carlo"
+    p >= 1: the quadrature leaves out p = 2 and the even moments p = 1,
+    where rademacher enumeration may stop, so p = 1 and p = 2 decide."""
+    return all(_method(proc, T.points, p) != "monte_carlo" for p in (1.0, 2.0))
 
 
 def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
@@ -612,7 +715,10 @@ def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:
     bisected to 1e-10 relative between two ends, F(lo) >= r >= F(hi):
     lo = ||X_j||_r exp(-1 - log1p(-e^-r) / r), |b_j| = 1: E X_j^r / lo^r = e^r - 1.
     hi = sum_i |b_i| ||X_i||_r: Minkowski, then log1p(x) <= x.
-    A NaN or infinite coefficient raises ValueError.
+    The terms C(r, 2k) E X^(2k) (b_i / u)^(2k), k = 1..r/2, are taken in
+    log space from the even-moment table `_log_even_moments`, so no
+    moment, binomial or power overflows.  A NaN or infinite coefficient
+    raises ValueError.
     """
     r = int(r)
     if r < 2 or r % 2 != 0:
@@ -627,29 +733,28 @@ def latala_norm(coeffs, proc: ProcessSpec, r: int) -> float:
     scale = abs(float(a[top]))
     if scale == 0.0:
         return 0.0
-    # per model object: ||X||_r and C(r, 2k) E X^(2k) for k = r/2, ..., 1 (Horner order)
+    b = a / scale
+    live = np.flatnonzero(b)
+    ks = np.arange(1, r // 2 + 1)
+    # per model object: log C(r, 2k) E X^(2k) = log(r! / (r - 2k)!) + log w_k, k = 1..r/2
+    falling = math.lgamma(r + 1.0) - np.array([math.lgamma(r - 2.0 * k + 1.0) for k in ks])
     tables = {}
-    terms = []
-    for bi, model in zip((a / scale).tolist(), proc.models):
-        if bi != 0.0:
-            if model not in tables:
-                tables[model] = model.moment(r), [
-                    math.comb(r, 2 * k) * model.moment(2 * k) ** (2 * k)
-                    for k in range(r // 2, 0, -1)]
-            terms.append((bi, *tables[model]))
+    for i in live:
+        model = proc.models[i]
+        if model not in tables:
+            tables[model] = falling + _log_even_moments(model, r // 2)[1:]
+    log_coef = np.array([tables[proc.models[i]] for i in live])
+    log_b = np.log(np.abs(b[live]))
 
     def log_product(u: float) -> float:
-        total = 0.0
-        for bi, _, coefs in terms:
-            z = (bi / u) ** 2
-            s = 0.0
-            for c in coefs:
-                s = s * z + c
-            total += math.log1p(s * z)
-        return total
+        # sum_i log(1 + sum_k exp(t_ik)), factored by max(0, max_k t_ik)
+        t = log_coef + np.multiply.outer(2.0 * (log_b - math.log(u)), ks)
+        big = np.maximum(t.max(axis=1), 0.0)
+        return float(np.sum(big + np.log1p(np.expm1(-big)
+                                           + np.exp(t - big[:, None]).sum(axis=1))))
 
-    lo = tables[proc.models[top]][0] * math.exp(-1.0 - math.log1p(-math.exp(-r)) / r)
-    hi = sum(abs(bi) * norm for bi, norm, _ in terms)
+    lo = proc.models[top].moment(r) * math.exp(-1.0 - math.log1p(-math.exp(-r)) / r)
+    hi = sum(abs(float(b[i])) * proc.models[i].moment(r) for i in live)
     while (hi - lo) > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if log_product(mid) > r:

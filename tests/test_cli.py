@@ -519,18 +519,19 @@ class TestEndToEnd:
         assert not (tmp_path / "o").exists()
 
     def test_monte_carlo_overflow_exit_one(self, tmp_path, capsys):
-        # d_128 of these two points overflows in the sum of |d|^(2p): the
-        # error was NaN; now the run stops before writing a report
+        # Monte-Carlo d_127 of these two points overflows in the sum of
+        # |d|^(2p): the error was NaN; now the run stops before writing a
+        # report (at the even p = 128 the even moments give d_p exactly)
         pts = np.random.default_rng(3).standard_normal((2, 5)).tolist()
         cfg = self._write_config(tmp_path, {
             "process": {"family": "sym_exponential"},
             "index_set": {"type": "explicit", "points": pts},
-            "params": {"seed": 0, "p": 128, "u": 1.0, "samples": 21_234},
+            "params": {"seed": 0, "p": 127, "u": 1.0, "samples": 21_234},
         })
         assert cli.main(["sudakov", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Monte-Carlo d_p at p = 128 ") and \
+        assert err.startswith("error: Monte-Carlo d_p at p = 127 ") and \
             err.count("\n") == 1, err
         assert "sym_exponential" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()

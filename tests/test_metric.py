@@ -27,7 +27,7 @@ def exp_proc(n):
 
 
 def weibull_proc(n):
-    # a law no exact backend covers: its d_p is Monte Carlo at every p
+    # a law whose d_p is Monte Carlo at every p but the even p >= 4
     return ProcessSpec.homogeneous(dist.sym_weibull(1.5), n)
 
 
@@ -127,12 +127,16 @@ class TestIncrementNorm:
         assert r.value == pytest.approx(3.0 * dist.gaussian().moment(4), rel=1e-12)
 
     def test_rademacher_enumeration_pairs(self):
-        # ||eps_1 + eps_2||_4 = 8^(1/4); ||eps_1+eps_2+eps_3||_4 = 21^(1/4)
-        r2 = increment_norm(rad_proc(2), np.array([1.0, 1.0]), np.zeros(2), 4.0)
-        assert r2.method == "enumeration"
-        assert r2.value == pytest.approx(8.0 ** 0.25, rel=1e-12)
-        r3 = increment_norm(rad_proc(3), np.ones(3), np.zeros(3), 4.0)
-        assert r3.value == pytest.approx(21.0 ** 0.25, rel=1e-12)
+        # ||eps_1 + eps_2||_4 = 8^(1/4); ||eps_1+eps_2+eps_3||_4 = 21^(1/4),
+        # from the even moments; at p = 3 the sign enumeration gives
+        # (E|eps_1 + eps_2|^3)^(1/3) = 4^(1/3) and 7.5^(1/3)
+        for p, method, two, three in ((4.0, "even_moments", 8.0, 21.0),
+                                      (3.0, "enumeration", 4.0, 7.5)):
+            r2 = increment_norm(rad_proc(2), np.array([1.0, 1.0]), np.zeros(2), p)
+            assert r2.method == method
+            assert r2.value == pytest.approx(two ** (1.0 / p), rel=1e-12)
+            r3 = increment_norm(rad_proc(3), np.ones(3), np.zeros(3), p)
+            assert r3.value == pytest.approx(three ** (1.0 / p), rel=1e-12)
 
     def test_zero_increment(self):
         r = increment_norm(exp_proc(2), np.ones(2), np.ones(2), 3.0)
@@ -325,15 +329,17 @@ class TestDistanceMatrix:
         assert peak < 32 * 2 ** 20
 
     def test_exact_passes_fit_a_limit_below_their_differences(self, monkeypatch):
-        # the 44 MiB of differences above under a 32 MiB limit: both exact
-        # passes run, Monte Carlo (sym_exponential at p = 4) raises
+        # the 44 MiB of differences above under a 32 MiB limit: the exact
+        # passes run, Monte Carlo (sym_exponential at p = 5) raises
         monkeypatch.setattr(metric, "_PASS_MAX_BYTES", 32 << 20)
         pts = axis_points(300, 128)
-        for make_proc, method in ((exp_proc, "quadrature"), (rad_proc, "enumeration")):
-            assert metric.distance_matrix(make_proc(128), IndexSet(pts), 1.5).method == method
+        for make_proc, method, p in ((exp_proc, "quadrature", 1.5),
+                                     (rad_proc, "enumeration", 1.5),
+                                     (exp_proc, "even_moments", 4.0)):
+            assert metric.distance_matrix(make_proc(128), IndexSet(pts), p).method == method
         with pytest.raises(ValueError, match=r"^monte_carlo pair norms of 300 points in "
                                              r"R\^128 .* past the 32 MiB limit of one pass$"):
-            metric.distance_matrix(exp_proc(128), IndexSet(pts), 4.0, samples=1_000)
+            metric.distance_matrix(exp_proc(128), IndexSet(pts), 5.0, samples=1_000)
 
     @pytest.mark.parametrize("make_proc, method", [(rad_proc, "enumeration"),
                                                    (exp_proc, "quadrature")])
@@ -344,16 +350,20 @@ class TestDistanceMatrix:
                 ValueError, match=rf"^{method} d_p at p = 1.5 of an increment that is not finite$"):
             metric.distance_matrix(make_proc(2), T, 1.5)
 
-    @pytest.mark.parametrize("make_proc, method", [(exp_proc, "monte_carlo"),
-                                                   (rad_proc, "enumeration"),
-                                                   (exp_proc, "quadrature")])
-    def test_pass_past_the_byte_limit_raises_before_it_allocates(self, make_proc, method,
+    @pytest.mark.parametrize("make_proc, method, p", [(exp_proc, "monte_carlo", 5.0),
+                                                      (rad_proc, "enumeration", 3.0),
+                                                      (exp_proc, "quadrature", 3.0),
+                                                      (exp_proc, "even_moments", 4.0)],
+                             ids=["exp_proc-monte_carlo", "rad_proc-enumeration",
+                                  "exp_proc-quadrature", "exp_proc-even_moments"])
+    def test_pass_past_the_byte_limit_raises_before_it_allocates(self, make_proc, method, p,
                                                                   monkeypatch):
         def no_diffs(pts, k=None):
             raise AssertionError("(pairs x dim) difference array built")
 
         # 44,850 pairs in R^16: 6.0 MiB of differences and outputs alone;
-        # sym_exponential is Monte Carlo at p = 4 and quadrature at p = 3
+        # sym_exponential is Monte Carlo at p = 5, quadrature at p = 3 and
+        # even moments at p = 4
         monkeypatch.setattr(metric, "_PASS_MAX_BYTES", 1 << 20)
         monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
         proc = make_proc(16)
@@ -361,8 +371,7 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match=rf"^{method} pair norms of 300 points in "
                                              rf"R\^16 under the {proc.family} process "
                                              r"need about [\d,]+ MiB, past the 1 MiB"):
-            metric.distance_matrix(proc, T, 4.0 if method == "monte_carlo" else 3.0,
-                                   samples=1_000)
+            metric.distance_matrix(proc, T, p, samples=1_000)
 
     def test_single_point_is_one_zero(self):
         # no pairs; the square of the empty condensed vector is one zero
@@ -458,6 +467,14 @@ def test_every_pair_norm_pass_enters_through_distance_matrix(monkeypatch):
     assert not hasattr(metric, "_pair_norms")
 
 
+def _monte_carlo(proc, pts, p, samples, seed):
+    """Values and 3-sigma errors of the Monte-Carlo kernel at every pair,
+    also at the even p where `distance_matrix` takes the even moments."""
+    m = len(pts)
+    return metric._uncached_pair_norms(proc, pts, float(p), samples, seed, "monte_carlo",
+                                       np.ones(m * (m - 1) // 2, bool))
+
+
 class TestMonteCarloKernel:
     """The in-place, tiled kernel against a naive reduction of the same draws."""
 
@@ -491,12 +508,17 @@ class TestMonteCarloKernel:
         assert samples % metric._MC_CHUNK and samples > metric._MC_CHUNK
         # at 70 points the budget splits each chunk into several tiles
         assert metric.TILE_ELEMS // 69 < metric._MC_CHUNK
+        # the kernel itself: at p = 4 and 8 distance_matrix takes the even
+        # moments, and at the other p it is this pass
         proc, pts = self.case(m)
-        d = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
-        assert d.method == "monte_carlo"
+        values, errors = _monte_carlo(proc, pts, p, samples, 5)
+        if p % 2:
+            d = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
+            assert d.method == "monte_carlo"
+            assert d.values().tobytes() == values.tobytes()
         want_values, want_errors = self.naive(proc, pts, p, samples, 5)
-        np.testing.assert_allclose(d.values(), want_values, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(d.errors, want_errors, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(errors, want_errors, rtol=1e-12, atol=0)
 
     def test_sudakov_packing_pass_holds_one_tile(self):
         # the 66 points of packing_set(2, 12): one chunk's projection alone
@@ -506,7 +528,7 @@ class TestMonteCarloKernel:
         T = verify.packing_set(2, 12)
         tracemalloc.start()
         try:
-            metric.distance_matrix(exp_proc(12), T, 4.0, samples=100_000, seed=3)
+            _monte_carlo(exp_proc(12), T.points, 4.0, 100_000, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -518,7 +540,7 @@ class TestMonteCarloKernel:
         pts = np.random.default_rng(3).standard_normal((2, 5))
         with pytest.raises(ValueError, match=r"p = 128 .* 1 of 1 pairs of the "
                                              r"sym_exponential process"):
-            metric.distance_matrix(exp_proc(5), IndexSet(pts), 128, 21_234, 0)
+            _monte_carlo(exp_proc(5), pts, 128, 21_234, 0)
 
 
 class TestIncrementClasses:
@@ -539,19 +561,19 @@ class TestIncrementClasses:
 
     def test_coordinates_with_different_laws_do_not_merge(self):
         proc = ProcessSpec(models=(dist.sym_exponential(), dist.three_point(2.0)))
-        v = metric.distance_matrix(proc, IndexSet.with_origin(np.eye(2)), 4.0, 5_000, 2)
-        assert v.method == "monte_carlo"
-        assert v.values()[0] != v.values()[1]
-        assert v.errors[0] != v.errors[1]
+        values, errors = _monte_carlo(proc, IndexSet.with_origin(np.eye(2)).points, 4.0,
+                                      5_000, 2)
+        assert values[0] != values[1]
+        assert errors[0] != errors[1]
 
     def test_exchangeable_means_one_model_object(self):
         # two objects of one law: a descriptor need not fix a law, so the
         # coordinates are not sorted and (0, e1), (0, e2) keep two estimates
-        T = IndexSet.with_origin(np.eye(2))
+        pts = IndexSet.with_origin(np.eye(2)).points
         two = ProcessSpec(models=(dist.sym_exponential(), dist.sym_exponential()))
-        v = metric.distance_matrix(two, T, 4.0, 5_000, 2).values()
+        v = _monte_carlo(two, pts, 4.0, 5_000, 2)[0]
         assert v[0] != v[1]
-        v = metric.distance_matrix(exp_proc(2), T, 4.0, 5_000, 2).values()
+        v = _monte_carlo(exp_proc(2), pts, 4.0, 5_000, 2)[0]
         assert v[0] == v[1]
 
     def test_sudakov_packing_holds_the_two_closed_forms(self):
@@ -560,14 +582,18 @@ class TestIncrementClasses:
         # coordinates (E X^4 = 6) d_4 is 18^(1/4) or 60^(1/4)
         from chainsup import verify
 
-        v = metric.distance_matrix(exp_proc(12), verify.packing_set(2, 12), 4.0,
-                                   100_000, 3)
-        vals = v.values()
+        pts = verify.packing_set(2, 12).points
+        vals, errors = _monte_carlo(exp_proc(12), pts, 4.0, 100_000, 3)
         distinct, first = np.unique(vals, return_index=True)
         assert len(distinct) == 2
-        for value, err, exact in zip(distinct, v.errors[first], [18 ** 0.25, 60 ** 0.25]):
+        for value, err, exact in zip(distinct, errors[first], [18 ** 0.25, 60 ** 0.25]):
             assert abs(value - exact) <= err
-        assert np.array_equal(v.errors, v.errors[first][(vals == distinct[1]).astype(int)])
+        assert np.array_equal(errors, errors[first][(vals == distinct[1]).astype(int)])
+        # distance_matrix takes the even moments, which give the two values
+        v = metric.distance_matrix(exp_proc(12), IndexSet(pts), 4.0)
+        assert v.method == "even_moments" and not v.errors.any()
+        np.testing.assert_allclose(np.unique(v.values()), [18 ** 0.25, 60 ** 0.25],
+                                   rtol=1e-15, atol=0)
 
 
 _QUAD_PS = [1.0, math.log(4.0), 1.5, math.log(7.0), 1.999, 2.001, math.log(8.0), E, 3.0, 3.99]
@@ -720,26 +746,43 @@ class TestPairNormCache:
         from chainsup import gamma, verify
 
         passes = []
+        exact = []
 
         def spy(seed, *tokens):
             if tokens[0] == "distance_matrix" and len(tokens[1]) == 496 * 16 * 8:
                 passes.append(tokens[2])  # a pass over the 496 pairs of T
             return derived_stream(seed, *tokens)
 
+        real = metric._uncached_pair_norms
+
+        def exact_spy(proc, pts, p, samples, seed, method, want):
+            if method != "monte_carlo":
+                exact.append((p, method, np.flatnonzero(want)))
+            return real(proc, pts, p, samples, seed, method, want)
+
         monkeypatch.setattr(metric, "derived_stream", spy)
+        monkeypatch.setattr(metric, "_uncached_pair_norms", exact_spy)
         proc = weibull_proc(16)
         T = IndexSet(np.random.default_rng(4).standard_normal((32, 16)))
         _, tree = gamma.compute_gamma(T, proc, "gammaX", mode="greedy",
                                       samples=2_000, seed=3)
-        # the split and the certificate share d_2 and d_4; level 3's cap
-        # 256 reaches the 32 points, so it is all singletons and reads no d_8
-        assert sorted(passes) == [1.0, 2.0, 4.0]
+        # the split and the certificate share d_1 and d_2; d_4 is exact, and
+        # level 3's cap 256 reaches the 32 points, so it is all singletons
+        # and reads no d_8
+        assert sorted(passes) == [1.0, 2.0]
+        assert [(p, method) for p, method, _ in exact] == [(4.0, "even_moments")]
+        split = set(exact[0][2].tolist())
         verify.convex_hull_decomposition(T, tree, proc, samples=2_000, seed=3)
-        # the hull steps at d_4, d_8 and d_16.  Its level-1 steps join
-        # points of different level-1 blocks, pairs the d_4 pass of the
-        # split (inside those blocks) did not reduce, so d_4 takes a second
-        # pass on the same stream for them alone
-        assert sorted(passes) == [1.0, 2.0, 4.0, 4.0, 8.0, 16.0]
+        # the hull steps at d_4, d_8 and d_16, all exact: no Monte-Carlo
+        # pass is added.  Its level-1 steps join points of different level-1
+        # blocks, pairs the d_4 pass of the split (inside those blocks) did
+        # not reduce, so an exact d_4 pass reduces those alone
+        assert sorted(passes) == [1.0, 2.0]
+        steps = [(p, method) for p, method, _ in exact[1:]]
+        assert sorted(steps) == [(4.0, "even_moments"), (8.0, "even_moments"),
+                                 (16.0, "even_moments")]
+        new = next(w for p, _, w in exact[1:] if p == 4.0)
+        assert new.size and not split & set(new.tolist())
 
     def test_gaussian_sets_keep_no_vectors(self):
         T = IndexSet(np.random.default_rng(5).standard_normal((12, 3)))
@@ -926,6 +969,22 @@ class TestLatalaNorm:
     def test_zero_coeffs(self):
         assert latala_norm(np.zeros(3), gauss_proc(3), 2) == 0.0
 
+    @pytest.mark.parametrize("make_proc, r", [(gauss_proc, 400),
+                                              (lambda n: ProcessSpec.homogeneous(
+                                                  dist.sym_weibull(0.5), n), 128)],
+                             ids=["gaussian-400", "weibull-half-128"])
+    def test_moments_past_the_float_range(self, make_proc, r):
+        # E g^400 = 399!! and E X^128 of sym_weibull(0.5) overflow a float:
+        # the Horner table's moment(2k) ** (2k) raised OverflowError, the log
+        # table gives the functional, inside Latala's bracket of ||sum a_i X_i||_r
+        a = np.array([1.0, 0.5])
+        proc = make_proc(2)
+        v = latala_norm(a, proc, r)
+        norm = increment_norm(proc, a, np.zeros(2), float(r)).value
+        assert math.isfinite(v) and math.isfinite(norm)
+        assert (E - 1.0) / (2.0 * E * E) * v <= norm <= E * v
+        assert latala_norm(2.0 * a, proc, r) == 2.0 * v
+
     def test_odd_r_rejected(self):
         with pytest.raises(ValueError):
             latala_norm([1.0], gauss_proc(1), 3)
@@ -1052,6 +1111,10 @@ def _method_from_diffs(proc, pts, p):
     fam = proc.family
     if fam == "gaussian" or not np.any(diffs):
         return "closed_form"
+    mixable = {"sym_exponential", "sym_weibull", "three_point"}
+    if p in range(2, 129, 2) and (fam == "rademacher" or p >= 4.0 and
+                                  {m.family for m in proc.models} <= mixable):
+        return "even_moments"
     if fam == "rademacher" and \
             np.count_nonzero(diffs, axis=1).max() <= metric.ENUMERATION_LIMIT:
         return "enumeration"
@@ -1064,10 +1127,13 @@ def _method_from_diffs(proc, pts, p):
                       dims=(1, 3, 20, 21, 24)),
        zero_rows=st.integers(0, 2),
        make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential, None]),
-       p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 3.999, 4.0, 8.0]))
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 3.999, 4.0, 8.0, 128.0, 130.0]))
 # increments with exactly ENUMERATION_LIMIT and ENUMERATION_LIMIT + 1 nonzeros
 @example(pts=np.ones((1, 20)), zero_rows=1, make=dist.rademacher, p=1.0)
 @example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher, p=1.0)
+# past the limit the even moments take even p <= MC_MAX_P, and no other p
+@example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher, p=2.0)
+@example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher, p=130.0)
 @settings(max_examples=300, deadline=None)
 def test_method_matches_the_difference_array_rule(pts, zero_rows, make, p):
     pts = np.vstack([pts, np.zeros((zero_rows, pts.shape[1]))])
@@ -1122,21 +1188,35 @@ _MODERATE_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                              st.floats(min_value=-1e30, max_value=-1e-30))
 
 
+def weibull_half():
+    # a heavy tail: E X^128 is about e^964, past the float range
+    return dist.sym_weibull(0.5)
+
+
+def three_point_3():
+    return dist.three_point(3.0)
+
+
+_EVEN_PS = st.integers(1, 64).map(lambda k: 2.0 * k)
+
+
 def _orders(family):
     """Two sorted orders p at which `family` has an exact backend: any
-    p <= 128, or for sym_exponential the quadrature's 1 <= p < 4 with
-    p = 2 among them."""
+    p <= 128 for gaussian and rademacher, an even p <= 128 otherwise (p = 2
+    among them), and for sym_exponential also the quadrature's 1 <= p < 4."""
     if family is dist.sym_exponential:
-        p = st.one_of(st.just(2.0), st.floats(min_value=1.0, max_value=4.0,
-                                              exclude_max=True))
-    else:
+        p = st.one_of(_EVEN_PS, st.floats(min_value=1.0, max_value=4.0, exclude_max=True))
+    elif family in (dist.gaussian, dist.rademacher):
         p = st.floats(min_value=1.0, max_value=128.0)
+    else:
+        p = _EVEN_PS
     return st.lists(p, min_size=2, max_size=2, unique=True).map(sorted)
 
 
 def _exact_pair_norm(proc, T, p):
     """distance_matrix's view, but at p = 2 the exact ||d||_2 of any
-    standardized law, where sym_exponential has no exact backend."""
+    standardized law, where only gaussian and rademacher have an exact
+    backend."""
     if p == 2.0:
         lengths = T.pair_lengths()
         return metric.PairNorms(lengths, 1.0, np.zeros(len(lengths)), "closed_form")
@@ -1145,7 +1225,8 @@ def _exact_pair_norm(proc, T, p):
 
 @given(d=st.sampled_from([1, 2, 3, 9]).flatmap(
            lambda dim: st.lists(_MODERATE_COORDS, min_size=dim, max_size=dim)),
-       case=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential]).flatmap(
+       case=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential,
+                             weibull_half, three_point_3]).flatmap(
            lambda family: st.tuples(st.just(family), _orders(family))))
 @example(d=[1.0, -1.0, 0.5], case=(dist.rademacher, [1.0, 1.0 + 1e-9]))
 @example(d=[1.0, -1.0, 0.5], case=(dist.sym_exponential, [2.0 - 1e-9, 2.0]))
@@ -1153,20 +1234,160 @@ def _exact_pair_norm(proc, T, p):
 @example(d=[1e-30, 3.0], case=(dist.sym_exponential, [3.999, 3.9999]))
 # 20^p overflows past p = 237 unless the signed sums are scaled below 1
 @example(d=[1.0] * 20, case=(dist.rademacher, [300.0, 1000.0]))
+# E X^128 of sym_weibull(0.5) is past the float range; its d_128 is not
+@example(d=[1e30, -1e-30, 2.0], case=(weibull_half, [126.0, 128.0]))
+@example(d=[1.0] * 9, case=(weibull_half, [2.0, 128.0]))
+@example(d=[1.0, -1.0, 0.5], case=(dist.sym_exponential, [3.999, 4.0]))
+@example(d=[1.0, -1.0, 0.5], case=(dist.rademacher, [127.999, 128.0]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_d_p_nondecreasing_in_p_on_exact_backends(d, case):
-    # ||Y||_p is nondecreasing in p (Lyapunov); the closed form, the sign
-    # enumeration and the quadrature, next to the exact d_2, must keep that
-    # to rounding, and rademacher's d_p stays below sum |d_i| at every p
+    # ||Y||_p is nondecreasing in p (Lyapunov); the closed form, the even
+    # moments, the sign enumeration and the quadrature, next to the exact
+    # d_2, must keep that to rounding, and rademacher's d_p stays below
+    # sum |d_i| at every p
     family, ps = case
     pts = np.array([np.zeros(len(d)), d])
     proc = ProcessSpec.homogeneous(family(), pts.shape[1])
     T = IndexSet(pts)
     lo, hi = (_exact_pair_norm(proc, T, p) for p in ps)
-    assert {lo.method, hi.method} <= {"closed_form", "enumeration", "quadrature"}
+    assert {lo.method, hi.method} <= {"closed_form", "even_moments", "enumeration",
+                                      "quadrature"}
     lo, lo_err, hi, hi_err = lo.values(), lo.errors, hi.values(), hi.errors
     assert not lo_err.any() and not hi_err.any()
     assert np.isfinite(hi).all()
     assert np.all(hi >= lo * (1.0 - 1e-12))
     if family is dist.rademacher:
         assert np.all(hi <= np.abs(d).sum() * (1.0 + 1e-12))
+
+
+def _laplace_even_moment(c, k):
+    """E (sum_i c_i X_i)^(2k) for standardized Laplace X_i, from the
+    cumulants: log E e^(tS) = sum_m (sum_i c_i^(2m)) x^m / m with
+    x = t^2 / 2, exponentiated by n b_n = sum_m m a_m b_(n - m), every term
+    >= 0; E S^(2k) = (2k)! b_k / 2^k."""
+    a = [0.0] + [math.fsum(ci ** (2 * m) for ci in c) / m for m in range(1, k + 1)]
+    b = [1.0]
+    for n in range(1, k + 1):
+        b.append(math.fsum(m * a[m] * b[n - m] for m in range(1, n + 1)) / n)
+    return math.factorial(2 * k) * b[k] / 2.0 ** k
+
+
+class TestEvenMoments:
+    """d_p at even p from one table of even moments per model."""
+
+    def test_laplace_pair_is_the_fourth_root_of_18(self):
+        r = increment_norm(exp_proc(2), [1.0, 0.0], [0.0, 1.0], 4.0)
+        assert r.method == "even_moments" and r.error_bound == 0.0
+        assert r.value == pytest.approx(18.0 ** 0.25, rel=4.4e-16, abs=0)  # 2 ulp
+
+    def test_every_bar_covers_the_exact_value_on_the_sphere(self):
+        # 32 sphere points in R^16 under Laplace coordinates at 100,000
+        # samples: Monte Carlo's 3-sigma bar missed the exact d_16 at 39% of
+        # the 496 pairs (biased low), d_8 at 1.2% and d_4 at 0.8%; the exact
+        # values come from the cumulants, not from the engine
+        pts = np.random.default_rng(14).standard_normal((32, 16))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        i, j = metric.pair_of(np.arange(496), 32)
+        for p in (4.0, 8.0, 16.0):
+            v = metric.distance_matrix(exp_proc(16), IndexSet(pts), p, 100_000, 5)
+            exact = np.array([_laplace_even_moment((pts[a] - pts[b]).tolist(), int(p) // 2)
+                              ** (1.0 / p) for a, b in zip(i, j)])
+            miss = np.abs(v.values() - exact) > v.errors + 1e-13 * exact
+            assert not miss.any(), f"d_{p:g}: {miss.mean():.0%} of the bars miss"
+
+    @given(c=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=10)
+           .filter(lambda c: any(c)),
+           k=st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_half_sign_table_on_rademacher(self, c, k):
+        pts = np.array([np.zeros(len(c)), c])
+        proc = rad_proc(len(c))
+        v = metric.distance_matrix(proc, IndexSet(pts), 2.0 * k)
+        assert v.method == "even_moments" and not v.errors.any()
+        want = metric._uncached_pair_norms(proc, pts, 2.0 * k, 0, 0, "enumeration",
+                                           np.ones(1, bool))[0]
+        assert v.values() == pytest.approx(want, rel=1e-13, abs=0)
+
+    @given(first=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential,
+                                  weibull_half, three_point_3]),
+           second=st.sampled_from([dist.sym_exponential, weibull_half, three_point_3]),
+           c=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=2),
+           k=st.integers(2, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_two_coordinates_equal_the_binomial_sum(self, first, second, c, k):
+        # E (c_1 X + c_2 Y)^(2k) = sum_j C(2k, 2j) c_1^(2j) E X^(2j) c_2^(2k-2j) E Y^(2k-2j)
+        x, y = first(), second()
+
+        def even(model, j):
+            return model.moment(2 * j) ** (2 * j) if j else 1.0
+
+        want = math.fsum(math.comb(2 * k, 2 * j) * c[0] ** (2 * j) * even(x, j)
+                         * c[1] ** (2 * k - 2 * j) * even(y, k - j) for j in range(k + 1))
+        # the engine itself: a mix with gaussian or rademacher is Monte Carlo
+        got = metric._uncached_pair_norms(ProcessSpec(models=(x, y)), np.array([[0.0, 0.0], c]),
+                                          2.0 * k, 0, 0, "even_moments", np.ones(1, bool))[0]
+        assert got == pytest.approx(want ** (0.5 / k), rel=1e-13, abs=0)
+
+    @given(d=st.lists(_MODERATE_COORDS, min_size=1, max_size=20).filter(lambda d: any(d)),
+           k=st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_moments_give_the_closed_form(self, d, k):
+        # fed gaussian moments, the engine gives ||g||_p |d|_2
+        pts = np.array([np.zeros(len(d)), d])
+        got = metric._uncached_pair_norms(gauss_proc(len(d)), pts, 2.0 * k, 0, 0,
+                                          "even_moments", np.ones(1, bool))[0]
+        want = dist.gaussian().moment(2.0 * k) * np.linalg.norm(d)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_mixes_zeros_and_extreme_scales(self):
+        # each coordinate reads its own model's table; a zero coordinate or
+        # increment raises no warning, and 1e-300 and 1e200 stay finite
+        proc = ProcessSpec(models=(dist.sym_exponential(), dist.three_point(3.0),
+                                   dist.sym_weibull(0.5), dist.sym_weibull(1.5)))
+        d = np.array([0.3, 0.0, -1.2, 2.0])
+        for p in (4.0, 8.0, 128.0):
+            v = metric.distance_matrix(proc, IndexSet([d, d, -d, 0.0 * d]), p)
+            assert v.method == "even_moments"
+            assert v.values()[0] == 0.0 and (v.values()[1:] > 0.0).all()
+            one = v.values()[2]  # the pair (d, 0)
+            for c in (1e-300, 1e200):
+                got = increment_norm(proc, c * d, np.zeros(4), p).value
+                assert math.isfinite(got) and got == pytest.approx(c * one, rel=1e-14, abs=0)
+
+    def test_draws_nothing_and_fills_the_requested_pairs(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("an even-moment pass drew samples")
+
+        pts = np.random.default_rng(12).standard_normal((6, 3))
+        full = metric.distance_matrix(weibull_proc(3), IndexSet(pts), 8.0)
+        monkeypatch.setattr(metric, "derived_stream", no_draws)
+        monkeypatch.setattr(ProcessSpec, "sample_matrix", no_draws)
+        blocks = [[0, 1, 2], [4, 5]]
+        part = metric.distance_matrix(weibull_proc(3), IndexSet(pts), 8.0, blocks=blocks)
+        known = np.flatnonzero(~np.isnan(part.errors))
+        assert known.tolist() == _pair_positions(blocks, 6).tolist()
+        assert part.base[known].tobytes() == full.base[known].tobytes()
+        assert not part.errors[known].any()
+
+    def test_refuses_odd_p_past_the_cap_and_overflow(self):
+        pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+        for p in (3.0, 130.0):
+            with pytest.raises(ValueError, match=rf"^even-moment d_p needs an even "
+                                                 rf"p <= 128, not p = {p:g}$"):
+                metric._uncached_pair_norms(exp_proc(2), pts, p, 0, 0, "even_moments",
+                                            np.ones(1, bool))
+        # 1e308 times ||X||_128 = 1863 of sym_weibull(0.5) is past the float range
+        weibull = ProcessSpec.homogeneous(dist.sym_weibull(0.5), 2)
+        with pytest.raises(ValueError, match=r"^even-moment d_p at p = 128 overflows a float$"):
+            increment_norm(weibull, [1e308, 0.0], [0.0, 0.0], 128.0)
+
+    def test_dense_rademacher_at_p_128_matches_the_binomial_sum(self):
+        # E S^128 of 2,048 signs is about e^734, past the float range, and so
+        # is its ratio to one sign's moment: the accumulator is rescaled by
+        # powers of two.  Exactly, S = 2B - n with B binomial(n, 1/2)
+        n = 2048
+        total = sum(math.comb(n, b) * (2 * b - n) ** 128 for b in range(n + 1))
+        want = math.exp((math.log(total) - n * math.log(2.0)) / 128.0)
+        got = increment_norm(rad_proc(n), np.ones(n), np.zeros(n), 128.0)
+        assert got.method == "even_moments"
+        assert got.value == pytest.approx(want, rel=1e-13, abs=0)
