@@ -288,7 +288,7 @@ def compute_gamma(T: IndexSet, proc: ProcessSpec, functional: str = "gammaX",
                 f"exact mode caps |T| at {EXACT_LIMIT} (got {m}); use greedy mode")
         if not metric_mod.is_exact_metric(proc, T):
             raise ValueError(
-                "exact mode requires closed-form or enumeration metrics; "
+                "exact mode requires d_1 and d_2 without Monte Carlo; "
                 "this process would inject Monte-Carlo noise")
         return _exact_gamma(T, proc, functional)
     if mode == "greedy":

@@ -2,12 +2,12 @@
 
 d_p(s, t) = ||sum_i (s_i - t_i) X_i||_p, computed exactly where the
 coordinate laws allow (gaussian closed form; even moments at even
-p <= MC_MAX_P, p >= 4 on any mix of `sym_exponential`, `three_point` and
-`sym_weibull` coordinates and every even p on rademacher, from one table
-of E X^(2l) / (2l)! per model; rademacher sign enumeration over half the
-sign patterns of the increment scaled by sum_i |s_i - t_i| at the other
-p; and for all-`sym_exponential` (Laplace) coordinates at 1 <= p < 4,
-p != 2, quadrature of the characteristic function to 1e-13 relative, in
+p <= MC_MAX_P, p >= 4 on any mix of the named laws of `dist.FAMILIES`
+and every even p on rademacher, from one table of E X^(2l) / (2l)! per
+model; rademacher sign enumeration over half the sign patterns of the
+increment scaled by sum_i |s_i - t_i| at the other p; and for
+all-`sym_exponential` (Laplace) coordinates at 1 <= p < 4, p != 2,
+quadrature of the characteristic function to 1e-13 relative, in
 `laplace`) and by chunked Monte Carlo with a CLT error bound otherwise.
 The gaussian closed form is ||g||_p |s - t|_2, so every p scales one
 vector of Euclidean pair lengths that an IndexSet computes once, row by
@@ -18,13 +18,11 @@ and read their differences a tile at a time; Monte Carlo builds them
 all.  The Monte Carlo kernel shares one stream of draws across all pairs
 of a point set, projects it onto the points one tile of samples at a
 time and reduces each tile in place in one scratch buffer sized from a
-fixed element budget; integer p is raised by repeated squaring and
-multiplication, so p = 4 or 8 costs two or three multiplies per
-sample.  Every coordinate law is symmetric and the coordinates
-independent, so d_p(s, t) depends only on |s - t|, and only on its
-sorted entries when every coordinate holds one model object; the kernel
-reduces each such increment pattern once, at its lowest pair, and every
-pair of the pattern reads that value and error.
+fixed element budget.  Every coordinate law is symmetric and the
+coordinates independent, so d_p(s, t) depends only on |s - t|, and only
+on its sorted entries when every coordinate holds one model object; the
+kernel reduces each such increment pattern once, at its lowest pair, and
+every pair of the pattern reads that value and error.
 `distance_matrix` is the one entry point to every backend: it returns a
 read-only `PairNorms` view of the condensed pair vector, scipy's pdist
 layout (pairs i < j, row-major), as a kept base vector times a scale,
@@ -62,9 +60,6 @@ __all__ = [
 ENUMERATION_LIMIT = 20        # nonzero rademacher coords per enumerated increment
 MC_DEFAULT_SAMPLES = 100_000
 MC_MAX_P = 128.0              # top p of Monte Carlo and of the even moments
-# families whose mixes take the even moments at even p >= 4; rademacher
-# alone takes them at every even p, and gaussian alone has its closed form
-_EVEN_MOMENT_FAMILIES = frozenset({"sym_exponential", "sym_weibull", "three_point"})
 _MC_CHUNK = 20_000
 # elements of one tile (2 MiB): the pair-by-sample scratch buffer of a
 # Monte-Carlo pass, the pair differences an exact pass reads at a time, a
@@ -295,20 +290,21 @@ def _method(proc: ProcessSpec, pts: np.ndarray, p: float) -> str:
 
     The points are all equal iff every pts[j] - pts[0] is zero.  Even
     p <= MC_MAX_P takes the even moments when every coordinate is
-    rademacher, or when p >= 4 and every coordinate's law is in
-    `_EVEN_MOMENT_FAMILIES` (mixes included).  Otherwise rademacher
-    enumerates while no increment has more than ENUMERATION_LIMIT
-    nonzeros, read one row of pairs at a time, and a process whose every
-    coordinate is `sym_exponential` takes the characteristic-function
-    quadrature at 1 <= p < 4, p != 2.  p = 2 on the other laws, the other
-    non-even p, mixes with gaussian or rademacher coordinates and
-    `log_concave_from_tail` stay Monte Carlo.
+    rademacher, or when p >= 4 and every coordinate's law is named in
+    `dist.FAMILIES` (mixes included), all of which have closed-form
+    moments.  Otherwise rademacher enumerates while no increment has more
+    than ENUMERATION_LIMIT nonzeros, read one row of pairs at a time, and
+    a process whose every coordinate is `sym_exponential` takes the
+    characteristic-function quadrature at 1 <= p < 4, p != 2.  p = 2 on
+    the other laws, the other non-even p, and any process with a
+    coordinate of an unnamed law (`log_concave_from_tail`) stay Monte
+    Carlo.
     """
     fam = proc.family
     if fam == "gaussian" or not np.any(pts[1:] - pts[:1]):
         return "closed_form"
     if p % 2 == 0 and p <= MC_MAX_P and (fam == "rademacher" or p >= 4 and all(
-            m.family in _EVEN_MOMENT_FAMILIES for m in proc.models)):
+            m.family in dist.FAMILIES for m in proc.models)):
         return "even_moments"
     if fam == "rademacher" and all(
             np.count_nonzero(pts[i] - pts[i + 1:], axis=1).max() <= ENUMERATION_LIMIT
@@ -400,31 +396,6 @@ def _even_moment_norms(proc: ProcessSpec, diffs: np.ndarray, k: int,
     return out
 
 
-def _abs_power(d: np.ndarray, p: float, spare: Optional[np.ndarray]) -> np.ndarray:
-    """|d| ** p, overwriting `d`; returns `d` or the view of `spare` holding it.
-
-    Integer p >= 1 goes by repeated squaring, multiplying into `spare` the
-    squares its binary digits pick (even p needs no abs); any other p by an
-    in-place np.power.
-    """
-    if p != int(p) or p < 1:
-        return np.power(np.abs(d, out=d), p, out=d)
-    k = int(p)
-    if k % 2:
-        np.abs(d, out=d)
-    acc = None
-    while k > 1:
-        if k % 2:
-            if acc is None:
-                acc = spare[:d.size].reshape(d.shape)
-                np.copyto(acc, d)
-            else:
-                np.multiply(acc, d, out=acc)
-        np.multiply(d, d, out=d)
-        k //= 2
-    return d if acc is None else np.multiply(acc, d, out=acc)
-
-
 def _increment_classes(proc: ProcessSpec, diffs: np.ndarray) -> np.ndarray:
     """Each pair's representative: the position of its increment pattern's
     lowest pair.
@@ -476,7 +447,7 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     A pass whose estimated allocation (for an exact pass the two per-pair
     outputs, the wanted positions and a few tiles; for Monte Carlo the
     differences, the stream key's copy, the outputs, the pattern classes,
-    one chunk's draws, one tile's projection and its scratch buffers)
+    one chunk's draws, one tile's projection and its scratch buffer)
     exceeds `_PASS_MAX_BYTES` raises before it allocates.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
@@ -499,10 +470,10 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     buffer of (|pts| - 1) x tile, reused for every row, tile and chunk.
     The tile width is the fixed element budget `TILE_ELEMS` divided by
     |pts| - 1, capped at the chunk, so the buffers stay cache-sized and
-    a two-point call makes one tile per chunk.  |d|^p
-    goes by `_abs_power` (integer p by multiplication) and the sum of
-    |d|^(2p) by `np.vecdot`, alike for a row alone or in a block.  The
-    draws do not depend on the tile; only the summation order does.
+    a two-point call makes one tile per chunk.  |d|^p is d * d at p = 2,
+    |d| at p = 1 and one in-place `np.power` otherwise, and the sum of
+    |d|^(2p) goes by `np.vecdot`, alike for a row alone or in a block.
+    The draws do not depend on the tile; only the summation order does.
     """
     m, dim = pts.shape
     pairs = m * (m - 1) // 2
@@ -512,9 +483,9 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     if method == "monte_carlo":
         # the differences and the key's copy of them, the outputs, six
         # pair-length vectors of the pattern classes, one chunk's draws, one
-        # tile's projection, the scratch buffer and at most one spare
+        # tile's projection and the scratch buffer
         need = 8 * (pairs * (2 * dim + 8) + min(_MC_CHUNK, samples) * dim
-                    + m * tile + 2 * k * tile)
+                    + m * tile + k * tile)
     else:
         # the outputs, the wanted positions, a tile of differences with its
         # gather's operands and indices, and quadrature's six more tiles or
@@ -572,8 +543,6 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     total = np.zeros(len(reps))
     total_sq = np.zeros(len(reps))
     scratch = np.empty(k * tile)
-    # an integer p that is not a power of two keeps a running product
-    spare = np.empty_like(scratch) if p == int(p) and int(p) & (int(p) - 1) else None
     n = 0
     # at large p the sums of |d|^p and |d|^(2p) can overflow; a value or
     # error that is then not finite raises below
@@ -588,7 +557,12 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
                         np.subtract(v[i + 1:], v[i], out=d)
                     else:
                         np.subtract(np.take(v, js, axis=0, out=d, mode="clip"), v[i], out=d)
-                    d = _abs_power(d, p, spare)
+                    if p == 2.0:
+                        np.multiply(d, d, out=d)
+                    else:
+                        np.abs(d, out=d)
+                        if p != 1.0:
+                            np.power(d, p, out=d)
                     total[a:b] += d.sum(axis=1)
                     total_sq[a:b] += np.vecdot(d, d)
             n += chunk

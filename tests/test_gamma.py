@@ -164,7 +164,8 @@ class TestComputeGamma:
 
     def test_exact_requires_exact_metric(self):
         proc = ProcessSpec.homogeneous(dist.sym_exponential(), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^exact mode requires d_1 and d_2 without "
+                                             r"Monte Carlo; this process would inject"):
             gamma.compute_gamma(IndexSet.basis(2), proc, mode="exact")
 
     def test_exact_rademacher_basis_beyond_enumeration_dimension(self):

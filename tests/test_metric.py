@@ -501,15 +501,15 @@ class TestMonteCarloKernel:
                 np.random.default_rng(m).standard_normal((m, 4)))
 
     @pytest.mark.parametrize("m", [2, 3, 70])
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 8.0, math.log(5.0)])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0, math.log(5.0)])
     def test_matches_naive_reduction(self, m, p):
         # 21,234 samples: neither a multiple of the chunk nor of any tile
         samples = 21_234
         assert samples % metric._MC_CHUNK and samples > metric._MC_CHUNK
         # at 70 points the budget splits each chunk into several tiles
         assert metric.TILE_ELEMS // 69 < metric._MC_CHUNK
-        # the kernel itself: at p = 4 and 8 distance_matrix takes the even
-        # moments, and at the other p it is this pass
+        # the kernel itself: at p = 4, 6 and 8 distance_matrix takes the
+        # even moments, and at the other p it is this pass
         proc, pts = self.case(m)
         values, errors = _monte_carlo(proc, pts, p, samples, 5)
         if p % 2:
@@ -1111,9 +1111,8 @@ def _method_from_diffs(proc, pts, p):
     fam = proc.family
     if fam == "gaussian" or not np.any(diffs):
         return "closed_form"
-    mixable = {"sym_exponential", "sym_weibull", "three_point"}
     if p in range(2, 129, 2) and (fam == "rademacher" or p >= 4.0 and
-                                  {m.family for m in proc.models} <= mixable):
+                                  {m.family for m in proc.models} <= dist.FAMILIES.keys()):
         return "even_moments"
     if fam == "rademacher" and \
             np.count_nonzero(diffs, axis=1).max() <= metric.ENUMERATION_LIMIT:
@@ -1126,7 +1125,8 @@ def _method_from_diffs(proc, pts, p):
 @given(pts=point_sets(coords=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                       dims=(1, 3, 20, 21, 24)),
        zero_rows=st.integers(0, 2),
-       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential, None]),
+       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential, None,
+                             "named"]),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 3.999, 4.0, 8.0, 128.0, 130.0]))
 # increments with exactly ENUMERATION_LIMIT and ENUMERATION_LIMIT + 1 nonzeros
 @example(pts=np.ones((1, 20)), zero_rows=1, make=dist.rademacher, p=1.0)
@@ -1140,6 +1140,10 @@ def test_method_matches_the_difference_array_rule(pts, zero_rows, make, p):
     n = pts.shape[1]
     if make is None:  # no common family
         proc = ProcessSpec(models=(dist.rademacher(),) * (n - 1) + (dist.gaussian(),))
+    elif make == "named":  # every law a config can name, in turn
+        laws = (dist.gaussian(), dist.rademacher(), dist.sym_exponential(),
+                dist.three_point(3.0), dist.sym_weibull(0.5))
+        proc = ProcessSpec(models=[laws[i % len(laws)] for i in range(n)])
     else:
         proc = ProcessSpec.homogeneous(make(), n)
     assert metric._method(proc, pts, p) == _method_from_diffs(proc, pts, p)
@@ -1272,6 +1276,17 @@ def _laplace_even_moment(c, k):
     return math.factorial(2 * k) * b[k] / 2.0 ** k
 
 
+def _binomial_norm(x, y, a, b, k):
+    """||a X + b Y||_(2k) of independent symmetric X and Y, from
+    E (a X + b Y)^(2k) = sum_j C(2k, 2j) a^(2j) E X^(2j) b^(2k-2j) E Y^(2k-2j)."""
+    def even(model, j):
+        return model.moment(2 * j) ** (2 * j) if j else 1.0
+
+    return math.fsum(math.comb(2 * k, 2 * j) * a ** (2 * j) * even(x, j)
+                     * b ** (2 * k - 2 * j) * even(y, k - j)
+                     for j in range(k + 1)) ** (0.5 / k)
+
+
 class TestEvenMoments:
     """d_p at even p from one table of even moments per model."""
 
@@ -1315,18 +1330,44 @@ class TestEvenMoments:
            k=st.integers(2, 16))
     @settings(max_examples=100, deadline=None)
     def test_two_coordinates_equal_the_binomial_sum(self, first, second, c, k):
-        # E (c_1 X + c_2 Y)^(2k) = sum_j C(2k, 2j) c_1^(2j) E X^(2j) c_2^(2k-2j) E Y^(2k-2j)
         x, y = first(), second()
+        got = increment_norm(ProcessSpec(models=(x, y)), c, np.zeros(2), 2.0 * k)
+        assert got.method == "even_moments"
+        assert got.value == pytest.approx(_binomial_norm(x, y, *c, k), rel=1e-13, abs=0)
 
-        def even(model, j):
-            return model.moment(2 * j) ** (2 * j) if j else 1.0
+    @pytest.mark.parametrize("laws", [(dist.gaussian(), dist.sym_exponential()),
+                                      (dist.rademacher(), dist.three_point(3.0),
+                                       dist.sym_weibull(0.5))],
+                             ids=["gaussian-sym_exponential",
+                                  "rademacher-three_point-sym_weibull"])
+    def test_named_law_mixes_draw_nothing(self, laws, monkeypatch):
+        # every law a config can name has closed-form moments, so a mix of
+        # them, gaussian and rademacher included, is exact at even p >= 4;
+        # the origin and scaled axes give increments of one or two nonzeros
+        def no_draws(*args):
+            raise AssertionError("a named-law mix drew samples")
 
-        want = math.fsum(math.comb(2 * k, 2 * j) * c[0] ** (2 * j) * even(x, j)
-                         * c[1] ** (2 * k - 2 * j) * even(y, k - j) for j in range(k + 1))
-        # the engine itself: a mix with gaussian or rademacher is Monte Carlo
-        got = metric._uncached_pair_norms(ProcessSpec(models=(x, y)), np.array([[0.0, 0.0], c]),
-                                          2.0 * k, 0, 0, "even_moments", np.ones(1, bool))[0]
-        assert got == pytest.approx(want ** (0.5 / k), rel=1e-13, abs=0)
+        monkeypatch.setattr(ProcessSpec, "sample_matrix", no_draws)
+        proc = ProcessSpec(models=laws)
+        c = np.array([0.7, 2.5, 1.3])[:len(laws)]
+        T = IndexSet.with_origin(np.diag(c))
+        i, j = metric.pair_of(np.arange(len(T) * (len(T) - 1) // 2), len(T))
+        for p in (4.0, 8.0):
+            v = metric.distance_matrix(proc, T, p)
+            assert v.method == "even_moments" and not v.errors.any()
+            for value, a, b in zip(v.values(), i, j):
+                # pair (0, b) is c_b e_b; pair (a, b), a >= 1, is c_a e_a - c_b e_b
+                x, ca = (laws[a - 1], c[a - 1]) if a else (laws[0], 0.0)
+                want = _binomial_norm(x, laws[b - 1], ca, c[b - 1], int(p) // 2)
+                assert value == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_a_mix_with_an_unnamed_law_stays_monte_carlo(self):
+        # a tail-defined law's moments come from quadrature, not a closed form
+        laplace_tail = dist.log_concave_from_tail(lambda t: np.sqrt(2) * np.asarray(t))
+        proc = ProcessSpec(models=(laplace_tail, dist.sym_exponential()))
+        for p in (4.0, 8.0):
+            v = metric.distance_matrix(proc, IndexSet([[0.0, 0.0], [1.0, 2.0]]), p, 2_000)
+            assert v.method == "monte_carlo" and v.errors.all()
 
     @given(d=st.lists(_MODERATE_COORDS, min_size=1, max_size=20).filter(lambda d: any(d)),
            k=st.integers(1, 64))
