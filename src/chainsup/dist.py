@@ -56,13 +56,19 @@ def _gaussian_lp(p: float) -> float:
     return math.exp(0.5 * _LN2 + (math.lgamma((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
 
 
-def _signs(rng: np.random.Generator, out: np.ndarray, mag=1.0) -> np.ndarray:
-    """Fill `out` with mag * s for len(out) fair signs s = +-1.0, mag >= +0.
+def _pcg64(rng: np.random.Generator) -> np.random.PCG64:
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.PCG64):
+        raise TypeError(f"samplers need a PCG64 generator, got {type(bg).__name__}")
+    return bg
 
-    With mag = 1.0 this is the rademacher sampler; with mag = out it signs
-    the magnitudes already in `out`.  The signs are those of
-    rng.integers(0, 2, size=len(out)) * 2.0 - 1.0, bit for bit, and the
-    generator ends in the state that call leaves.  Two facts make it so:
+
+def _signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Sign the magnitudes (all >= +0) in `out` in place with len(out) fair signs.
+
+    The signs are those of rng.integers(0, 2, size=len(out)) * 2.0 - 1.0,
+    bit for bit, and the generator ends in the state that call leaves.
+    Two facts make it so:
     - numpy draws integers(0, 2) by Lemire's method, which at range 2
       never rejects and returns the top bit of the next 32-bit output;
     - PCG64 hands out its 32-bit outputs as the low, then the high half of
@@ -73,14 +79,12 @@ def _signs(rng: np.random.Generator, out: np.ndarray, mag=1.0) -> np.ndarray:
     high half is left waiting, as numpy leaves it.  numpy keeps that last
     high half in state["uinteger"] even once it is used, and so does this.
     """
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.PCG64):
-        raise TypeError(f"samplers need a PCG64 generator, got {type(bg).__name__}")
+    bg = _pcg64(rng)
     n = len(out)
     state = bg.state
     k = 1 if n and state["has_uint32"] else 0
     m = n - k
-    # w >= 0 exactly where the top bit is set, so copysign(mag, w) = mag * s
+    # w >= 0 exactly where the top bit is set, so copysign(|x|, w) = x * s
     w = np.empty(n, np.int32)
     if k:
         w[0] = 0 if state["uinteger"] >> 31 else -1
@@ -91,7 +95,12 @@ def _signs(rng: np.random.Generator, out: np.ndarray, mag=1.0) -> np.ndarray:
         state = bg.state
         state["has_uint32"], state["uinteger"] = m % 2, uinteger
         bg.state = state
-    return np.copysign(mag, w, out=out)
+    return np.copysign(out, w, out=out)
+
+
+# Row b holds the signs of the 8 bits of byte b, most significant first
+# (np.unpackbits's order): a set bit is +1.0.
+_BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) * 2.0 - 1.0
 
 
 @dataclass(frozen=True)
@@ -249,11 +258,26 @@ def rademacher() -> DistributionModel:
     def tail(t):
         return np.where(t < 1.0, 0.0, np.inf)
 
+    def sampler(rng, out):
+        # One raw bit per sign: the signs are np.unpackbits(words.view(
+        # np.uint8), count=n) * 2.0 - 1.0 for the ceil(n/64) next raw words,
+        # read as little-endian so no host byte order shows.  The generator
+        # advances by those words and a buffered 32-bit half stays waiting.
+        # Only PCG64 fills all 64 bits of a raw word (MT19937 fills 32).
+        n = len(out)
+        b = np.asarray(_pcg64(rng).random_raw(-(-n // 64)), "<u8").view(np.uint8)
+        full, rest = divmod(n, 8)
+        # mode="clip" skips the bounds check, which no uint8 index can fail
+        np.take(_BYTE_SIGNS, b[:full], axis=0, out=out[:8 * full].reshape(-1, 8),
+                mode="clip")
+        if rest:
+            out[8 * full:] = _BYTE_SIGNS[b[full], :rest]
+
     return DistributionModel(
         "rademacher", {},
         moment_fn=lambda p: 1.0,
         tail_fn=tail,
-        sampler=_signs,
+        sampler=sampler,
         support_bound=1.0,
     )
 
@@ -265,7 +289,7 @@ def sym_exponential() -> DistributionModel:
     def sampler(rng, out):
         rng.standard_exponential(out=out)
         out *= 1.0 / rt2  # the bits of rng.exponential(scale=1.0 / rt2)
-        _signs(rng, out, out)
+        _signs(rng, out)
 
     return DistributionModel(
         "sym_exponential", {},
@@ -290,7 +314,7 @@ def sym_weibull(shape: float) -> DistributionModel:
         rng.standard_exponential(out=out)
         np.power(out, 1.0 / w, out=out)
         out *= s
-        _signs(rng, out, out)
+        _signs(rng, out)
 
     return DistributionModel(
         "sym_weibull", {"shape": w},
@@ -310,13 +334,16 @@ def three_point(a: float) -> DistributionModel:
         raise ValueError(f"three_point requires atom a > 1, got {a}")
     a = float(a)
     p_atom = 1.0 / (a * a)
+    atoms = np.array([0.0, -a, a])
 
     def tail(t):
         return np.where(t < a, 2.0 * math.log(a), np.inf)
 
     def sampler(rng, out):
         u = rng.random(out=out)
-        out[:] = np.where(u < p_atom / 2.0, a, np.where(u < p_atom, -a, 0.0))
+        idx = (u < p_atom).view(np.uint8)  # 0: zero, 1: -a, 2: +a
+        idx += u < p_atom / 2.0
+        np.take(atoms, idx, out=out, mode="clip")
 
     return DistributionModel(
         "three_point", {"a": a},
@@ -378,7 +405,7 @@ def log_concave_from_tail(tail) -> DistributionModel:
 
     def sampler(rng, out):
         out[:] = model.tail.quantile(rng.standard_exponential(out=out))
-        _signs(rng, out, out)
+        _signs(rng, out)
 
     model = DistributionModel(
         "log_concave_from_tail", {"sigma": sigma},

@@ -141,11 +141,17 @@ class TestTails:
 
 
 # Each family's draws written with numpy's allocating calls (integers(0, 2)
-# signs, weibull, exponential(scale=)): the oracle of the stream property
-# below.  Each returns (draws, the unscaled weibull draws or None).
+# signs, weibull, exponential(scale=)) or, for rademacher, np.unpackbits of
+# the raw words: the oracle of the stream property below.  Each returns
+# (draws, the unscaled weibull draws or None).
 
 def _oracle_signs(rng, n):
     return rng.integers(0, 2, size=n) * 2.0 - 1.0
+
+
+def _oracle_packed_signs(rng, n):
+    words = np.asarray(rng.bit_generator.random_raw(-(-n // 64)), "<u8")
+    return np.unpackbits(words.view(np.uint8), count=n) * 2.0 - 1.0
 
 
 _WEIBULL_SHAPE = 1.5
@@ -168,7 +174,7 @@ _TAIL_MODEL = dist.log_concave_from_tail(lambda t: np.sqrt(2) * np.asarray(t))
 # family -> (model, oracle sampler)
 _STREAM_CASES = {
     "gaussian": (dist.gaussian(), lambda rng, n: (rng.standard_normal(n), None)),
-    "rademacher": (dist.rademacher(), lambda rng, n: (_oracle_signs(rng, n), None)),
+    "rademacher": (dist.rademacher(), lambda rng, n: (_oracle_packed_signs(rng, n), None)),
     "sym_exponential": (dist.sym_exponential(), lambda rng, n: (
         rng.exponential(scale=1.0 / math.sqrt(2.0), size=n) * _oracle_signs(rng, n),
         None)),
@@ -228,7 +234,7 @@ class TestSampling:
         # state, buffered half-word included, of the integers-based map
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         for _ in range(2):  # the second call starts on a buffered half if n is odd
-            got = dist._signs(rng, np.empty(n))
+            got = dist._signs(rng, np.ones(n))
             want = _oracle_signs(ref, n)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
@@ -237,6 +243,57 @@ class TestSampling:
     def test_signs_need_pcg64(self):
         with pytest.raises(TypeError, match="PCG64"):
             dist._signs(np.random.Generator(np.random.MT19937(0)), np.empty(3))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 63, 64, 65, 6_784, 65_536])
+    def test_rademacher_packs_one_raw_bit_per_sign(self, n):
+        # the signs are np.unpackbits of the next ceil(n/64) raw words, most
+        # significant bit of each byte first, also written into a column of a
+        # Fortran-ordered buffer, and the generator advances by those words
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = dist.rademacher().sample_with(rng, n)
+        want = _oracle_packed_signs(ref, n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        buf = np.zeros((n, 3), order="F")
+        dist.rademacher().sample_with(rng, n, out=buf[:, 1])
+        assert buf[:, 1].tobytes() == _oracle_packed_signs(ref, n).tobytes()
+        assert not buf[:, [0, 2]].any()
+        assert rng.random() == ref.random()
+
+    def test_rademacher_leaves_a_buffered_half_word_waiting(self):
+        # integers(0, 2) calls of odd length leave a 32-bit half buffered;
+        # the packed sampler reads whole raw words around it, and the state,
+        # buffer included, equals the oracle's after every step
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        model = dist.rademacher()
+        for kind, n in [("integers", 1), ("sample", 65), ("integers", 3), ("sample", 7),
+                        ("sample", 0), ("integers", 2), ("sample", 128), ("integers", 5)]:
+            if kind == "sample":
+                got = model.sample_with(rng, n)
+                assert got.tobytes() == _oracle_packed_signs(ref, n).tobytes()
+            else:
+                assert np.array_equal(rng.integers(0, 2, size=n), ref.integers(0, 2, size=n))
+            assert rng.bit_generator.state == ref.bit_generator.state, (kind, n)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_rademacher_uses_every_bit_of_a_word(self):
+        # 64 signs take one raw word, and over 1e5 words each of the 64 bit
+        # positions gives +1 at a frequency within 5 sigma of 1/2; a sampler
+        # that reads part of each word fails
+        rng, words, chunk = np.random.default_rng(11), 100_000, 10_000
+        plus = np.zeros(64)
+        for _ in range(words // chunk):
+            plus += (dist.rademacher().sample_with(rng, 64 * chunk).reshape(chunk, 64)
+                     > 0).sum(axis=0)
+        assert np.max(np.abs(plus - words / 2)) <= 5 * math.sqrt(words / 4)
+        ref = np.random.default_rng(11).bit_generator
+        ref.advance(words)
+        assert rng.bit_generator.state == ref.state
+
+    def test_rademacher_needs_pcg64(self):
+        # MT19937 fills only the low 32 bits of a raw word
+        with pytest.raises(TypeError, match="PCG64"):
+            dist.rademacher().sample_with(np.random.Generator(np.random.MT19937(0)), 64)
 
     def test_sample_into_column_view(self, model):
         # a column of a Fortran-ordered buffer is filled in place and returned,
