@@ -147,7 +147,10 @@ class TailFunction:
         """inf{t : N(t) >= e}, so quantile(-ln U) has the tail exponent N.
 
         Interpolates one (N, t) grid, built on first use and reaching
-        N = 746, past every exponential draw.
+        N = 746, past every exponential draw.  The grid is geometric from
+        hi * 1e-12 to hi in 8,192 points, and on down to hi * 1e-18 at about
+        the same ratio where that lies above `start`, so only below
+        N(hi * 1e-18) does it follow a chord of N from `start`.
         """
         if self._inverse_grid is None:
             hi = self.support_bound
@@ -155,7 +158,8 @@ class TailFunction:
                 hi = 1.0
                 while self(hi) < _TAIL_GRID_TOP:
                     hi *= 2.0
-            ts = np.concatenate([[self.start],
+            low = np.geomspace(hi * 1e-18, hi * 1e-12, 4096, endpoint=False)
+            ts = np.concatenate([[self.start], low[low > self.start],
                                  np.geomspace(max(self.start, hi * 1e-12), hi, 8192)])
             ns = np.maximum.accumulate(self(ts))  # guard roundoff dips
             finite = np.isfinite(ns)

@@ -18,10 +18,11 @@ and read their differences a tile at a time; Monte Carlo builds them
 all.  The Monte Carlo kernel shares one stream of draws across all pairs
 of a point set, projects it onto the points one tile of samples at a
 time and reduces each tile in place in one scratch buffer sized from a
-fixed element budget.  Every coordinate law is symmetric and the
-coordinates independent, so d_p(s, t) depends only on |s - t|, and only
-on its sorted entries when every coordinate holds one model object; the
-kernel reduces each such increment pattern once, at its lowest pair, and
+fixed element budget; at p = 2 three Gram products per tile give the
+sums of every pair but the close ones.  Every coordinate law is
+symmetric and the coordinates independent, so d_p(s, t) depends only on
+|s - t|, and only on its sorted entries when every coordinate holds one
+model object; the kernel reduces each such increment pattern once, at its lowest pair, and
 every pair of the pattern reads that value and error.
 `distance_matrix` is the one entry point to every backend: it returns a
 read-only `PairNorms` view of the condensed pair vector, scipy's pdist
@@ -67,6 +68,29 @@ _MC_CHUNK = 20_000
 # buffer of a quadrature pass, and a tile of projected values in stochlab
 TILE_ELEMS = 1 << 18
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated, quadrature or Monte-Carlo pass may take
+# At p = 2 a Monte-Carlo pass reads sum d^2 and sum d^4, d = v_j - v_i,
+# from Gram sums of v, v^2 and v^3 (`_uncached_pair_norms`).  Each Gram sum
+# rounds by some gamma relative to the sum of the |terms| it adds, and by
+# AM-GM the |terms| of the two expansions add up to at most
+# 2 (G11_ii + G11_jj) and 8 (G22_ii + G22_jj).  So sum d^2 errs by at most
+# 2 gamma A relative, A = (G11_ii + G11_jj) / sum d^2, and the centred
+# c4 = sum d^4 - (sum d^2)^2 / n that the 3-sigma bar reads by 8 gamma B,
+# B = (G22_ii + G22_jj) / c4.  A pair whose A or B exceeds _GRAM_GAIN is
+# reduced again by the row kernel, on a replay of the pass's stream.
+# Measured on three_point, sym_exponential and sym_weibull draws at 100 to
+# 40,000 samples, the rounding of the value stayed under 21 u A and that
+# of the bar under 210 u B (u = 2^-53); A, B <= 2^5 keep both within about
+# 7e-13 of a direct reduction.
+_GRAM_GAIN = 2.0 ** 5
+# Every coordinate is standardized, so E v^2 = |t|^2 and A is about
+# (a + b) / delta, a = |t_i|^2, b = |t_j|^2, delta = |t_i - t_j|^2, while B
+# grows like 1 / r^2, r = delta / (a + b) (B r^2 is 0.8-0.9 over the pairs
+# of the mc-certify benchmark).  So a pair with r <= _CLOSE takes the row
+# kernel from the start, by a rule known before drawing: near-duplicate
+# points, where the expansion is all rounding (a bar measured at r =
+# 1.5e-11 was off 800-fold), never cost a replay, and at r > 2^-2 A is
+# about 4 or less and B about 15 or less, so a replay is rare.
+_CLOSE = 2.0 ** -2
 
 
 @dataclass(frozen=True)
@@ -447,32 +471,46 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     A pass whose estimated allocation (for an exact pass the two per-pair
     outputs, the wanted positions and a few tiles; for Monte Carlo the
     differences, the stream key's copy, the outputs, the pattern classes,
-    one chunk's draws, one tile's projection and its scratch buffer)
-    exceeds `_PASS_MAX_BYTES` raises before it allocates.
+    one chunk's draws, one tile's projection, its scratch buffer and the
+    three |pts| x |pts| Gram sums with their product) exceeds
+    `_PASS_MAX_BYTES` raises before it allocates.
 
     Monte Carlo shares one sample pass across all pairs: each chunk of
     `_MC_CHUNK` draws from one derived stream is projected onto the points
-    one tile of samples at a time (`ProcessSpec.projected_tiles`), and each
-    tile is reduced one row of pairs at a time, so the sample buffers stay
-    O(chunk * dim + tile * |pts|) whatever the pair count.  Pairs whose
-    increments share a law (`_increment_classes`: equal |s - t|, sorted
-    when the coordinates are exchangeable) are reduced once, at the
-    class's lowest pair, and every pair of the class reads that value and
-    error: the same bits for the same law, and no minimum taken over
-    noisy copies of one number.  Only the classes holding a wanted pair
-    are reduced, but the stream and the classes span every pair, so no
-    value depends on what else is wanted.  A row whose pairs are all
-    representatives subtracts the contiguous rows after it; any other
-    gathers its representatives first.  The stream is keyed on the
-    differences before they become patterns, so the classes change no
-    draw, and a set whose patterns are all distinct reduces every pair
-    by contiguous rows.  The reduction runs in place in one scratch
-    buffer of (|pts| - 1) x tile, reused for every row, tile and chunk.
-    The tile width is the fixed element budget `TILE_ELEMS` divided by
-    |pts| - 1, capped at the chunk, so the buffers stay cache-sized and
-    a two-point call makes one tile per chunk.  |d|^p is d * d at p = 2,
-    |d| at p = 1 and one in-place `np.power` otherwise, and the sum of
-    |d|^(2p) goes by `np.vecdot`, alike for a row alone or in a block.
+    one tile of samples at a time (`ProcessSpec.projected_tiles`), so the
+    sample buffers stay O(chunk * dim + tile * |pts|) whatever the pair
+    count.  Pairs whose increments share a law (`_increment_classes`:
+    equal |s - t|, sorted when the coordinates are exchangeable) are
+    reduced once, at the class's lowest pair, and every pair of the class
+    reads that value and error: the same bits for the same law, and no
+    minimum taken over noisy copies of one number.  Only the classes
+    holding a wanted pair are reduced, but the stream and the classes span
+    every pair, so no value depends on what else is wanted.  The stream is
+    keyed on the differences before they become patterns, so the classes
+    change no draw.
+
+    At p = 2 each tile v (|pts| x w) is reduced by three matrix products
+    over every point, wanted or not: with q = v * v in the scratch buffer,
+    G11 += v v^T and G22 += q q^T, then q *= v and G31 += q v^T.  After the
+    pass sum d^2 = G11_ii + G11_jj - 2 G11_ij and sum d^4 = G22_ii + G22_jj
+    - 4 (G31_ij + G31_ji) + 6 G22_ij at each representative, clamped at 0.
+    That expansion cancels when t_i is close to t_j, so a representative
+    with |t_i - t_j|^2 <= _CLOSE (|t_i|^2 + |t_j|^2) takes the row kernel on
+    the same tiles, as every representative does at the other p, and one
+    whose sums the rounding may still have moved (`_GRAM_GAIN`, read off
+    the Gram sums) is reduced again by the row kernel on a replay of the
+    stream, the same draws.  The row kernel reduces a tile one row of
+    pairs at a time: a row whose pairs all take it subtracts the
+    contiguous rows after it, and any other gathers its pairs first, so at
+    p != 2 a set whose patterns are all distinct reduces every pair by
+    contiguous rows.
+    It runs in place in one scratch buffer of |pts| x tile, reused for
+    every row, tile and chunk.  The tile width is the fixed element budget
+    `TILE_ELEMS` divided by |pts| - 1, capped at the chunk, so the buffers
+    stay cache-sized and a two-point call makes one tile per chunk.  |d|^p
+    is d * d at p = 2, |d| at p = 1 and one in-place `np.power` otherwise,
+    and the sum of |d|^(2p) goes by `np.vecdot`, alike for a row alone or
+    in a block.
     The draws do not depend on the tile; only the summation order does.
     """
     m, dim = pts.shape
@@ -483,9 +521,10 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     if method == "monte_carlo":
         # the differences and the key's copy of them, the outputs, six
         # pair-length vectors of the pattern classes, one chunk's draws, one
-        # tile's projection and the scratch buffer
+        # tile's projection, the scratch buffer, and the three Gram sums of
+        # p = 2 with their product, counted at every p
         need = 8 * (pairs * (2 * dim + 8) + min(_MC_CHUNK, samples) * dim
-                    + m * tile + k * tile)
+                    + 2 * m * tile + 4 * m * m)
     else:
         # the outputs, the wanted positions, a tile of differences with its
         # gather's operands and indices, and quadrature's six more tiles or
@@ -529,28 +568,41 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
     diffs = _pair_diffs(pts)
-    rng = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples).generator()
+    stream = derived_stream(seed, "distance_matrix", diffs.tobytes(), p, samples)
     rep_of = _increment_classes(proc, diffs)
-    del diffs
     hit = np.bincount(rep_of[want], minlength=pairs)
     reps = np.flatnonzero(hit)
-    # the representatives of row i's pairs (i, j > i) are reps[at[i]:at[i + 1]]
     ri, rj = pair_of(reps, m)
-    at = np.searchsorted(ri, np.arange(m))
-    # (row, first, end, the points j to gather or None for all j > row)
-    work = [(i, a, b, None if b - a == k - i else rj[a:b])
-            for i, (a, b) in enumerate(zip(at[:-1], at[1:])) if b > a]
-    total = np.zeros(len(reps))
-    total_sq = np.zeros(len(reps))
-    scratch = np.empty(k * tile)
-    n = 0
-    # at large p the sums of |d|^p and |d|^(2p) can overflow; a value or
-    # error that is then not finite raises below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while n < samples and work:
-            chunk = min(_MC_CHUNK, samples - n)
-            for _, v in proc.projected_tiles(rng, chunk, pts, tile):
+    # at p = 2 the representatives that are not close take the Gram sums
+    far = np.zeros(len(reps), bool)
+    if p == 2.0:
+        sq = np.vecdot(pts, pts)
+        far = np.vecdot(diffs, diffs)[reps] > _CLOSE * (sq[ri] + sq[rj])
+    del diffs
+    scratch = np.empty(m * tile)
+
+    def sweep(row, gram):
+        """The sums of |d|^p and |d|^(2p) at the representatives `row` by
+        the row kernel, and the Gram sums G11, G22, G31 if `gram`, over the
+        draws of a fresh generator on the pass's stream."""
+        # the representatives of row i's pairs (i, j > i) are row[at[i]:at[i + 1]]
+        at = np.searchsorted(ri[row], np.arange(m))
+        # (row, first, end, the points j to gather or None for all j > row)
+        work = [(i, a, b, None if b - a == k - i else rj[row[a:b]])
+                for i, (a, b) in enumerate(zip(at[:-1], at[1:])) if b > a]
+        sums = np.zeros((2, len(row)))
+        g = np.zeros((4, m, m)) if gram else None  # G11, G22, G31 and a product
+        rng = stream.generator()
+        for lo in range(0, samples, _MC_CHUNK):
+            for _, v in proc.projected_tiles(rng, min(_MC_CHUNK, samples - lo), pts, tile):
                 w = v.shape[1]
+                if gram:
+                    q = scratch[:m * w].reshape(m, w)
+                    g[0] += np.matmul(v, v.T, out=g[3])
+                    np.multiply(v, v, out=q)
+                    g[1] += np.matmul(q, q.T, out=g[3])
+                    q *= v
+                    g[2] += np.matmul(q, v.T, out=g[3])
                 for i, a, b, js in work:
                     d = scratch[:(b - a) * w].reshape(b - a, w)
                     if js is None:
@@ -563,11 +615,34 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
                         np.abs(d, out=d)
                         if p != 1.0:
                             np.power(d, p, out=d)
-                    total[a:b] += d.sum(axis=1)
-                    total_sq[a:b] += np.vecdot(d, d)
-            n += chunk
-        mean = total / n
-        stderr = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
+                    sums[0, a:b] += d.sum(axis=1)
+                    sums[1, a:b] += np.vecdot(d, d)
+            # the last tile's view keeps its buffer; the next chunk draws without it
+            del v
+        return sums, g
+
+    total, total_sq = sums = np.zeros((2, len(reps)))
+    # at large p the sums of |d|^p and |d|^(2p) can overflow; a value or
+    # error that is then not finite raises below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if len(reps):
+            row = np.flatnonzero(~far)
+            sums[:, row], g = sweep(row, far.any())
+        if far.any():
+            i, j = ri[far], rj[far]
+            g11, g22, g31 = g[:3]
+            total[far] = s2 = np.maximum(g11[i, i] + g11[j, j] - 2.0 * g11[i, j], 0.0)
+            total_sq[far] = s4 = np.maximum(g22[i, i] + g22[j, j] - 4.0 * (g31[i, j] + g31[j, i])
+                                            + 6.0 * g22[i, j], 0.0)
+            # replay the stream for the pairs whose sums the rounding may have
+            # moved (see _GRAM_GAIN): the same draws, by the row kernel
+            fine = ((g11[i, i] + g11[j, j] <= _GRAM_GAIN * s2)
+                    & (g22[i, i] + g22[j, j] <= _GRAM_GAIN * (s4 - s2 * s2 / samples)))
+            redo = np.flatnonzero(far)[~fine]
+            if redo.size:
+                sums[:, redo] = sweep(redo, False)[0]
+        mean = total / samples
+        stderr = np.sqrt(np.maximum(total_sq / samples - mean * mean, 0.0) / samples)
         # delta method on m -> m^(1/p)
         err = 3.0 * np.where(mean > 0, stderr / (p * mean ** (1.0 - 1.0 / p)), stderr)
         values = mean ** (1.0 / p)

@@ -93,17 +93,19 @@ class TestTails:
 
     def test_gaussian_quantile_near_zero(self):
         g = dist.gaussian()
-        es = np.geomspace(1e-14, 1e-9, 501)
+        es = np.geomspace(1e-20, 1e-9, 1101)
         got = g.tail.quantile(es)
         want = math.sqrt(2.0) * sp.erfinv(-np.expm1(-es))
         rel = np.abs(got - want) / want
         ns, ts = g.tail._inverse_grid
-        resolved = es >= ns[1]
-        assert resolved.any() and not resolved.all()
-        assert np.max(rel[resolved]) <= 1e-12
-        # below N(t1), t1 = ts[1] = 6.4e-11 the first grid point past 0, the
-        # grid's first interval is a chord of N: off by t1 / sqrt(2 pi) relative
-        assert np.max(rel[~resolved]) <= 1.01 * ts[1] / math.sqrt(2.0 * math.pi)
+        # the grid keeps its 8,192 points from hi * 1e-12 = 6.4e-11 to hi = 64
+        # and reaches on down to 6.4e-17; below N(6.4e-11) = 5.1e-11 it once
+        # followed a chord of N, off by up to 2.6e-11 relative
+        assert np.array_equal(ts[-8192:], np.geomspace(64e-12, 64.0, 8192))
+        assert ts[0] == 0.0 and ts[1] == pytest.approx(64e-18, rel=1e-12)
+        assert (es < ns[1]).any() and (es < 5.1e-11).sum() > 900
+        # below N(ts[1]) the chord errs by ts[1] / sqrt(2 pi) = 2.6e-17 relative
+        assert np.max(rel) <= 1e-12
 
     def test_negative_rejected(self, model):
         with pytest.raises(ValueError):

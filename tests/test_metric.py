@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,37 @@ class TestDistanceMatrix:
                                              r"need about [\d,]+ MiB, past the 1 MiB"):
             metric.distance_matrix(proc, T, p, samples=1_000)
 
+    def test_monte_carlo_pass_just_past_the_limit_refuses(self, monkeypatch):
+        # the estimate: the differences and the key's copy, the outputs and
+        # six class vectors, one chunk's draws, a tile's projection and the
+        # scratch buffer, and the three Gram sums of p = 2 with their product
+        m, dim, samples = 60, 16, 30_000
+        tile = min(metric._MC_CHUNK, metric.TILE_ELEMS // (m - 1))
+        need = 8 * (m * (m - 1) // 2 * (2 * dim + 8) + metric._MC_CHUNK * dim
+                    + 2 * m * tile + 4 * m * m)
+        T = IndexSet(np.random.default_rng(8).standard_normal((m, dim)))
+        pair_diffs = metric._pair_diffs
+
+        def no_diffs(pts, k=None):
+            raise AssertionError("(pairs x dim) difference array built")
+
+        monkeypatch.setattr(metric, "_PASS_MAX_BYTES", need - 1)
+        monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
+        with pytest.raises(ValueError, match=rf"^monte_carlo pair norms of {m} points in "
+                                             r"R\^16 under the sym_exponential process"):
+            metric.distance_matrix(exp_proc(dim), T, 2.0, samples)
+        # at the estimate itself the pass runs, and takes less than it
+        monkeypatch.setattr(metric, "_PASS_MAX_BYTES", need)
+        monkeypatch.setattr(metric, "_pair_diffs", pair_diffs)
+        tracemalloc.start()
+        try:
+            v = metric.distance_matrix(exp_proc(dim), T, 2.0, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.method == "monte_carlo" and np.isfinite(v.values()).all()
+        assert peak < need
+
     def test_single_point_is_one_zero(self):
         # no pairs; the square of the empty condensed vector is one zero
         d = metric.distance_matrix(exp_proc(2), IndexSet(np.ones((1, 2))), 3.0)
@@ -490,8 +522,9 @@ class TestMonteCarloKernel:
                 x = np.abs(v[i] - v[j]) ** p
                 mean = np.mean(x)
                 values.append(mean ** (1.0 / p))
+                # a zero increment has value 0 and error 0
                 errors.append(3.0 * np.std(x) / math.sqrt(samples)
-                              / (p * mean ** (1.0 - 1.0 / p)))
+                              / (p * mean ** (1.0 - 1.0 / p)) if mean else 0.0)
         return np.array(values), np.array(errors)
 
     @staticmethod
@@ -519,6 +552,45 @@ class TestMonteCarloKernel:
         want_values, want_errors = self.naive(proc, pts, p, samples, 5)
         np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(errors, want_errors, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", [dist.sym_exponential(), dist.sym_weibull(0.5)],
+                             ids=["sym_exponential", "sym_weibull_0.5"])
+    def test_close_pairs_keep_the_row_kernel(self, model):
+        # copies of t_0 moved by 1e-5, 1e-7 and 1e-9 relative, and an exact
+        # repeat of t_1, beside three well-separated points: at p = 2 the
+        # Gram expansions cancel to rounding at the close pairs (with every
+        # pair on the Gram sums, six values here were off, one 22-fold), so
+        # they take the row kernel, and the others the Gram sums
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((3, 4))
+        step = rng.standard_normal(4)
+        step *= np.linalg.norm(base[0]) / np.linalg.norm(step)
+        pts = np.vstack([base, base[0] + np.multiply.outer([1e-5, 1e-7, 1e-9], step), base[1]])
+        proc = ProcessSpec.homogeneous(model, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = metric.distance_matrix(proc, IndexSet(pts), 2.0, 30_000, 4)
+        assert d.method == "monte_carlo"
+        want_values, want_errors = self.naive(proc, pts, 2.0, 30_000, 4)
+        np.testing.assert_allclose(d.values(), want_values, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(d.errors, want_errors, rtol=1e-9, atol=0)
+        repeat = metric.pair_index(1, 6, 7)
+        assert d.values()[repeat] == 0.0 and d.errors[repeat] == 0.0
+        assert (d.values() > 0).sum() == 20
+
+    def test_gram_sums_replay_where_rounding_dominates(self):
+        # d = X_1 on the pair (0, 1) (r = 1 / 3.88, past _CLOSE): one draw
+        # of d^2 has no spread, so the Gram sums' centred sum d^4 is all
+        # rounding (a 3-sigma error of 1e-7 for seed 12, where d^2 = 9); the
+        # pass reduces such a pair again by the row kernel, from the same draws
+        proc = ProcessSpec(models=(dist.three_point(3.0), dist.sym_weibull(0.5)))
+        T = IndexSet([[0.0, 1.2], [1.0, 1.2], [0.3, -1.0]])
+        values = set()
+        for seed in range(60):
+            d = metric.distance_matrix(proc, T, 2.0, 1, seed)
+            values.add(float(d.values()[0]))
+            assert d.errors[0] == 0.0
+        assert values == {0.0, 3.0}
 
     def test_sudakov_packing_pass_holds_one_tile(self):
         # the 66 points of packing_set(2, 12): one chunk's projection alone
@@ -883,6 +955,47 @@ def test_restricted_pass_equals_a_full_pass_at_the_requested_pairs(case, seed):
                                    blocks=first + second)
     assert part.base.tobytes() == union.base.tobytes()
     assert part.errors.tobytes() == union.errors.tobytes()
+
+
+_GRAM_LAWS = (dist.three_point(2.0), dist.three_point(3.0), dist.sym_exponential(),
+              dist.sym_weibull(0.5), dist.sym_weibull(1.5))
+
+
+@st.composite
+def gram_passes(draw):
+    """A sphere or small-lattice index set (lattices repeat points and
+    patterns), one law or a mix of the laws whose d_2 is Monte Carlo, and
+    a sample count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    m, dim = draw(st.integers(2, 9)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        pts = rng.standard_normal((m, dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    else:
+        pts = rng.integers(-2, 3, (m, dim)).astype(float)
+    if draw(st.booleans()):
+        proc = ProcessSpec.homogeneous(draw(st.sampled_from(_GRAM_LAWS)), dim)
+    else:
+        proc = ProcessSpec(models=tuple(draw(st.sampled_from(_GRAM_LAWS)) for _ in range(dim)))
+    return pts, proc, draw(st.integers(100, 40_000))
+
+
+@given(case=gram_passes(), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_p2_gram_sums_match_a_plain_reduction(case, seed):
+    # the Gram sums at p = 2, and the row kernel at its close pairs, against
+    # |v_i - v_j|^2 reduced pair by pair from the same stream's draws, read
+    # at each pair's increment-pattern representative
+    pts, proc, samples = case
+    d = metric.distance_matrix(proc, IndexSet(pts), 2.0, samples, seed)
+    if d.method == "closed_form":
+        return
+    assert d.method == "monte_carlo"
+    rep_of = metric._increment_classes(proc, metric._pair_diffs(pts))
+    want_values, want_errors = TestMonteCarloKernel.naive(proc, pts, 2.0, samples, seed)
+    want_values, want_errors = want_values[rep_of], want_errors[rep_of]
+    np.testing.assert_allclose(d.values(), want_values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(d.errors, want_errors, rtol=1e-12, atol=0)
 
 
 @given(pts=st.lists(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
