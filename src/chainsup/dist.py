@@ -170,7 +170,9 @@ class TailFunction:
 
 class DistributionModel:
     """A standardized symmetric law: moments ||X||_p (`moment`, uncached,
-    so E X^(2k) is `moment(2k) ** (2k)`), tail exponent, sampler.
+    so E X^(2k) is `moment(2k) ** (2k)`), tail exponent, sampler, and for
+    a law of finitely many values its `atoms`: (values, probabilities),
+    two read-only float vectors, or None.
 
     `sampler(rng, out)` fills the contiguous float64 vector `out` with
     i.i.d. draws.
@@ -180,13 +182,18 @@ class DistributionModel:
                  moment_fn: Callable[[float], float],
                  tail_fn: Callable[[np.ndarray], np.ndarray],
                  sampler: Callable[[np.random.Generator, np.ndarray], object],
-                 support_bound: float = math.inf):
+                 support_bound: float = math.inf, atoms: tuple | None = None):
         self.family = family
         self.params = dict(params)
         self._moment_fn = moment_fn
         self._sampler = sampler
         self.support_bound = float(support_bound)
         self.tail = TailFunction(tail_fn, self.support_bound)
+        if atoms is not None:
+            atoms = tuple(np.array(v, dtype=float) for v in atoms)
+            for v in atoms:
+                v.flags.writeable = False
+        self.atoms = atoms
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -283,6 +290,7 @@ def rademacher() -> DistributionModel:
         tail_fn=tail,
         sampler=sampler,
         support_bound=1.0,
+        atoms=([-1.0, 1.0], [0.5, 0.5]),
     )
 
 
@@ -355,6 +363,7 @@ def three_point(a: float) -> DistributionModel:
         tail_fn=tail,
         sampler=sampler,
         support_bound=a,
+        atoms=(atoms, [1.0 - p_atom, p_atom / 2.0, p_atom / 2.0]),
     )
 
 

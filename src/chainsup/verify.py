@@ -69,7 +69,8 @@ def sudakov_experiment(proc: ProcessSpec, T: IndexSet, p: float, u: float,
     vals = dm.values()
     k = int(np.argmin(vals))
     min_sep = float(vals[k])
-    tol = 0.05 * u if dm.method == "monte_carlo" else 1e-9
+    # d_p is 1-homogeneous, so the slack scales with u
+    tol = (0.05 if dm.method == "monte_carlo" else 1e-9) * u
     separation_ok = min_sep >= u - tol
     worst_pair = None
     if not separation_ok:
@@ -193,7 +194,7 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     """Comparison harness: check increment domination on the grid, then
     report E sup ratios and empirical tail-domination curves.
 
-    ||Y_s - Y_t||_p <= ||X_s - X_t||_p + errX + errY + 1e-9 * (1 + dX), with
+    ||Y_s - Y_t||_p <= ||X_s - X_t||_p + errX + errY + 1e-9 dX, with
     3-sigma error bars, must hold for every pair s < t of T at each p, from
     one pair-norm pass per process and p; the first violating pair in
     (p, s, t) row-major order raises; an empty p_grid, which would check
@@ -216,7 +217,7 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
             my = metric_mod.distance_matrix(procY, T, p, samples, stream.master_seed + 1)
         dx, err_x, dy, err_y = mx.values(), mx.errors, my.values(), my.errors
         # written so that a NaN on either side counts as a violation
-        bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * (1.0 + dx))))
+        bad = np.flatnonzero(~(dy <= dx + (err_x + err_y + 1e-9 * dx)))
         if bad.size:
             k = bad[0]
             i, j = metric_mod.pair_of(k, len(T))

@@ -27,6 +27,11 @@ def exp_proc(n):
     return ProcessSpec.homogeneous(dist.sym_exponential(), n)
 
 
+def three_point_proc(n):
+    # a finite-atom law off rademacher: exact d_p at every p but 2
+    return ProcessSpec.homogeneous(dist.three_point(3.0), n)
+
+
 def weibull_proc(n):
     # a law whose d_p is Monte Carlo at every p but the even p >= 4
     return ProcessSpec.homogeneous(dist.sym_weibull(1.5), n)
@@ -343,7 +348,8 @@ class TestDistanceMatrix:
             metric.distance_matrix(exp_proc(128), IndexSet(pts), 5.0, samples=1_000)
 
     @pytest.mark.parametrize("make_proc, method", [(rad_proc, "enumeration"),
-                                                   (exp_proc, "quadrature")])
+                                                   (exp_proc, "quadrature"),
+                                                   (three_point_proc, "enumeration")])
     def test_an_overflowed_increment_raises(self, make_proc, method):
         # 1e308 - (-1e308) overflows to inf: no value is returned for it
         T = IndexSet([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
@@ -354,9 +360,11 @@ class TestDistanceMatrix:
     @pytest.mark.parametrize("make_proc, method, p", [(exp_proc, "monte_carlo", 5.0),
                                                       (rad_proc, "enumeration", 3.0),
                                                       (exp_proc, "quadrature", 3.0),
-                                                      (exp_proc, "even_moments", 4.0)],
+                                                      (exp_proc, "even_moments", 4.0),
+                                                      (three_point_proc, "enumeration", 3.0)],
                              ids=["exp_proc-monte_carlo", "rad_proc-enumeration",
-                                  "exp_proc-quadrature", "exp_proc-even_moments"])
+                                  "exp_proc-quadrature", "exp_proc-even_moments",
+                                  "three_point_proc-enumeration"])
     def test_pass_past_the_byte_limit_raises_before_it_allocates(self, make_proc, method, p,
                                                                   monkeypatch):
         def no_diffs(pts, k=None):
@@ -364,11 +372,14 @@ class TestDistanceMatrix:
 
         # 44,850 pairs in R^16: 6.0 MiB of differences and outputs alone;
         # sym_exponential is Monte Carlo at p = 5, quadrature at p = 3 and
-        # even moments at p = 4
+        # even moments at p = 4; the last four coordinates are 0, so every
+        # three_point increment has at most 3^12 atoms and is enumerated
         monkeypatch.setattr(metric, "_PASS_MAX_BYTES", 1 << 20)
         monkeypatch.setattr(metric, "_pair_diffs", no_diffs)
         proc = make_proc(16)
-        T = IndexSet(np.random.default_rng(7).standard_normal((300, 16)))
+        pts = np.random.default_rng(7).standard_normal((300, 16))
+        pts[:, 12:] = 0.0
+        T = IndexSet(pts)
         with pytest.raises(ValueError, match=rf"^{method} pair norms of 300 points in "
                                              rf"R\^16 under the {proc.family} process "
                                              r"need about [\d,]+ MiB, past the 1 MiB"):
@@ -542,10 +553,11 @@ class TestMonteCarloKernel:
         # at 70 points the budget splits each chunk into several tiles
         assert metric.TILE_ELEMS // 69 < metric._MC_CHUNK
         # the kernel itself: at p = 4, 6 and 8 distance_matrix takes the
-        # even moments, and at the other p it is this pass
+        # even moments, on three_point (m = 3) it enumerates the atoms at
+        # every p but 2, and at the other p it is this pass
         proc, pts = self.case(m)
         values, errors = _monte_carlo(proc, pts, p, samples, 5)
-        if p % 2:
+        if p % 2 and m != 3:
             d = metric.distance_matrix(proc, IndexSet(pts), p, samples, 5)
             assert d.method == "monte_carlo"
             assert d.values().tobytes() == values.tobytes()
@@ -1218,6 +1230,15 @@ def test_gather_then_scale_is_scale_then_gather(base, scale, picks):
     assert v.values().tobytes() == scaled.tobytes()
 
 
+def weibull_half():
+    # a heavy tail: E X^128 is about e^964, past the float range
+    return dist.sym_weibull(0.5)
+
+
+def three_point_3():
+    return dist.three_point(3.0)
+
+
 def _method_from_diffs(proc, pts, p):
     """The dispatch rule read off the whole (pairs x dim) difference array."""
     diffs = metric._pair_diffs(pts)
@@ -1227,8 +1248,11 @@ def _method_from_diffs(proc, pts, p):
     if p in range(2, 129, 2) and (fam == "rademacher" or p >= 4.0 and
                                   {m.family for m in proc.models} <= dist.FAMILIES.keys()):
         return "even_moments"
-    if fam == "rademacher" and \
-            np.count_nonzero(diffs, axis=1).max() <= metric.ENUMERATION_LIMIT:
+    # finite-atom laws whose increments have at most ATOM_LIMIT atoms, in
+    # exact integers, except at p = 2
+    if p != 2.0 and all(m.atoms is not None for m in proc.models) and \
+            max(math.prod(len(proc.models[j].atoms[0]) for j in np.flatnonzero(d))
+                for d in diffs) <= metric.ATOM_LIMIT:
         return "enumeration"
     if fam == "sym_exponential" and 1.0 <= p < 4.0 and p != 2.0:
         return "quadrature"
@@ -1238,15 +1262,23 @@ def _method_from_diffs(proc, pts, p):
 @given(pts=point_sets(coords=st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
                       dims=(1, 3, 20, 21, 24)),
        zero_rows=st.integers(0, 2),
-       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential, None,
-                             "named"]),
+       make=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential,
+                             three_point_3, None, "named", "finite"]),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 3.999, 4.0, 8.0, 128.0, 130.0]))
-# increments with exactly ENUMERATION_LIMIT and ENUMERATION_LIMIT + 1 nonzeros
+# increments of exactly ATOM_LIMIT atoms (2^20) and of one coordinate more
 @example(pts=np.ones((1, 20)), zero_rows=1, make=dist.rademacher, p=1.0)
 @example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher, p=1.0)
+# 3^12 atoms fit the limit and 3^13 do not, nor do 2^5 3^10 in a mix of
+# three_point and rademacher, where 2^5 3^9 do
+@example(pts=np.ones((1, 12)), zero_rows=1, make=three_point_3, p=1.0)
+@example(pts=np.ones((1, 13)), zero_rows=1, make=three_point_3, p=1.0)
+@example(pts=np.ones((1, 14)), zero_rows=1, make="finite", p=3.0)
+@example(pts=np.ones((1, 15)), zero_rows=1, make="finite", p=3.0)
 # past the limit the even moments take even p <= MC_MAX_P, and no other p
 @example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher, p=2.0)
 @example(pts=np.ones((1, 21)), zero_rows=1, make=dist.rademacher, p=130.0)
+# three_point's d_2 stays Monte Carlo
+@example(pts=np.ones((1, 3)), zero_rows=1, make=three_point_3, p=2.0)
 @settings(max_examples=300, deadline=None)
 def test_method_matches_the_difference_array_rule(pts, zero_rows, make, p):
     pts = np.vstack([pts, np.zeros((zero_rows, pts.shape[1]))])
@@ -1256,6 +1288,9 @@ def test_method_matches_the_difference_array_rule(pts, zero_rows, make, p):
     elif make == "named":  # every law a config can name, in turn
         laws = (dist.gaussian(), dist.rademacher(), dist.sym_exponential(),
                 dist.three_point(3.0), dist.sym_weibull(0.5))
+        proc = ProcessSpec(models=[laws[i % len(laws)] for i in range(n)])
+    elif make == "finite":  # the finite-atom laws, in turn
+        laws = (dist.three_point(3.0), dist.rademacher(), dist.three_point(5.0))
         proc = ProcessSpec(models=[laws[i % len(laws)] for i in range(n)])
     else:
         proc = ProcessSpec.homogeneous(make(), n)
@@ -1267,34 +1302,171 @@ def test_is_exact_metric():
     assert metric.is_exact_metric(rad_proc(8), IndexSet.basis(8))
     assert not metric.is_exact_metric(rad_proc(24), IndexSet.with_origin(np.ones((1, 24))))
     assert not metric.is_exact_metric(exp_proc(2), IndexSet.basis(2))
+    # three_point's d_1 is enumerated, but its d_2 is Monte Carlo
+    assert not metric.is_exact_metric(three_point_proc(8), IndexSet.basis(8))
 
 
-@pytest.mark.parametrize("p", [2.0, 16.0, 32.0, 40.0])
-def test_enumerated_tiny_increment_does_not_underflow(p):
+@pytest.mark.parametrize("make, p", [(rad_proc, 2.0), (rad_proc, 16.0), (rad_proc, 32.0),
+                                     (rad_proc, 40.0), (three_point_proc, 1.0),
+                                     (three_point_proc, 33.0), (three_point_proc, 40.5)],
+                         ids=["2.0", "16.0", "32.0", "40.0", "three_point-1.0",
+                              "three_point-33.0", "three_point-40.5"])
+def test_enumerated_tiny_increment_does_not_underflow(make, p):
     # unscaled, (1e-20)^32 underflows to 0.0 and two distinct points sat at
-    # distance 0 in the metric of greedy level 5
-    assert increment_norm(rad_proc(1), [1e-20], [0.0], p).value == 1e-20
+    # distance 0 in the metric of greedy level 5; d_p of one coordinate is
+    # |d| ||X||_p
+    proc = make(1)
+    r = increment_norm(proc, [1e-20], [0.0], p)
+    assert r.value == pytest.approx(1e-20 * proc.models[0].moment(p), rel=1e-14, abs=0)
+    if make is rad_proc:
+        assert r.value == 1e-20
 
 
 def test_enumerated_huge_increment_does_not_overflow():
     # sum |d_i| of (1e308, 1e308) is past the largest float, but the
-    # increment is first scaled by a power of two: E|e_1 + e_2| = 1
+    # increment is first scaled by a power of two: E|e_1 + e_2| = 1, and
+    # E|X_1 + X_2| = 51 / 81 for three_point(3), whose d_3 of 1.88e308
+    # overflows and raises
     assert increment_norm(rad_proc(2), [1e308, 1e308], [0.0, 0.0], 1.0).value == 1e308
+    got = increment_norm(three_point_proc(2), [1e308, 1e308], [0.0, 0.0], 1.0)
+    assert got.method == "enumeration"
+    assert got.value == pytest.approx(1e308 * (51.0 / 81.0), rel=1e-15, abs=0)
+    with pytest.raises(ValueError, match=r"^enumerated d_p at p = 3 of a nonzero increment "
+                                         r"is 0 or not finite$"):
+        increment_norm(three_point_proc(2), [1e308, 1e308], [0.0, 0.0], 3.0)
 
 
-@given(c=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=10)
-       .filter(lambda c: any(c)),
-       p=st.floats(min_value=1.0, max_value=64.0))
-@settings(max_examples=150, deadline=None)
-def test_half_sign_table_matches_all_sign_patterns(c, p):
-    # |sum| is even in a global sign flip, so the 2^(k-1) sums with the
-    # first sign fixed give the mean of |s|^p over all 2^k patterns; the
-    # coefficients are scaled by sum |c_i|, as the enumeration scales them
-    c = np.array(c) / np.abs(c).sum()
-    half = np.mean(np.abs(metric._enumerate_signed_sums(c)) ** p)
-    full = np.mean([abs(sum(ci * si for ci, si in zip(c, signs))) ** p
-                    for signs in itertools.product((1.0, -1.0), repeat=len(c))])
-    assert half == pytest.approx(full, rel=1e-14)
+# rademacher and three_point with atoms near 1, at 3 and far out
+_FINITE_LAWS = (dist.rademacher(), dist.three_point(1.5), dist.three_point(3.0),
+                dist.three_point(40.0))
+
+
+@st.composite
+def finite_increments(draw, coords=_COORDS):
+    """A process of up to ten finite-atom coordinates, mixed, and a nonzero
+    increment in it."""
+    n = draw(st.integers(1, 10))
+    models = draw(st.lists(st.sampled_from(_FINITE_LAWS), min_size=n, max_size=n))
+    d = draw(st.lists(coords, min_size=n, max_size=n).filter(any))
+    return ProcessSpec(models=models), np.array(d)
+
+
+def _engine(proc, d, p):
+    """The finite-atom engine's d_p of the increment d, called directly."""
+    return metric._uncached_pair_norms(proc, np.array([d, np.zeros(len(d))]), p, 0, 0,
+                                       "enumeration", np.ones(1, bool))[0, 0]
+
+
+def _atom_table(proc, d):
+    """The value sum_i d_i x_i and probability prod_i w_i of every tuple of
+    atoms (itertools.product over the nonzero coordinates)."""
+    live = np.flatnonzero(d)
+    laws = [proc.models[i].atoms for i in live]
+    idx = np.array(list(itertools.product(*[range(len(x)) for x, _ in laws])))
+    values = sum(d[i] * x[idx[:, j]] for j, (i, (x, _)) in enumerate(zip(live, laws)))
+    weights = np.prod([w[idx[:, j]] for j, (_, w) in enumerate(laws)], axis=0)
+    return values, weights
+
+
+class TestAtomEngine:
+    """Exact d_p on finite-atom laws against sums over every tuple of atoms."""
+
+    @given(case=finite_increments())
+    @example(case=(ProcessSpec.homogeneous(dist.three_point(3.0), 10), np.ones(10)))
+    # 17 ulps off when the prefix sums are a plain np.cumsum
+    @example(case=(ProcessSpec.homogeneous(dist.three_point(3.0), 10),
+                   np.array([-0.304, -0.9, 0.164, 2.245, -0.832, -0.624, 0.205, 0.493,
+                             -0.176, -0.206])))
+    @example(case=(ProcessSpec.homogeneous(dist.rademacher(), 10),
+                   np.array([1.0, -1.0] * 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_p1_equals_the_exact_rational_sum(self, case):
+        # every float is a dyadic rational, so sum_i d_i x_i and the product
+        # of the probabilities are exact integers over powers of two; the
+        # engine's atoms and probabilities each round up to ten times (4.1
+        # ulps seen in 3,000 examples)
+        from fractions import Fraction
+
+        proc, d = case
+        live = np.flatnonzero(d)
+        terms = [[(Fraction(float(d[i])) * Fraction(float(x)), Fraction(float(w)))
+                  for x, w in zip(*proc.models[i].atoms)] for i in live]
+        # the denominators are powers of two, so the largest is their lcm
+        scale = max(v.denominator for row in terms for v, _ in row)
+        weight = max(w.denominator for row in terms for _, w in row)
+        ints = [[(int(v * scale), int(w * weight)) for v, w in row] for row in terms]
+        total = sum(math.prod(w for _, w in combo) * abs(sum(v for v, _ in combo))
+                    for combo in itertools.product(*ints))
+        want = Fraction(total, scale * weight ** len(live))
+        got = _engine(proc, d, 1.0)
+        assert abs(Fraction(got) - want) <= 8 * Fraction(math.ulp(float(want)))
+
+    @given(case=finite_increments(),
+           p=st.one_of(st.integers(1, 63).map(lambda k: 2.0 * k + 1.0),
+                       # three_point's d_2 is Monte Carlo
+                       st.floats(min_value=1.0, max_value=64.0).filter(lambda p: p != 2.0)))
+    @example(case=(ProcessSpec.homogeneous(dist.three_point(40.0), 9), np.ones(9)), p=127.0)
+    @example(case=(ProcessSpec.homogeneous(dist.rademacher(), 10), np.ones(10)), p=63.5)
+    @settings(max_examples=100, deadline=None)
+    def test_odd_and_fractional_p_equal_the_product_sum(self, case, p):
+        proc, d = case
+        # scaled so that no |value| exceeds 1 and no power overflows
+        top = math.fsum(abs(c) * proc.models[i].support_bound for i, c in enumerate(d))
+        values, weights = _atom_table(proc, d / top)
+        want = top * math.fsum(weights * np.abs(values) ** p) ** (1.0 / p)
+        v = metric.distance_matrix(proc, IndexSet([d, np.zeros(len(d))]), p)
+        assert v.method == ("even_moments" if p % 2 == 0 else "enumeration")
+        assert _engine(proc, d, p) == pytest.approx(want, rel=1e-13, abs=0)
+        if v.method == "enumeration":
+            assert v.values()[0] == _engine(proc, d, p) and not v.errors.any()
+
+    @given(case=finite_increments(), k=st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_even_p_equals_the_even_moments(self, case, k):
+        # distance_matrix takes the even moments here, but at p = 2 only on
+        # rademacher: three_point's d_2 is Monte Carlo
+        proc, d = case
+        pts = np.array([np.zeros(len(d)), d])
+        want = metric._even_moment_norms(proc, pts[1:].copy(), k, metric.TILE_ELEMS)[0]
+        assert _engine(proc, d, 2.0 * k) == pytest.approx(want, rel=1e-13, abs=0)
+        if k > 1 or proc.family == "rademacher":
+            v = metric.distance_matrix(proc, IndexSet(pts), 2.0 * k)
+            assert v.method == "even_moments" and not v.errors.any()
+            assert v.values()[0] == want
+        else:
+            assert metric._method(proc, pts, 2.0) == "monte_carlo"
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 2.5])
+    def test_the_atom_limit_is_the_method_edge(self, p):
+        # 20 rademacher nonzeros are 2^20 = ATOM_LIMIT atoms, enumerated;
+        # one coordinate more, of either law, is Monte Carlo
+        c = np.array([1.0] * 20)
+        got = increment_norm(rad_proc(20), c, np.zeros(20), p)
+        assert got.method == "enumeration"
+        # |sum of 20 signs| = |20 - 2i| with probability C(20, i) / 2^20
+        want = math.fsum(math.comb(20, i) * abs(20 - 2 * i) ** p for i in range(21))
+        assert got.value == pytest.approx((want / 2.0 ** 20) ** (1.0 / p), rel=1e-13, abs=0)
+        for extra in (dist.rademacher(), dist.three_point(3.0)):
+            proc = ProcessSpec(models=(dist.rademacher(),) * 20 + (extra,))
+            r = increment_norm(proc, np.ones(21), np.zeros(21), p, samples=100)
+            assert r.method == "monte_carlo"
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 2.5, 127.0, 127.5, 1001.0])
+    def test_far_atoms_never_give_zero(self, p):
+        # three_point(1e6) on 12 coordinates, 3^12 atoms: X is 0 with
+        # probability 1 - 1e-12 and each of the 2^12 sign patterns of its
+        # largest sum has probability about 1e-148
+        proc = ProcessSpec.homogeneous(dist.three_point(1e6), 12)
+        d = np.linspace(1.0, 2.0, 12)
+        try:
+            got = increment_norm(proc, d, np.zeros(12), p)
+        except ValueError as err:
+            assert str(err).startswith(f"enumerated d_p at p = {p:g} of a nonzero")
+        else:
+            assert got.method == "enumeration"
+            assert math.isfinite(got.value) and got.value > 0.0
+            # ||sum_i d_i X_i||_p >= max_i |d_i| ||X||_p
+            assert got.value >= 2.0 * proc.models[0].moment(p) * (1.0 - 1e-13)
 
 
 # nonzero coordinates in [1e-30, 1e30]: the enumeration scales each
@@ -1303,15 +1475,6 @@ def test_half_sign_table_matches_all_sign_patterns(c, p):
 _MODERATE_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                              st.floats(min_value=1e-30, max_value=1e30),
                              st.floats(min_value=-1e30, max_value=-1e-30))
-
-
-def weibull_half():
-    # a heavy tail: E X^128 is about e^964, past the float range
-    return dist.sym_weibull(0.5)
-
-
-def three_point_3():
-    return dist.three_point(3.0)
 
 
 _EVEN_PS = st.integers(1, 64).map(lambda k: 2.0 * k)
@@ -1422,19 +1585,6 @@ class TestEvenMoments:
                               ** (1.0 / p) for a, b in zip(i, j)])
             miss = np.abs(v.values() - exact) > v.errors + 1e-13 * exact
             assert not miss.any(), f"d_{p:g}: {miss.mean():.0%} of the bars miss"
-
-    @given(c=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=10)
-           .filter(lambda c: any(c)),
-           k=st.integers(1, 64))
-    @settings(max_examples=100, deadline=None)
-    def test_equals_the_half_sign_table_on_rademacher(self, c, k):
-        pts = np.array([np.zeros(len(c)), c])
-        proc = rad_proc(len(c))
-        v = metric.distance_matrix(proc, IndexSet(pts), 2.0 * k)
-        assert v.method == "even_moments" and not v.errors.any()
-        want = metric._uncached_pair_norms(proc, pts, 2.0 * k, 0, 0, "enumeration",
-                                           np.ones(1, bool))[0]
-        assert v.values() == pytest.approx(want, rel=1e-13, abs=0)
 
     @given(first=st.sampled_from([dist.gaussian, dist.rademacher, dist.sym_exponential,
                                   weibull_half, three_point_3]),

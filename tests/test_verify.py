@@ -119,11 +119,27 @@ class TestSudakov:
         iu = np.triu_indices(len(T), k=1)
         vals = dm[iu]
         k = int(np.argmin(vals))
-        tol = 1e-9 if metric.is_exact_metric(proc, T) else 0.05 * u
+        tol = (1e-9 if metric.is_exact_metric(proc, T) else 0.05) * u
         ok = vals[k] >= u - tol
         assert rep.min_observed_separation == float(vals[k])
         assert rep.separation_ok == ok
         assert rep.worst_pair == (None if ok else (int(iu[0][k]), int(iu[1][k])))
+
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_verdict_is_scale_free(self, scale):
+        # d_p is 1-homogeneous, so scaling T and u together keeps the
+        # verdict: a duplicate pair fails at every u > 0 (an absolute slack
+        # of 1e-9 passed it at u = 1e-10), and a separation just short of u
+        # fails, while one equal to u passes
+        norm = dist.gaussian().moment(3.0)
+        cases = [([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], 1e-10, False),
+                 ([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], norm, True),
+                 ([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], norm * (1.0 + 1e-6), False)]
+        for pts, u, ok in cases:
+            rep = verify.sudakov_experiment(gauss_proc(2), IndexSet(np.array(pts) * scale),
+                                            3.0, u * scale, 1_000, RngStream(21, 4))
+            assert rep.separation_ok == ok, (pts, u)
 
 
 class TestTwoSided:
@@ -259,6 +275,21 @@ class TestComparison:
             verify.comparison_experiment(rad_proc(2), gauss_proc(2), T,
                                          p_grid=(4.0,), samples=20_000,
                                          stream=RngStream(26, 1))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_verdict_is_scale_free(self, scale):
+        # Laplace increments dominate gaussian ones at p = 4 and not the
+        # other way round, exactly, on every scale of T (an absolute slack
+        # of 1e-9 (1 + dX) passed the failing order at scale 1e-12)
+        T = IndexSet(np.random.default_rng(41).standard_normal((4, 3)) * scale)
+        laplace = ProcessSpec.homogeneous(dist.sym_exponential(), 3)
+        out = verify.comparison_experiment(laplace, gauss_proc(3), T, p_grid=(4.0,),
+                                           samples=1_000, stream=RngStream(26, 4))
+        assert out["domination_checked_pairs"] == 6
+        with pytest.raises(ValueError, match=r"^domination precondition fails at "
+                                             r"\(s=0, t=1, p=4\.0\)"):
+            verify.comparison_experiment(gauss_proc(3), laplace, T, p_grid=(4.0,),
+                                         samples=1_000, stream=RngStream(26, 4))
 
     def test_one_pair_norm_pass_per_process_and_p(self, monkeypatch):
         T = IndexSet(np.random.default_rng(40).standard_normal((4, 3)))
