@@ -3,8 +3,10 @@ Laplace (`dist.sym_exponential`), 1 <= p < 4, p != 2, by quadrature of
 the characteristic function: Gauss-Legendre in t with u = exp((pi/2)
 sinh t) over a fixed window, both tails in closed form, and node counts
 doubled until two rules agree to 1e-13 relative.  numpy's arithmetic and
-`math` only: no scipy, no LAPACK.  `metric` dispatches to it and
-imports it on first use.
+`math` only: no scipy, no LAPACK.  Like every exact engine, it reads rows
+of nonzero |increments| scaled by 2^-e to a largest entry in [1/2, 1),
+and `metric` keeps zeroes, scales back and refuses; `metric` dispatches
+to it and imports it on first use.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import functools
 import math
 
 import numpy as np
+
+from .metric import TILE_ELEMS
 
 __all__ = ["increment_norms"]
 
@@ -56,10 +60,10 @@ def _quadrature_rule(n: int) -> tuple[np.ndarray, tuple, tuple]:
     return u2, ln_u, weight
 
 
-def _window_integrals(a: np.ndarray, p: float, n: int, tile: int) -> np.ndarray:
+def _window_integrals(a: np.ndarray, p: float, n: int) -> np.ndarray:
     """The n-node rule for the window part of `increment_norms`'s
     integral, per row of a (rows of a_i >= 0), in buffers of at most
-    `tile` entries.
+    `TILE_ELEMS` entries.
 
     q = 1 - phi_S and, for p > 2, gap = u^2 sum_i a_i - q are built one
     coordinate at a time as q <- (q + w) / (1 + w) and gap <- gap + w q
@@ -69,7 +73,7 @@ def _window_integrals(a: np.ndarray, p: float, n: int, tile: int) -> np.ndarray:
     """
     u2, ln_u, weight = _quadrature_rule(n)
     jac = np.array([wk * math.exp(-p * v) for wk, v in zip(weight, ln_u)])
-    rows = max(1, min(len(a), tile // n))
+    rows = max(1, min(len(a), TILE_ELEMS // n))
     q, w, t = (np.empty((rows, n)) for _ in range(3))
     gap = np.empty((rows, n)) if p > 2.0 else None
     out = np.empty(len(a))
@@ -92,33 +96,30 @@ def _window_integrals(a: np.ndarray, p: float, n: int, tile: int) -> np.ndarray:
     return out
 
 
-def increment_norms(diffs: np.ndarray, p: float, tile: int) -> np.ndarray:
-    """d_p of the finite increments `diffs` (rows, overwritten) of a
-    process whose coordinates are all standardized Laplace
+def increment_norms(models: tuple, c: np.ndarray, p: float) -> np.ndarray:
+    """d_p of the rows of `c` (overwritten), nonzero |increments| of a
+    process whose coordinates `models` are all standardized Laplace
     (`dist.sym_exponential`), 1 <= p < 4, p != 2, by quadrature of the
     characteristic function.
 
-    With a_i = d_i^2 / 2, phi_S(u) = prod_i 1 / (1 + a_i u^2) and (von Bahr
+    With a_i = c_i^2 / 2, phi_S(u) = prod_i 1 / (1 + a_i u^2) and (von Bahr
     and Esseen 1965)
         E|S|^p = (2/pi) Gamma(p + 1) |sin(pi p / 2)|
                  * int_0^inf |1 - phi_S(u) - [p > 2] u^2 sum_i a_i| u^(-1-p) du.
-    Each row is sorted, divided by its largest |d_i| and then by its
+    Each row is sorted, divided by its largest c_i and then by its
     euclidean length, so sum_i a_i = 1/2 and no square under- or
-    overflows; the norm is scaled back and a zero increment has norm 0.
-    The integral is Gauss-Legendre in t over `_WINDOW` plus its
-    tails in closed form from the expansions of q at small and large u.
+    overflows; the norm is scaled back.  The integral is Gauss-Legendre
+    in t over `_WINDOW` plus its tails in closed form from the expansions
+    of q at small and large u.
     A row's node count doubles from `_FIRST_NODES` until two rules
     agree to `_RTOL` relative; a row still short of that at
-    `_MAX_NODES` nodes, or a value that is not finite, raises
-    ValueError.  The pair-by-node buffers hold at most `tile` entries.
+    `_MAX_NODES` nodes raises ValueError.  The pair-by-node buffers hold
+    at most `TILE_ELEMS` entries.
     """
-    d = np.abs(diffs, out=diffs)
-    d.sort(axis=1)
-    out = np.zeros(len(d))
-    top = d[:, -1]
-    live = np.flatnonzero(top)
-    a = d[live]
-    a /= top[live, None]
+    a = c
+    a.sort(axis=1)
+    top = a[:, -1].copy()
+    a /= top[:, None]
     length = np.sqrt(np.vecdot(a, a))
     a /= length[:, None]
     a *= a
@@ -135,22 +136,19 @@ def increment_norms(diffs: np.ndarray, p: float, tile: int) -> np.ndarray:
                + s1 * hi ** (2.0 - p) / (p - 2.0) - hi ** -p / p)
     tails = est.copy()
     n = _FIRST_NODES
-    est += _window_integrals(a, p, n, tile)
+    est += _window_integrals(a, p, n)
     todo = np.arange(len(a))
     while todo.size:
         n *= 2
         if n > _MAX_NODES:
             raise ValueError(f"quadrature d_p at p = {p:g} did not converge on {todo.size} "
                              f"increments within {n // 2} nodes")
-        new = tails[todo] + _window_integrals(a[todo], p, n, tile)
+        new = tails[todo] + _window_integrals(a[todo], p, n)
         done = np.abs(new - est[todo]) <= _RTOL * new
         est[todo] = new
         todo = todo[~done]
     # |sin(pi p / 2)| from the exact distance r = |p - 2| to the nearest
     # zero, so that it keeps its relative precision near p = 2 and p = 4
     r = abs(p - 2.0)
-    c = 2.0 / math.pi * math.gamma(p + 1.0) * math.sin(math.pi / 2 * min(r, 2.0 - r))
-    out[live] = top[live] * length * (c * est) ** (1.0 / p)
-    if not np.isfinite(out).all():
-        raise ValueError(f"quadrature d_p at p = {p:g} overflows a float")
-    return out
+    k = 2.0 / math.pi * math.gamma(p + 1.0) * math.sin(math.pi / 2 * min(r, 2.0 - r))
+    return top * length * (k * est) ** (1.0 / p)

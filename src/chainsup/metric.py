@@ -17,15 +17,19 @@ row.  Every other pair-norm vector is kept on the IndexSet per (process,
 p, samples, seed), and a pass reduces only the pairs its caller asks for;
 the even moments, enumeration and quadrature draw nothing, carry error 0
 and read their differences a tile at a time; Monte Carlo builds them
-all.  The Monte Carlo kernel shares one stream of draws across all pairs
-of a point set, projects it onto the points one tile of samples at a
-time and reduces each tile in place in one scratch buffer sized from a
-fixed element budget; at p = 2 three Gram products per tile give the
-sums of every pair but the close ones.  Every coordinate law is
-symmetric and the coordinates independent, so d_p(s, t) depends only on
-|s - t|, and only on its sorted entries when every coordinate holds one
-model object; the kernel reduces each such increment pattern once, at its lowest pair, and
-every pair of the pattern reads that value and error.
+all.  d_p is 1-homogeneous, so every exact engine is f(models, c, p) ->
+d_p of the rows of c, nonzero |s - t| scaled by 2^-e to a largest entry
+in [1/2, 1): the tile loop alone drops zero rows, scales each norm back
+by 2^e and refuses one that is 0 or not finite.  The Monte Carlo kernel
+shares one stream of draws across all pairs of a point set, projects it
+onto the points one tile of samples at a time and reduces each tile in
+place in one scratch buffer sized from a fixed element budget; at p = 2
+three Gram products per tile give the sums of every pair but the close
+ones.  Every coordinate law is symmetric and the coordinates
+independent, so d_p(s, t) depends only on |s - t|, and only on its
+sorted entries when every coordinate holds one model object; the kernel
+reduces each such increment pattern once, at its lowest pair, and every
+pair of the pattern reads that value and error.
 `distance_matrix` is the one entry point to every backend: it returns a
 read-only `PairNorms` view of the condensed pair vector, scipy's pdist
 layout (pairs i < j, row-major), as a kept base vector times a scale,
@@ -40,6 +44,7 @@ the same even-moment table in log space.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -70,6 +75,11 @@ _MC_CHUNK = 20_000
 # buffer of a quadrature pass, and a tile of projected values in stochlab
 TILE_ELEMS = 1 << 18
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated, quadrature or Monte-Carlo pass may take
+# each exact method's engine, by module and name; `atoms` and `laplace` are
+# imported on first use, off the package's import
+_ENGINES = {"even_moments": (".metric", "_even_moment_norms"),
+            "enumeration": (".atoms", "increment_norms"),
+            "quadrature": (".laplace", "increment_norms")}
 # At p = 2 a Monte-Carlo pass reads sum d^2 and sum d^4, d = v_j - v_i,
 # from Gram sums of v, v^2 and v^3 (`_uncached_pair_norms`).  Each Gram sum
 # rounds by some gamma relative to the sum of the |terms| it adds, and by
@@ -344,31 +354,30 @@ def _log_even_moments(model: DistributionModel, k: int) -> np.ndarray:
                              for l in range(1, k + 1)])
 
 
-def _even_moment_norms(proc: ProcessSpec, diffs: np.ndarray, k: int,
-                       tile: int) -> np.ndarray:
-    """d_(2k) of the finite increments `diffs` (rows, overwritten), from
-    E S^(2k) = (2k)! [z^k] prod_i sum_(l <= k) d_i^(2l) w_l z^l, w_l from
-    each coordinate's `_log_even_moments` (Latala 1997): every term is
-    >= 0, so nothing cancels.
+def _even_moment_norms(models: tuple, c: np.ndarray, p: float) -> np.ndarray:
+    """d_p, p = 2k, of the rows of `c` (overwritten), from E S^(2k) =
+    (2k)! [z^k] prod_i sum_(l <= k) c_i^(2l) w_l z^l, w_l from each
+    coordinate's `_log_even_moments` (Latala 1997): every term is >= 0, so
+    nothing cancels.
 
     Each row is sorted when every coordinate holds one model object and
-    divided by its largest |d_i|, to c; with sigma_i = ||X_i||_(2k) and
+    divided by its largest c_i; with sigma_i = ||X_i||_(2k) and
     sigma_t = max_i c_i sigma_i, the row's scale, coordinate i has weight
     e_i = c_i sigma_i / sigma_t <= 1, and z = y / ((2k)!^(1/k) sigma_t^2)
     turns its factor into sum_l e_i^(2l) v_l y^l with v_l =
     w_l (2k)!^(l/k) / sigma_i^(2l), v_k = 1 exactly.  So the top weight
-    alone gives [y^k] >= 1, d_(2k) = max|d_i| sigma_t [y^k]^(1/(2k)) forms
-    no power of a factorial, and a single coordinate gives |d_i| sigma_i
+    alone gives [y^k] >= 1, d_(2k) = max c_i sigma_t [y^k]^(1/(2k)) forms
+    no power of a factorial, and a single coordinate gives c_i sigma_i
     to the bit.  The coordinates multiply into a (rows x (k + 1))
-    accumulator one at a time, at most `tile` entries, rescaled by powers
-    of two so that no sum overflows; columns that are zero across a block
-    are skipped.  A zero increment has norm 0, and a value that is not
-    finite (an increment near the float range) raises ValueError.
+    accumulator one at a time, at most `TILE_ELEMS` entries, rescaled by
+    powers of two so that no sum overflows; columns that are zero across
+    a block are skipped.  An odd p or p > MC_MAX_P raises ValueError.
     """
-    models = proc.models
-    d = np.abs(diffs, out=diffs)
+    if p % 2 or p > MC_MAX_P:
+        raise ValueError(f"even-moment d_p needs an even p <= {MC_MAX_P:g}, not p = {p:g}")
+    k = int(p) // 2
     if all(m is models[0] for m in models):
-        d.sort(axis=1)
+        c.sort(axis=1)
     ls = np.arange(1, k + 1)
     tables = {}
     for m in models:
@@ -382,19 +391,18 @@ def _even_moment_norms(proc: ProcessSpec, diffs: np.ndarray, k: int,
     v = np.array([tables[m][1] for m in models])
     scale = sigma.max()
     weight = sigma / scale
-    out = np.zeros(len(d))
-    top = d.max(axis=1)
-    live = np.flatnonzero(top)
-    rows = max(1, tile // (k + 1))
-    for lo in range(0, len(live), rows):
-        at = live[lo:lo + rows]
-        e = d[at] / top[at, None]
+    out = np.empty(len(c))
+    top = c.max(axis=1)
+    rows = max(1, TILE_ELEMS // (k + 1))
+    for lo in range(0, len(c), rows):
+        at = slice(lo, lo + rows)
+        e = c[at] / top[at, None]
         e *= weight
         most = e.max(axis=1)
         e /= most[:, None]
-        acc = np.zeros((len(at), k + 1))
+        acc = np.zeros((len(e), k + 1))
         acc[:, 0] = 1.0
-        lift = np.zeros(len(at))  # acc is 2^-lift times the product's coefficients
+        lift = np.zeros(len(e))  # acc is 2^-lift times the product's coefficients
         for j in np.flatnonzero(e.any(axis=0)):
             a = np.power(np.square(e[:, j])[:, None], ls)
             a *= v[j]
@@ -408,12 +416,7 @@ def _even_moment_norms(proc: ProcessSpec, diffs: np.ndarray, k: int,
             if big.any():
                 acc[big] *= 2.0 ** -512
                 lift[big] += 512.0
-        # only an increment near the float range, times sigma_t, overflows
-        with np.errstate(over="ignore"):
-            out[at] = top[at] * (scale * most * acc[:, k] ** (0.5 / k)
-                                 * np.exp2(lift / (2 * k)))
-    if not np.isfinite(out).all():
-        raise ValueError(f"even-moment d_p at p = {2 * k} overflows a float")
+        out[at] = top[at] * (scale * most * acc[:, k] ** (0.5 / k) * np.exp2(lift / (2 * k)))
     return out
 
 
@@ -457,14 +460,15 @@ def _increment_classes(proc: ProcessSpec, diffs: np.ndarray) -> np.ndarray:
 
 def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: int,
                          seed: int, method: str, want: np.ndarray) -> np.ndarray:
-    """Values and 3-sigma errors (two rows) of `distance_matrix` by even
-    moments (`_even_moment_norms`, even p <= MC_MAX_P), enumeration of
-    finite atoms (`atoms.increment_norms`), quadrature
-    (`laplace.increment_norms`) or Monte Carlo, as `method` says, at
-    least at the pairs the mask `want` marks (none: no draw), and
-    NaN at those left unreduced.  The exact methods fill exactly the
-    wanted pairs, with error 0, a tile of `TILE_ELEMS // dim` pairs at a
-    time, and raise ValueError at a difference that is not finite.
+    """Values and 3-sigma errors (two rows) of `distance_matrix` by the
+    exact engine of `method` (`_ENGINES`) or by Monte Carlo, at least at
+    the pairs the mask `want` marks (none: no draw), and NaN at those left
+    unreduced.  An exact method fills exactly the wanted pairs, with error
+    0, a tile of `TILE_ELEMS // dim` pairs at a time, and raises
+    ValueError at a difference that is not finite.  A zero row keeps 0.0;
+    any other is scaled in place by 2^-e, e = frexp(max|d_i|), for the
+    engine, its norm scaled back by 2^e, and one that is 0 or not finite
+    raises ValueError, alike for every method.
 
     A pass whose estimated allocation (for an exact pass the two per-pair
     outputs, the wanted positions and a few tiles; for Monte Carlo the
@@ -542,30 +546,29 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
             f"{method} pair norms of {m} points in R^{dim} under the "
             f"{proc.family or 'mixed'} process need about {need / 2**20:,.0f} MiB, "
             f"past the {_PASS_MAX_BYTES / 2**20:,.0f} MiB limit of one pass")
-    if method == "even_moments" and (p % 2 or p > MC_MAX_P):
-        raise ValueError(f"even-moment d_p needs an even p <= {MC_MAX_P:g}, not p = {p:g}")
     if method != "monte_carlo":
-        if method == "quadrature":
-            from . import laplace  # on first use, off the package's import
-        elif method == "enumeration":
-            from . import atoms  # likewise
+        module, name = _ENGINES[method]
+        engine = getattr(importlib.import_module(module, __package__), name)
         out = np.full((2, pairs), np.nan)
         rows = np.flatnonzero(want)
         out[:, rows] = 0.0
         for lo in range(0, len(rows), step):
             pos = rows[lo:lo + step]
-            diffs = _pair_diffs(pts, pos)
-            if not np.isfinite(diffs).all():
+            c = _pair_diffs(pts, pos)
+            if not np.isfinite(c).all():
                 raise ValueError(f"{method} d_p at p = {p:g} of an increment that is not finite")
-            if method == "quadrature":
-                out[0, pos] = laplace.increment_norms(diffs, p, TILE_ELEMS)
-            elif method == "even_moments":
-                out[0, pos] = _even_moment_norms(proc, diffs, int(p) // 2, TILE_ELEMS)
-            else:
-                # a chunk of 1/32 tile keeps the engine's dozen work arrays in
-                # cache: the fastest chunk on the 24-point, 12-coordinate
-                # three_point pass of the benchmark, 1.5 times as fast as a tile
-                out[0, pos] = atoms.increment_norms(proc.models, diffs, p, TILE_ELEMS // 32)
+            top = np.abs(c, out=c).max(axis=1)
+            live = top > 0.0
+            if not live.all():  # a zero increment keeps its 0.0
+                c, top, pos = c[live], top[live], pos[live]
+            e = np.frexp(top)[1]
+            np.ldexp(c, -e[:, None], out=c)
+            with np.errstate(over="ignore"):
+                d = np.ldexp(engine(proc.models, c, p), e)
+            if not (np.isfinite(d) & (d > 0.0)).all():
+                raise ValueError(f"{method} d_p at p = {p:g} of a nonzero increment is 0 "
+                                 f"or not finite")
+            out[0, pos] = d
         return out
     if p > MC_MAX_P:
         raise ValueError(f"Monte-Carlo increment norms limited to p <= {MC_MAX_P}")
@@ -690,7 +693,8 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     gaussian closed form is T's cached pair lengths with scale ||g||_p, so
     no scaled copy is built; its errors are one read-only zero broadcast,
     and it ignores `blocks`.  Any other d_p is kept on T per (proc, p,
-    samples, seed) behind one read-only view with scale 1.  `blocks`, a
+    samples, seed) behind one read-only view with scale 1, whose method
+    serves later calls: `_method` runs only on a new key.  `blocks`, a
     list of index lists, asks only for the pairs inside them (None: all):
     one pass on the same stream reduces those not yet known, bit for bit
     as a full pass would, and the view raises LookupError at the others.
@@ -703,13 +707,13 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     p = float(p)
     if p < 1:
         raise ValueError("increment norm requires p >= 1")
-    method = _method(proc, T.points, p)
+    key = (proc, p, samples, seed)
+    kept = T._norms.get(key)
+    method = kept[1].method if kept else _method(proc, T.points, p)
     if method == "closed_form":
         lengths = T.pair_lengths()
         return PairNorms(lengths, dist.gaussian().moment(p),
                          np.broadcast_to(0.0, len(lengths)), method)
-    key = (proc, p, samples, seed)
-    kept = T._norms.get(key)
     want = np.isnan(kept[0][1]) if kept else np.ones(len(T) * (len(T) - 1) // 2, bool)
     if blocks is not None:
         inside = np.zeros_like(want)

@@ -785,7 +785,8 @@ class TestLaplaceQuadrature:
         tree = ast.parse(Path(laplace.__file__).read_text())
         imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
         imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
-        assert imported == {"__future__", "functools", "math", "numpy"}
+        # the package's own metric, for its tile size, and no scipy
+        assert imported == {"__future__", "functools", "math", "numpy", "metric"}
         assert not [n.lineno for n in ast.walk(tree)
                     if isinstance(n, ast.Attribute) and n.attr == "linalg"]
 
@@ -897,6 +898,29 @@ class TestPairNormCache:
         # a later request fills the same view, and reads of all of T work
         assert metric.distance_matrix(proc, T, 3.0, 1_000, 1) is v
         assert v.max() == v.values().max() > 0.0
+
+    def test_a_kept_view_is_served_without_picking_the_method(self, monkeypatch):
+        # picking enumeration scans every row of pair differences for its
+        # atom count; a key already kept reads its view's own method
+        calls = []
+        real = metric._method
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(metric, "_method", spy)
+        T, proc = IndexSet(axis_points(40, 12)), rad_proc(12)
+        v = metric.distance_matrix(proc, T, 1.5, blocks=[[0, 1, 2]])
+        assert v.method == "enumeration" and calls == [1]
+        # known pairs, then pairs no request reduced yet: the same view
+        assert metric.distance_matrix(proc, T, 1.5, blocks=[[0, 2]]) is v
+        assert metric.distance_matrix(proc, T, 1.5) is v
+        assert calls == [1]
+        assert v.values().tobytes() == \
+            metric.distance_matrix(proc, IndexSet(T.points), 1.5).values().tobytes()
+        metric.distance_matrix(proc, T, 3.0)  # a new key picks again
+        assert calls == [1, 1, 1]
 
     def test_a_request_of_known_pairs_draws_nothing(self, monkeypatch):
         T, proc = IndexSet(np.random.default_rng(8).standard_normal((6, 3))), weibull_proc(3)
@@ -1331,7 +1355,7 @@ def test_enumerated_huge_increment_does_not_overflow():
     got = increment_norm(three_point_proc(2), [1e308, 1e308], [0.0, 0.0], 1.0)
     assert got.method == "enumeration"
     assert got.value == pytest.approx(1e308 * (51.0 / 81.0), rel=1e-15, abs=0)
-    with pytest.raises(ValueError, match=r"^enumerated d_p at p = 3 of a nonzero increment "
+    with pytest.raises(ValueError, match=r"^enumeration d_p at p = 3 of a nonzero increment "
                                          r"is 0 or not finite$"):
         increment_norm(three_point_proc(2), [1e308, 1e308], [0.0, 0.0], 3.0)
 
@@ -1427,7 +1451,8 @@ class TestAtomEngine:
         # rademacher: three_point's d_2 is Monte Carlo
         proc, d = case
         pts = np.array([np.zeros(len(d)), d])
-        want = metric._even_moment_norms(proc, pts[1:].copy(), k, metric.TILE_ELEMS)[0]
+        want = metric._uncached_pair_norms(proc, pts, 2.0 * k, 0, 0, "even_moments",
+                                           np.ones(1, bool))[0, 0]
         assert _engine(proc, d, 2.0 * k) == pytest.approx(want, rel=1e-13, abs=0)
         if k > 1 or proc.family == "rademacher":
             v = metric.distance_matrix(proc, IndexSet(pts), 2.0 * k)
@@ -1455,18 +1480,15 @@ class TestAtomEngine:
     def test_far_atoms_never_give_zero(self, p):
         # three_point(1e6) on 12 coordinates, 3^12 atoms: X is 0 with
         # probability 1 - 1e-12 and each of the 2^12 sign patterns of its
-        # largest sum has probability about 1e-148
+        # largest sum has probability about 1e-148: at p = 1001 only the
+        # terms of the largest sums keep E|S|^p from underflowing to 0
         proc = ProcessSpec.homogeneous(dist.three_point(1e6), 12)
         d = np.linspace(1.0, 2.0, 12)
-        try:
-            got = increment_norm(proc, d, np.zeros(12), p)
-        except ValueError as err:
-            assert str(err).startswith(f"enumerated d_p at p = {p:g} of a nonzero")
-        else:
-            assert got.method == "enumeration"
-            assert math.isfinite(got.value) and got.value > 0.0
-            # ||sum_i d_i X_i||_p >= max_i |d_i| ||X||_p
-            assert got.value >= 2.0 * proc.models[0].moment(p) * (1.0 - 1e-13)
+        got = increment_norm(proc, d, np.zeros(12), p)
+        assert got.method == "enumeration"
+        assert math.isfinite(got.value) and got.value > 0.0
+        # ||sum_i d_i X_i||_p >= max_i |d_i| ||X||_p
+        assert got.value >= 2.0 * proc.models[0].moment(p) * (1.0 - 1e-13)
 
 
 # nonzero coordinates in [1e-30, 1e30]: the enumeration scales each
@@ -1682,7 +1704,8 @@ class TestEvenMoments:
                                             np.ones(1, bool))
         # 1e308 times ||X||_128 = 1863 of sym_weibull(0.5) is past the float range
         weibull = ProcessSpec.homogeneous(dist.sym_weibull(0.5), 2)
-        with pytest.raises(ValueError, match=r"^even-moment d_p at p = 128 overflows a float$"):
+        with pytest.raises(ValueError, match=r"^even_moments d_p at p = 128 of a nonzero "
+                                             r"increment is 0 or not finite$"):
             increment_norm(weibull, [1e308, 0.0], [0.0, 0.0], 128.0)
 
     def test_dense_rademacher_at_p_128_matches_the_binomial_sum(self):
@@ -1695,3 +1718,51 @@ class TestEvenMoments:
         got = increment_norm(rad_proc(n), np.ones(n), np.zeros(n), 128.0)
         assert got.method == "even_moments"
         assert got.value == pytest.approx(want, rel=1e-13, abs=0)
+
+
+# every exact engine, a process it serves and the orders p it is tried at:
+# named-law mixes at even p, finite-atom mixes at odd and fractional p (and
+# p = 1001, past the binomial expansion), Laplace at 1 <= p < 4
+_EXACT_ENGINES = {
+    "even_moments": ((dist.sym_exponential(), dist.three_point(3.0), dist.sym_weibull(0.5),
+                      dist.gaussian()), (4.0, 8.0, 128.0)),
+    "enumeration": ((dist.three_point(3.0), dist.rademacher(), dist.three_point(40.0)),
+                    (1.0, 2.5, 3.0, 1001.0)),
+    "quadrature": ((dist.sym_exponential(),), (1.0, 1.5, 3.0, 3.99)),
+}
+
+
+@pytest.mark.parametrize("method", list(_EXACT_ENGINES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_engines_keep_one_contract(method, data):
+    # d_p is 1-homogeneous: metric hands every engine the increment scaled
+    # by a power of two, so d_p(2^k c) is ldexp(d_p(c), k) bit for bit, and
+    # a value past the float range (or under it, to 0) raises one refusal
+    laws, ps = _EXACT_ENGINES[method]
+    n = data.draw(st.integers(1, 4))
+    proc = ProcessSpec(models=[laws[i % len(laws)] for i in range(n)])
+    p = data.draw(st.sampled_from(ps))
+    mags = st.floats(min_value=2.0 ** -30, max_value=2.0 ** 30)
+    c = np.array(data.draw(st.lists(st.one_of(st.just(0.0), mags, mags.map(lambda x: -x)),
+                                    min_size=n, max_size=n).filter(any)))
+    live = np.abs(c[c != 0.0])
+    # every coordinate of 2^k c stays a finite normal float; the top k puts
+    # the largest in the float range's last binade, [2^1023, 2^1024)
+    lo, hi = -1021 - int(np.frexp(live.min())[1]), 1024 - int(np.frexp(live.max())[1])
+    k = data.draw(st.one_of(st.integers(lo, hi), st.sampled_from([lo, hi])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = metric.distance_matrix(proc, IndexSet([np.zeros(n), c, c]), p)
+        assert v.method == method and not v.errors.any()
+        one, again, zero = v.values()
+    assert zero == 0.0 and 0.0 < one == again < math.inf
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(one, k)
+    scaled = IndexSet([np.zeros(n), np.ldexp(c, k)])
+    if 0.0 < want < math.inf:
+        assert metric.distance_matrix(proc, scaled, p).values()[0] == want
+    else:
+        with pytest.raises(ValueError, match=rf"^{method} d_p at p = {p:g} of a nonzero "
+                                             rf"increment is 0 or not finite$"):
+            metric.distance_matrix(proc, scaled, p)
