@@ -132,6 +132,8 @@ def config_hash(config: dict) -> str:
 
 def _to_jsonable(obj):
     """JSON-ready copy of `obj`; a PartitionTree serializes as its levels."""
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
+        return obj
     if isinstance(obj, gamma.PartitionTree):
         return _to_jsonable(obj.levels)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -12,10 +12,11 @@ all-`sym_exponential` (Laplace) coordinates at 1 <= p < 4, p != 2,
 quadrature of the characteristic function to 1e-13 relative, in
 `laplace`) and by chunked Monte Carlo with a CLT error bound otherwise.
 The gaussian closed form is ||g||_p |s - t|_2, so every p scales one
-vector of Euclidean pair lengths that an IndexSet computes once, row by
-row.  Every other pair-norm vector is kept on the IndexSet per (process,
-p, samples, seed), and a pass reduces only the pairs its caller asks for;
-the even moments, enumeration and quadrature draw nothing, carry error 0
+vector of Euclidean pair lengths that an IndexSet computes once, a tile
+of pairs at a time, in numpy's own summation order.  Every other
+pair-norm vector is kept on the IndexSet per (process, p, samples,
+seed), and a pass reduces only the pairs its caller asks for; the even
+moments, enumeration and quadrature draw nothing, carry error 0
 and read their differences a tile at a time; Monte Carlo builds them
 all.  d_p is 1-homogeneous, so every exact engine is f(models, c, p) ->
 d_p of the rows of c, nonzero |s - t| scaled by 2^-e to a largest entry
@@ -75,6 +76,15 @@ _MC_CHUNK = 20_000
 # buffer of a quadrature pass, and a tile of projected values in stochlab
 TILE_ELEMS = 1 << 18
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated, quadrature or Monte-Carlo pass may take
+# Below this many coordinates a reduction along each row of a pair-by-
+# coordinate array (`IndexSet.pair_lengths`, a tile's row max) goes by whole
+# passes over its coordinate columns: numpy's reduce along a row pays one
+# inner-loop call per row.  Measured in process with one BLAS thread, column
+# passes over numpy's time: pair lengths 0.17 (2000 points x 3), 0.65
+# (1200 x 16), 0.89 (600 x 40), 0.99 (600 x 48), 1.09 (300 x 64), 1.55
+# (500 x 128); the row max of a tile of 2^18 entries 0.22 at 12 columns,
+# 0.71 at 48 and 1.6 at 64.
+_COLUMN_DIMS = 48
 # each exact method's engine, by module and name; `atoms` and `laplace` are
 # imported on first use, off the package's import
 _ENGINES = {"even_moments": (".metric", "_even_moment_norms"),
@@ -190,21 +200,42 @@ class IndexSet:
         return self.points.shape[1]
 
     def pair_lengths(self) -> np.ndarray:
-        """Read-only |t_i - t_j|_2 over the pairs i < j, row-major.
+        """Read-only |t_i - t_j|_2 over the pairs i < j, row-major: the
+        bytes that np.linalg.norm(_pair_diffs(points), axis=1) gives.
 
-        Computed once, one row of pairs at a time, so no (pairs x dim)
-        array is built; each row's norms are the bytes that
-        np.linalg.norm(_pair_diffs(points), axis=1) gives for it.
+        Computed once, and no (pairs x dim) array is built.  Below
+        `_COLUMN_DIMS` coordinates the differences of a tile of pairs,
+        at most TILE_ELEMS // 4 entries, are laid out transposed (dim x
+        pairs), squared in place and summed over the coordinates by
+        `_column_sums`, in the order numpy sums each row; from there on
+        np.linalg.norm takes one row of pairs at a time.
         """
         if self._lengths is None:
             pts = self.points
-            m = len(pts)
+            m, dim = pts.shape
             out = np.empty(m * (m - 1) // 2)
-            lo = 0
-            for i in range(m - 1):
-                hi = lo + m - 1 - i
-                out[lo:hi] = np.linalg.norm(pts[i] - pts[i + 1:], axis=1)
-                lo = hi
+            if not 0 < dim < _COLUMN_DIMS:
+                lo = 0
+                for i in range(m - 1):
+                    hi = lo + m - 1 - i
+                    out[lo:hi] = np.linalg.norm(pts[i] - pts[i + 1:], axis=1)
+                    lo = hi
+            else:
+                cols = np.ascontiguousarray(pts.T)
+                tile = np.empty((dim, max(1, min(TILE_ELEMS // 4 // dim, len(out)))))
+                i, j = 0, 1  # the next pair to lay out
+                for lo in range(0, len(out), tile.shape[1]):
+                    d = tile[:, :len(out) - lo]
+                    at = 0
+                    while at < d.shape[1]:
+                        n = min(m - j, d.shape[1] - at)
+                        np.subtract(cols[:, j:j + n], cols[:, i:i + 1], out=d[:, at:at + n])
+                        at += n
+                        j += n
+                        if j == m:
+                            i, j = i + 1, i + 2
+                    np.multiply(d, d, out=d)
+                    np.sqrt(_column_sums(d), out=out[lo:lo + d.shape[1]])
             out.flags.writeable = False
             object.__setattr__(self, "_lengths", out)
         return self._lengths
@@ -313,6 +344,46 @@ def _pair_diffs(pts: np.ndarray, k=None) -> np.ndarray:
     return pts[i] - pts[j]
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of a 2-d array of 1 to 128 rows, bit for bit what
+    numpy's add.reduce gives each contiguous row of a.T, by whole-row adds
+    that overwrite `a`; returns a view of its first row.
+
+    numpy sums n terms pairwise (Higham 1993): below 8 in one running sum,
+    and up to 128 in eight running sums of every eighth term, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the n % 8
+    left over one at a time.  (Past 128 it sums two halves apart, which
+    `_COLUMN_DIMS` keeps out of reach.)  Every add here is one rounding of
+    the same two terms.  numpy starts from +0.0, so a column of -0.0 alone
+    sums to 0.0 there and -0.0 here; squares are never -0.0.
+    """
+    n = len(a)
+    end = 1
+    if n >= 8:
+        end = n - n % 8
+        r = a[:8]
+        for lo in range(8, end, 8):
+            r += a[lo:lo + 8]
+        r[::2] += r[1::2]
+        r[::4] += r[2::4]
+        r[0] += r[4]
+    for row in a[end:]:
+        a[0] += row
+    return a[0]
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1) of a 2-d array with a column or more, by np.maximum
+    over its columns below `_COLUMN_DIMS` of them; the max is exact, so the
+    bits are numpy's."""
+    if a.shape[1] >= _COLUMN_DIMS:
+        return a.max(axis=1)
+    top = a[:, 0].copy()
+    for col in a.T[1:]:
+        np.maximum(top, col, out=top)
+    return top
+
+
 def _method(proc: ProcessSpec, pts: np.ndarray, p: float) -> str:
     """How the d_p norms of the pair increments of `pts` are computed.
 
@@ -392,13 +463,13 @@ def _even_moment_norms(models: tuple, c: np.ndarray, p: float) -> np.ndarray:
     scale = sigma.max()
     weight = sigma / scale
     out = np.empty(len(c))
-    top = c.max(axis=1)
+    top = _row_max(c)
     rows = max(1, TILE_ELEMS // (k + 1))
     for lo in range(0, len(c), rows):
         at = slice(lo, lo + rows)
         e = c[at] / top[at, None]
         e *= weight
-        most = e.max(axis=1)
+        most = _row_max(e)
         e /= most[:, None]
         acc = np.zeros((len(e), k + 1))
         acc[:, 0] = 1.0
@@ -557,7 +628,7 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
             c = _pair_diffs(pts, pos)
             if not np.isfinite(c).all():
                 raise ValueError(f"{method} d_p at p = {p:g} of an increment that is not finite")
-            top = np.abs(c, out=c).max(axis=1)
+            top = _row_max(np.abs(c, out=c))
             live = top > 0.0
             if not live.all():  # a zero increment keeps its 0.0
                 c, top, pos = c[live], top[live], pos[live]

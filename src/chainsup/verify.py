@@ -231,8 +231,7 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
     sx = sup_samples(procX, T, samples, stream.child(2))
     sy = sup_samples(procY, T, samples, stream.child(3))
     curves = []
-    for q in _TAIL_QUANTILES:
-        u = float(np.quantile(sx, q))
+    for q, u in zip(_TAIL_QUANTILES, _quantiles(sx, _TAIL_QUANTILES)):
         py = float(np.mean(sy >= u))
         for c in _TAIL_SCALES:
             px = float(np.mean(sx >= u / c))
@@ -246,6 +245,35 @@ def comparison_experiment(procX: ProcessSpec, procY: ProcessSpec, T: IndexSet,
         "esup_ratio": ey.mean / ex.mean if ex.mean > 0 else math.inf,
         "tail_curves": curves,
     }
+
+
+def _quantiles(x: np.ndarray, qs) -> list:
+    """float(np.quantile(x, q)) for each q of `qs` (numpy's default
+    "linear" method, x 1-d and nonempty) bit for bit, from one partition at
+    every order statistic they read.  np.quantile partitions afresh on each
+    call, and its np.unique imports numpy.ma.
+
+    numpy interpolates between the order statistics a = x_(i) and b =
+    x_(i + 1) at the virtual index v = (n - 1) q, i = floor(v), with
+    weight g = v - i, as a + (b - a) g, or as b - (b - a) (1 - g) when
+    g >= 0.5.  At v >= n - 1 both are the largest, i reads -1 and g = v + 1;
+    a NaN in x gives NaN.  Only where 0.0 and -0.0 tie may the sign of a
+    zero differ: which of them a partition leaves at a position is its
+    selection's choice, np.quantile's own included.
+    """
+    n = len(x)
+    v = [(n - 1) * q for q in qs]
+    low = [math.floor(u) if u < n - 1 else -1 for u in v]
+    part = np.partition(x, sorted({n - 1, *(k for i in low if i >= 0 for k in (i, i + 1))}))
+    if math.isnan(part[-1]):
+        return [math.nan] * len(qs)
+    out = []
+    for u, i in zip(v, low):
+        a = float(part[i])
+        b = float(part[i + 1 if i >= 0 else -1])
+        g = u - i
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return out
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -10,7 +11,27 @@ from hypothesis import given, settings, strategies as st
 from jsonschema.validators import validator_for
 
 import chainsup
-from chainsup import cli, metric
+from chainsup import cli, dist, gamma, metric
+from chainsup.metric import IndexSet, ProcessSpec
+
+
+def test_to_jsonable_keeps_plain_scalars_and_converts_the_rest():
+    @dataclasses.dataclass
+    class Row:
+        flag: bool
+        at: tuple
+
+    out = cli._to_jsonable({1: True, "i": np.int64(3), "f": np.float64(0.5), "n": None,
+                            "bad": [math.inf, -np.inf, math.nan], "row": Row(False, (2, "x")),
+                            "a": np.arange(2)})
+    assert out == {"1": True, "i": 3, "f": 0.5, "n": None, "bad": ["inf", "-inf", "nan"],
+                   "row": {"flag": False, "at": [2, "x"]}, "a": [0, 1]}
+    assert out["1"] is True and out["row"]["flag"] is False
+    assert type(out["i"]) is int and type(out["a"][1]) is int
+    _, tree = gamma.compute_gamma(IndexSet(np.eye(3)), ProcessSpec.homogeneous(dist.gaussian(), 3),
+                                  "gammaX", mode="greedy")
+    assert cli._to_jsonable(tree) == cli._to_jsonable(tree.levels)
+    json.dumps(cli._to_jsonable(tree), allow_nan=False)
 
 
 class TestValidation:

@@ -483,7 +483,7 @@ def test_greedy_4000_gaussian_points_peak_memory():
 def test_greedy_at_the_greedy_limit_in_bounded_time_and_memory():
     # GREEDY_LIMIT = 10,000 unit-sphere points in R^16: one 381 MiB
     # condensed vector (the cached lengths, read through the
-    # gather-then-scale view) plus tiles, a 389 MiB peak in 8 s under
+    # gather-then-scale view) plus tiles, a 390.5 MiB peak in 5.1 s under
     # tracemalloc on a 2-vCPU VM.  A scaled copy per level would add
     # 381 MiB (a 771 MiB peak), and a |T| x |T| square 763 MiB.
     rng = np.random.default_rng(11)

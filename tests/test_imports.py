@@ -1,4 +1,5 @@
-"""The import floor: importing the package loads no scipy or jsonschema module.
+"""The import floor: importing the package loads no scipy or jsonschema module,
+and a compare run no numpy.ma.
 
 scipy is imported on first use by the two functions that need it (the
 gaussian tail and the tail quadrature), so a run that needs neither never
@@ -65,6 +66,23 @@ def test_greedy_gamma_and_hull_runs_load_no_scipy(run_python):
     # the metric's quadrature and its Gauss-Legendre nodes are numpy and
     # math alone; a scipy one would add its import to every such run
     assert run_python(f"{_GREEDY_RUNS}\n{_HEAVY_LOADED}").strip() == "[]"
+
+
+# the compare config of the mc-certify benchmark workload, at fewer samples
+_COMPARE_RUN = """
+import sys
+from chainsup import cli
+cli.run({"experiment": "compare", "process": {"family": "sym_exponential"},
+         "process_y": {"family": "gaussian"},
+         "index_set": {"type": "sphere_random", "count": 8, "n": 6, "seed": 1},
+         "params": {"p_grid": [3.0, 4.0], "samples": 2_000, "seed": 1}})
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_compare_run_loads_no_numpy_ma(run_python):
+    # np.quantile's np.unique imports numpy.ma, 9-15 ms on every run
+    assert run_python(_COMPARE_RUN).strip() == "False"
 
 
 def test_no_module_imports_jsonschema():

@@ -94,6 +94,38 @@ class TestProcessSpec:
         assert np.all(np.abs(got - want) <= bound)
 
 
+@given(dim=st.sampled_from((1, 2, 7, 8, 9, 16, 17, 47, 48, 128, 129, 130)),
+       m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1), spread=st.integers(0, 250),
+       repeats=st.integers(0, 3), tile=st.integers(1, 1 << 12))
+@settings(max_examples=150, deadline=None)
+def test_tiled_pair_lengths_keep_the_norms_bytes(dim, m, seed, spread, repeats, tile):
+    # coordinates 2^-spread to 2^spread apart, some points repeated, and a
+    # small tile, so that tiles end inside a row of pairs and the squares
+    # reach the subnormals on both sides of the column cut
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, dim)) * np.exp2(rng.integers(-spread, spread + 1, (m, dim)))
+    pts[rng.integers(0, m, repeats)] = pts[0]
+    want = np.linalg.norm(metric._pair_diffs(pts), axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "TILE_ELEMS", tile)
+        assert IndexSet(pts).pair_lengths().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 47, 127, 128])
+def test_column_sums_follow_numpys_pairwise_order(n):
+    # numpy's pairwise sum of each contiguous row, up to its 128-term blocks
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 33)) * np.exp2(rng.integers(-40, 41, (n, 33)))
+    want = np.add.reduce(np.ascontiguousarray(a.T), axis=1)
+    assert metric._column_sums(a.copy()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 12, 47, 48, 64])
+def test_row_max_by_columns_is_numpys_row_max(dim):
+    a = np.round(np.random.default_rng(dim).standard_normal((50, dim)), 1)
+    assert np.array_equal(metric._row_max(a), a.max(axis=1))
+
+
 class TestIndexSet:
     def test_basis(self):
         T = IndexSet.basis(5)

@@ -438,6 +438,26 @@ def reference_hull(T, tree, proc, samples=metric.MC_DEFAULT_SAMPLES, seed=0):
                                     skipped_steps=skipped)
 
 
+@given(x=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan]),
+                            st.floats(min_value=-1e300, max_value=1e300)),
+                  min_size=1, max_size=200),
+       extra=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_tail_quantiles_are_numpys_bits(x, extra):
+    # ties, signed zeros, NaN and the ends q = 0 and q = 1 included; where
+    # 0.0 and -0.0 both occur, which of them a partition leaves at a
+    # position is its selection's choice, so there zeros compare as +0.0
+    x = np.array(x)
+    qs = (*verify._TAIL_QUANTILES, 0.0, 1.0, *extra)
+    both_zeros = len(set(np.signbit(x[x == 0.0]))) == 2
+
+    def bits(u):
+        return (u + 0.0 if both_zeros else u).hex()
+
+    want = [bits(float(np.quantile(x, q))) for q in qs]
+    assert [bits(u) for u in verify._quantiles(x, qs)] == want
+
+
 @st.composite
 def hull_cases(draw):
     """(T, tree, proc): random, small-lattice (repeated points, exact
