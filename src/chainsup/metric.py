@@ -76,14 +76,14 @@ _MC_CHUNK = 20_000
 # buffer of a quadrature pass, and a tile of projected values in stochlab
 TILE_ELEMS = 1 << 18
 _PASS_MAX_BYTES = 2 << 30     # estimated bytes one enumerated, quadrature or Monte-Carlo pass may take
-# Below this many coordinates a reduction along each row of a pair-by-
-# coordinate array (`IndexSet.pair_lengths`, a tile's row max) goes by whole
-# passes over its coordinate columns: numpy's reduce along a row pays one
-# inner-loop call per row.  Measured in process with one BLAS thread, column
-# passes over numpy's time: pair lengths 0.17 (2000 points x 3), 0.65
+# Below this many coordinates `IndexSet.pair_lengths` sums each pair's
+# squares by whole passes over the coordinate columns: numpy's reduce along
+# a row pays one inner-loop call per row.  Measured in process with one BLAS
+# thread, column passes over numpy's time: 0.17 (2000 points x 3), 0.65
 # (1200 x 16), 0.89 (600 x 40), 0.99 (600 x 48), 1.09 (300 x 64), 1.55
-# (500 x 128); the row max of a tile of 2^18 entries 0.22 at 12 columns,
-# 0.71 at 48 and 1.6 at 64.
+# (500 x 128).  No bench workload checks the cut: its closed-form lengths
+# have 6 to 16 coordinates.  It must stay at most 128, the longest sum
+# `_column_sums` follows.
 _COLUMN_DIMS = 48
 # each exact method's engine, by module and name; `atoms` and `laplace` are
 # imported on first use, off the package's import
@@ -355,7 +355,10 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     left over one at a time.  (Past 128 it sums two halves apart, which
     `_COLUMN_DIMS` keeps out of reach.)  Every add here is one rounding of
     the same two terms.  numpy starts from +0.0, so a column of -0.0 alone
-    sums to 0.0 there and -0.0 here; squares are never -0.0.
+    sums to 0.0 there and -0.0 here; squares are never -0.0.  This order
+    is numpy's internal pairwise sum, checked against numpy 2.4.6; a
+    release that changes it fails
+    `test_column_sums_follow_numpys_pairwise_order`.
     """
     n = len(a)
     end = 1
@@ -370,18 +373,6 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     for row in a[end:]:
         a[0] += row
     return a[0]
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=1) of a 2-d array with a column or more, by np.maximum
-    over its columns below `_COLUMN_DIMS` of them; the max is exact, so the
-    bits are numpy's."""
-    if a.shape[1] >= _COLUMN_DIMS:
-        return a.max(axis=1)
-    top = a[:, 0].copy()
-    for col in a.T[1:]:
-        np.maximum(top, col, out=top)
-    return top
 
 
 def _method(proc: ProcessSpec, pts: np.ndarray, p: float) -> str:
@@ -463,13 +454,13 @@ def _even_moment_norms(models: tuple, c: np.ndarray, p: float) -> np.ndarray:
     scale = sigma.max()
     weight = sigma / scale
     out = np.empty(len(c))
-    top = _row_max(c)
+    top = c.max(axis=1)
     rows = max(1, TILE_ELEMS // (k + 1))
     for lo in range(0, len(c), rows):
         at = slice(lo, lo + rows)
         e = c[at] / top[at, None]
         e *= weight
-        most = _row_max(e)
+        most = e.max(axis=1)
         e /= most[:, None]
         acc = np.zeros((len(e), k + 1))
         acc[:, 0] = 1.0
@@ -628,7 +619,7 @@ def _uncached_pair_norms(proc: ProcessSpec, pts: np.ndarray, p: float, samples: 
             c = _pair_diffs(pts, pos)
             if not np.isfinite(c).all():
                 raise ValueError(f"{method} d_p at p = {p:g} of an increment that is not finite")
-            top = _row_max(np.abs(c, out=c))
+            top = np.abs(c, out=c).max(axis=1)
             live = top > 0.0
             if not live.all():  # a zero increment keeps its 0.0
                 c, top, pos = c[live], top[live], pos[live]

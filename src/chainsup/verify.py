@@ -259,7 +259,9 @@ def _quantiles(x: np.ndarray, qs) -> list:
     g >= 0.5.  At v >= n - 1 both are the largest, i reads -1 and g = v + 1;
     a NaN in x gives NaN.  Only where 0.0 and -0.0 tie may the sign of a
     zero differ: which of them a partition leaves at a position is its
-    selection's choice, np.quantile's own included.
+    selection's choice, np.quantile's own included.  The rule is numpy's
+    private `_lerp`, checked against numpy 2.4.6; a release that changes
+    it fails `test_tail_quantiles_are_numpys_bits`.
     """
     n = len(x)
     v = [(n - 1) * q for q in qs]

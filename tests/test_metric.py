@@ -120,12 +120,6 @@ def test_column_sums_follow_numpys_pairwise_order(n):
     assert metric._column_sums(a.copy()).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dim", [1, 2, 12, 47, 48, 64])
-def test_row_max_by_columns_is_numpys_row_max(dim):
-    a = np.round(np.random.default_rng(dim).standard_normal((50, dim)), 1)
-    assert np.array_equal(metric._row_max(a), a.max(axis=1))
-
-
 class TestIndexSet:
     def test_basis(self):
         T = IndexSet.basis(5)
