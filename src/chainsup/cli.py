@@ -453,12 +453,18 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
-    def refuse(constant):
-        raise ValueError(f"{constant} is not a finite number")
+    def refuse(text):
+        raise ValueError(f"{text} is not a finite number")
+
+    def read_float(text):
+        value = float(text)
+        return value if math.isfinite(value) else refuse(text)
 
     try:
-        # Python's json takes NaN and Infinity, which no field may hold
-        config = json.loads(Path(args.config).read_text(), parse_constant=refuse)
+        # Python's json takes NaN and Infinity, and reads 1e309 as inf,
+        # which no field may hold
+        config = json.loads(Path(args.config).read_text(), parse_constant=refuse,
+                            parse_float=read_float)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1

@@ -66,35 +66,16 @@ def _pcg64(rng: np.random.Generator) -> np.random.PCG64:
 def _signs(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Sign the magnitudes (all >= +0) in `out` in place with len(out) fair signs.
 
-    The signs are those of rng.integers(0, 2, size=len(out)) * 2.0 - 1.0,
-    bit for bit, and the generator ends in the state that call leaves.
-    Two facts make it so:
-    - numpy draws integers(0, 2) by Lemire's method, which at range 2
-      never rejects and returns the top bit of the next 32-bit output;
-    - PCG64 hands out its 32-bit outputs as the low, then the high half of
-      one 64-bit word, and keeps an unused high half in
-      state["has_uint32"] and state["uinteger"].
-    So a waiting half goes first, the other m signs come from ceil(m/2)
-    raw words read as int32 (a set top bit is +1), and for odd m the last
-    high half is left waiting, as numpy leaves it.  numpy keeps that last
-    high half in state["uinteger"] even once it is used, and so does this.
+    Sign k is + where the top bit of the k-th 32-bit half of the next
+    ceil(n/2) raw words is set, low half first; an odd n leaves the last
+    high half unused.  For an even n with no 32-bit half waiting these are
+    the signs of rng.integers(0, 2, size=n) * 2.0 - 1.0.
     """
-    bg = _pcg64(rng)
     n = len(out)
-    state = bg.state
-    k = 1 if n and state["has_uint32"] else 0
-    m = n - k
     # w >= 0 exactly where the top bit is set, so copysign(|x|, w) = x * s
     w = np.empty(n, np.int32)
-    if k:
-        w[0] = 0 if state["uinteger"] >> 31 else -1
-    raw = np.asarray(bg.random_raw((m + 1) // 2), "<u8").view("<i4")
-    np.invert(raw[:m], out=w[k:])
-    if n:
-        uinteger = int(raw[-1]) & 0xFFFFFFFF if m else state["uinteger"]
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = m % 2, uinteger
-        bg.state = state
+    raw = np.asarray(_pcg64(rng).random_raw((n + 1) // 2), "<u8").view("<i4")
+    np.invert(raw[:n], out=w)
     return np.copysign(out, w, out=out)
 
 
@@ -273,7 +254,8 @@ def rademacher() -> DistributionModel:
         # One raw bit per sign: the signs are np.unpackbits(words.view(
         # np.uint8), count=n) * 2.0 - 1.0 for the ceil(n/64) next raw words,
         # read as little-endian so no host byte order shows.  The generator
-        # advances by those words and a buffered 32-bit half stays waiting.
+        # advances by those words alone, as it does for _signs: no sampler
+        # reads or changes its buffered 32-bit half.
         # Only PCG64 fills all 64 bits of a raw word (MT19937 fills 32).
         n = len(out)
         b = np.asarray(_pcg64(rng).random_raw(-(-n // 64)), "<u8").view(np.uint8)

@@ -378,32 +378,33 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 def _method(proc: ProcessSpec, pts: np.ndarray, p: float) -> str:
     """How the d_p norms of the pair increments of `pts` are computed.
 
-    The points are all equal iff every pts[j] - pts[0] is zero.  Even
-    p <= MC_MAX_P takes the even moments when every coordinate is
-    rademacher, or when p >= 4 and every coordinate's law is named in
-    `dist.FAMILIES` (mixes included), all of which have closed-form
-    moments.  Otherwise, at p != 2, a process whose every coordinate law
-    has finitely many atoms (`DistributionModel.atoms`) is enumerated
-    while no increment's law has more than ATOM_LIMIT atoms, counted as
-    sum_i log2(atoms of X_i) over its nonzeros, read one row of pairs at a
-    time so no product of counts overflows; and a process whose every
-    coordinate is `sym_exponential` takes the characteristic-function
-    quadrature at 1 <= p < 4, p != 2.  p = 2 on the other laws (three_point
-    among them), the other non-even p, and any process with a coordinate
-    of an unnamed law (`log_concave_from_tail`) stay Monte Carlo.
+    The points are all equal iff every pts[j] - pts[0] is zero.  p >= 1.
+    At p = 2 a rademacher process takes the even moments and every other
+    one Monte Carlo.  Any other even p <= MC_MAX_P, so 4 <= p, takes the
+    even moments when every coordinate's law is named in `dist.FAMILIES`
+    (mixes included), all of which have closed-form moments.  Otherwise a
+    process whose every coordinate law has finitely many atoms
+    (`DistributionModel.atoms`) is enumerated while no increment's law has
+    more than ATOM_LIMIT atoms, counted as sum_i log2(atoms of X_i) over
+    its nonzeros, read one row of pairs at a time so no product of counts
+    overflows; and a process whose every coordinate is `sym_exponential`
+    takes the characteristic-function quadrature at p < 4.  The other
+    non-even p, and any process with a coordinate of an unnamed law
+    (`log_concave_from_tail`), stay Monte Carlo.
     """
     fam = proc.family
     if fam == "gaussian" or not np.any(pts[1:] - pts[:1]):
         return "closed_form"
-    if p % 2 == 0 and p <= MC_MAX_P and (fam == "rademacher" or p >= 4 and all(
-            m.family in dist.FAMILIES for m in proc.models)):
+    if p == 2.0:
+        return "even_moments" if fam == "rademacher" else "monte_carlo"
+    if p % 2 == 0 and p <= MC_MAX_P and all(m.family in dist.FAMILIES for m in proc.models):
         return "even_moments"
-    if p != 2.0 and all(m.atoms is not None for m in proc.models):
+    if all(m.atoms is not None for m in proc.models):
         bits = np.array([math.log2(len(m.atoms[0])) for m in proc.models])
         if all((((pts[i] - pts[i + 1:]) != 0.0) @ bits).max() <= math.log2(ATOM_LIMIT)
                for i in range(len(pts) - 1)):
             return "enumeration"
-    if fam == "sym_exponential" and 1.0 <= p < 4.0 and p != 2.0:
+    if fam == "sym_exponential" and p < 4.0:
         return "quadrature"
     return "monte_carlo"
 
@@ -751,15 +752,16 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
     read-only `PairNorms` view: base vector, scale, 3-sigma errors and the
     method.
 
-    p is taken as a float, so p = 4 and p = 4.0 draw the same samples.  The
-    gaussian closed form is T's cached pair lengths with scale ||g||_p, so
-    no scaled copy is built; its errors are one read-only zero broadcast,
-    and it ignores `blocks`.  Any other d_p is kept on T per (proc, p,
-    samples, seed) behind one read-only view with scale 1, whose method
-    serves later calls: `_method` runs only on a new key.  `blocks`, a
-    list of index lists, asks only for the pairs inside them (None: all):
-    one pass on the same stream reduces those not yet known, bit for bit
-    as a full pass would, and the view raises LookupError at the others.
+    p is taken as a float, so p = 4 and p = 4.0 draw the same samples, and
+    must be finite and >= 1.  The gaussian closed form is T's cached pair
+    lengths with scale ||g||_p, so no scaled copy is built; its errors are
+    one read-only zero broadcast, and it ignores `blocks`.  Any other d_p
+    is kept on T per (proc, p, samples, seed) behind one read-only view
+    with scale 1, whose method serves later calls: `_method` runs only on
+    a new key.  `blocks`, a list of index lists, asks only for the pairs
+    inside them (None: all): one pass on the same stream reduces those not
+    yet known, bit for bit as a full pass would, and the view raises
+    LookupError at the others.
     """
     if len(T) == 0:
         raise ValueError("distance matrix of an empty index set is undefined")
@@ -767,8 +769,8 @@ def distance_matrix(proc: ProcessSpec, T: IndexSet, p: float,
         raise ValueError(f"index set dimension {T.dimension} does not match the "
                          f"process dimension {proc.dimension}")
     p = float(p)
-    if p < 1:
-        raise ValueError("increment norm requires p >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"increment norm requires a finite p >= 1, got {p}")
     key = (proc, p, samples, seed)
     kept = T._norms.get(key)
     method = kept[1].method if kept else _method(proc, T.points, p)

@@ -160,8 +160,8 @@ def weak_strong_experiment(proc: ProcessSpec, T: IndexSet, p: float,
     """Observed constant in the weak/strong moment comparison:
     (E sup|X_t|^p)^(1/p) / (E sup|X_t| + sup_t ||X_t||_p), with both
     E sup terms from one pass on stream.child(1)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
 
     def sup_abs_and_power(hi, lo):
         a = np.maximum(hi, -lo)
@@ -184,7 +184,7 @@ def weak_strong_experiment(proc: ProcessSpec, T: IndexSet, p: float,
         "numerator_stderr": strong_err / (p * max(strong_mean, 1e-300) ** (1.0 - 1.0 / p)),
         "esup_abs": weak_sup,
         "sup_increment_norm": sup_norm,
-        "C_obs": numerator / denominator if denominator > 0 else 0.0,
+        "C_obs": numerator / denominator if denominator != 0 else 0.0,
     }
 
 

@@ -614,12 +614,23 @@ class TestEndToEnd:
         ("supremum", '{"process": {"family": "three_point", "a": NaN}, "index_set": '
                      '{"type": "basis", "n": 2}, "params": {"seed": 1, "samples": 1000}}',
          "NaN", "three_point requires atom a > 1"),
-    ], ids=["greedy_nan_point", "infinite_point", "nan_three_point_atom"])
+        # json reads 1e309 as inf: ||g||_inf was NaN, and weak-strong passed
+        # with exit 0 on a NaN constant
+        ("weak-strong", '{"process": {"family": "gaussian"}, "index_set": {"type": '
+                        '"basis", "n": 2}, "params": {"p": 1e309, "seed": 1, '
+                        '"samples": 1000}}',
+         "1e309", "p must be a finite number >= 1, got inf"),
+        ("sudakov", '{"process": {"family": "gaussian"}, "index_set": {"type": '
+                    '"basis", "n": 2}, "params": {"p": -1e309, "u": 1.0, "seed": 1, '
+                    '"samples": 1000}}',
+         "-1e309", "is less than the minimum"),
+    ], ids=["greedy_nan_point", "infinite_point", "nan_three_point_atom",
+            "overflowing_weak_strong_p", "overflowing_sudakov_p"])
     def test_non_finite_constant_exit_one(self, tmp_path, capsys, experiment, text,
                                           constant, message):
-        # Python's json reads NaN and Infinity: a NaN point crashed the
-        # greedy split with a traceback, and an infinite point or a NaN
-        # atom passed with exit 0
+        # Python's json reads NaN and Infinity, and 1e309 as inf: a NaN
+        # point crashed the greedy split with a traceback, and an infinite
+        # point or a NaN atom passed with exit 0
         cfg = tmp_path / "config.json"
         cfg.write_text(text)
         assert cli.main([experiment, "--config", str(cfg),
@@ -815,3 +826,12 @@ class TestEndToEnd:
         csv = (out / "tail_sandwich.csv").read_text().strip().splitlines()
         assert csv[0] == "t,N,M,M_shifted"
         assert len(csv) == 257
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "grid", "n": 2},
+    {"type": "interleave_of", "inner": {"type": "grid", "n": 2}},
+], ids=["top", "nested"])
+def test_build_index_set_refuses_an_unknown_type(spec):
+    with pytest.raises(cli.ConfigError, match="^unknown index set type 'grid'$"):
+        cli.build_index_set(spec)

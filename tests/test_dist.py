@@ -142,13 +142,18 @@ class TestTails:
                 model.moment(p) ** p, rel=1e-6)
 
 
-# Each family's draws written with numpy's allocating calls (integers(0, 2)
-# signs, weibull, exponential(scale=)) or, for rademacher, np.unpackbits of
-# the raw words: the oracle of the stream property below.  Each returns
-# (draws, the unscaled weibull draws or None).
+# Each family's draws written with numpy's allocating calls (weibull,
+# exponential(scale=)) and signs read from the raw words: the top bit of
+# each 32-bit half for signed magnitudes, np.unpackbits for rademacher.
+# The oracle of the stream property below; each returns (draws, the
+# unscaled weibull draws or None).
 
 def _oracle_signs(rng, n):
-    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+    # sign k is + where the top bit of the k-th 32-bit half of the next
+    # ceil(n/2) raw words is set, low half first
+    words = np.asarray(rng.bit_generator.random_raw(-(-n // 2)), dtype=np.uint64)
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[:n]
+    return np.where(halves >> 31 == 1, 1.0, -1.0)
 
 
 def _oracle_packed_signs(rng, n):
@@ -205,7 +210,8 @@ def _within_one_ulp_of_the_power(got, want, raw):
 def test_samplers_keep_the_oracle_stream(steps, seed):
     # interleaved with integers(0, 2) calls, which leave a half-word
     # buffered, and with gaussian draws, which do not use it; after every
-    # step the generator state, buffer included, equals the oracle's
+    # step the generator state, buffer included, equals the oracle's, so
+    # no sampler reads or changes the buffer
     for family, (model, oracle) in _STREAM_CASES.items():
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for kind, n in steps:
@@ -232,15 +238,48 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [0, 1, 65_537])
     def test_signs_match_the_direct_map(self, n):
-        # the raw-word signs keep the draws, the bytes and the generator
-        # state, buffered half-word included, of the integers-based map
+        # the signs keep the bytes and the generator state of the raw-word
+        # map: an odd n leaves its last high half unused, not buffered
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        for _ in range(2):  # the second call starts on a buffered half if n is odd
+        for _ in range(2):
             got = dist._signs(rng, np.ones(n))
             want = _oracle_signs(ref, n)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [0, 2, 64, 6_784, 20_000, 65_536])
+    def test_signs_are_integers_at_even_counts(self, n):
+        # at an even count with no half waiting the signs, the PCG state and
+        # every later draw are those of rng.integers(0, 2) * 2.0 - 1.0, which
+        # draws by Lemire's method: at range 2 it takes the top bit of each
+        # 32-bit output.  numpy keeps the last high half in "uinteger" once
+        # used, where no draw reads it; the raw words leave it as it was.
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = dist._signs(rng, np.ones(n))
+        want = ref.integers(0, 2, size=n) * 2.0 - 1.0
+        assert got.tobytes() == want.tobytes()
+        got_state, want_state = rng.bit_generator.state, ref.bit_generator.state
+        assert got_state["state"] == want_state["state"]
+        assert got_state["has_uint32"] == want_state["has_uint32"] == 0
+        assert np.array_equal(rng.integers(0, 2, size=3), ref.integers(0, 2, size=3))
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("family", list(_STREAM_CASES))
+    @pytest.mark.parametrize("waiting", [False, True])
+    def test_samplers_leave_the_half_word_buffer_alone(self, family, waiting):
+        # neither a waiting 32-bit half nor an empty buffer is read, filled
+        # or emptied, at odd and even counts
+        rng = np.random.default_rng(5)
+        if waiting:
+            rng.integers(0, 2, size=1)
+        before = rng.bit_generator.state
+        assert before["has_uint32"] == int(waiting)
+        for n in (1, 2, 3, 64, 1001):
+            _STREAM_CASES[family][0].sample_with(rng, n)
+            after = rng.bit_generator.state
+            assert (after["has_uint32"], after["uinteger"]) == (
+                before["has_uint32"], before["uinteger"]), n
 
     def test_signs_need_pcg64(self):
         with pytest.raises(TypeError, match="PCG64"):
@@ -393,6 +432,22 @@ class TestAlphaRegular:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):
             dist.check_alpha_regular(dist.gaussian(), 0.5)
+
+    @pytest.mark.parametrize("grid, alpha, passed", [
+        ((4.0,), 1.0, True),  # one point: no pair to compare
+        ((2.0, 4.0), 5.0, False),
+    ], ids=["one_point", "failing_pair"])
+    def test_the_verdict_is_the_witness_truth_value(self, grid, alpha, passed):
+        w = dist.check_alpha_regular(dist.three_point(100.0), alpha, grid)
+        assert w.passed is passed and bool(w) is passed
+        if len(grid) == 1:
+            assert (w.witness_pair, w.ratio, w.threshold) == ((4.0, 4.0), 1.0, alpha)
+
+    @pytest.mark.parametrize("check", [dist.check_alpha_regular, dist.check_speed_beta],
+                             ids=["alpha", "beta"])
+    def test_empty_grid_rejected(self, check):
+        with pytest.raises(ValueError, match="^p_grid must be nonempty$"):
+            check(dist.gaussian(), 2.0, [])
 
 
 class TestSpeedBeta:

@@ -606,3 +606,25 @@ class TestUniformSpaceGamma:
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):
             gamma.uniform_space_gamma(1, lambda p: 1.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PartitionTree([]).validate(), TreeValidationError, "^tree has no levels$"),
+    (lambda: gamma.greedy_tree(IndexSet.basis(2), gauss_proc(2), "gamma1"),
+     ValueError, "^unknown functional 'gamma1'$"),
+    (lambda: gamma.greedy_tree(IndexSet.basis(3), gauss_proc(3)),
+     ValueError, r"^greedy mode caps \|T\| at 2$"),
+    (lambda: gamma.compute_gamma(IndexSet.basis(2), gauss_proc(2), "gamma1"),
+     ValueError, "^unknown functional 'gamma1'$"),
+    (lambda: gamma.compute_gamma(IndexSet(np.empty((0, 2))), gauss_proc(2)),
+     ValueError, "^index set is empty$"),
+    (lambda: gamma.compute_gamma(IndexSet.basis(2), gauss_proc(2), mode="fast"),
+     ValueError, "^unknown mode 'fast'$"),
+], ids=["empty_tree", "greedy_functional", "greedy_limit", "functional", "empty_set",
+        "mode"])
+def test_guards_refuse(monkeypatch, call, error, match):
+    # a cap of 2 points stands in for GREEDY_LIMIT, so no 10,001-point
+    # greedy search runs if the cap were gone
+    monkeypatch.setattr(gamma, "GREEDY_LIMIT", 2)
+    with pytest.raises(error, match=match):
+        call()

@@ -1356,6 +1356,108 @@ def test_is_exact_metric():
     assert not metric.is_exact_metric(three_point_proc(8), IndexSet.basis(8))
 
 
+
+_TABLE_P = (1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 128.0, 130.0, 131.5)
+_TABLE_DIM = 24
+_TABLE_POINTS = {
+    "equal": np.ones((3, _TABLE_DIM)),
+    "basis": np.eye(_TABLE_DIM),
+    # 13 nonzeros: 2^13 rademacher atoms, 3^13 three_point atoms > ATOM_LIMIT
+    "wide": np.vstack([np.zeros(_TABLE_DIM), np.eye(_TABLE_DIM)[:13].sum(axis=0)]),
+    "dense": np.vstack([np.zeros(_TABLE_DIM), np.ones(_TABLE_DIM)]),
+}
+
+
+def _table_processes():
+    two_atom = dist.DistributionModel(  # a finite-atom law no config can name
+        "two_atom", {}, moment_fn=lambda p: 1.0,
+        tail_fn=lambda t: np.where(np.asarray(t) < 1.0, 0.0, np.inf),
+        sampler=lambda rng, out: None, support_bound=1.0,
+        atoms=([-1.0, 1.0], [0.5, 0.5]))
+    tail = dist.log_concave_from_tail(lambda t: np.sqrt(2) * np.asarray(t))
+
+    def cycle(*laws):
+        return ProcessSpec(models=[laws[i % len(laws)] for i in range(_TABLE_DIM)])
+
+    return {
+        "gaussian": cycle(dist.gaussian()),
+        "rademacher": cycle(dist.rademacher()),
+        "sym_exponential": cycle(dist.sym_exponential()),
+        "sym_weibull": cycle(dist.sym_weibull(1.5)),
+        "three_point": cycle(dist.three_point(3.0)),
+        "two_atom": cycle(two_atom),
+        "tail": cycle(tail),
+        "rademacher+three_point": cycle(dist.rademacher(), dist.three_point(3.0)),
+        "rademacher+gaussian": cycle(dist.rademacher(), dist.gaussian()),
+        "named": cycle(dist.gaussian(), dist.rademacher(), dist.sym_exponential(),
+                       dist.three_point(3.0), dist.sym_weibull(0.5)),
+        "rademacher+two_atom": cycle(dist.rademacher(), two_atom),
+        "sym_exponential+tail": cycle(dist.sym_exponential(), tail),
+    }
+
+
+# (process, points) -> the method at each p of _TABLE_P: closed_form,
+# even_moments, enumeration (n), quadrature, monte_carlo
+_METHOD_TABLE = {
+    ("gaussian", "equal"): "cccccccccc",
+    ("gaussian", "basis"): "cccccccccc",
+    ("gaussian", "wide"): "cccccccccc",
+    ("gaussian", "dense"): "cccccccccc",
+    ("rademacher", "equal"): "cccccccccc",
+    ("rademacher", "basis"): "nneneneenn",
+    ("rademacher", "wide"): "nneneneenn",
+    ("rademacher", "dense"): "mmememeemm",
+    ("sym_exponential", "equal"): "cccccccccc",
+    ("sym_exponential", "basis"): "qqmqemeemm",
+    ("sym_exponential", "wide"): "qqmqemeemm",
+    ("sym_exponential", "dense"): "qqmqemeemm",
+    ("sym_weibull", "equal"): "cccccccccc",
+    ("sym_weibull", "basis"): "mmmmemeemm",
+    ("sym_weibull", "wide"): "mmmmemeemm",
+    ("sym_weibull", "dense"): "mmmmemeemm",
+    ("three_point", "equal"): "cccccccccc",
+    ("three_point", "basis"): "nnmneneenn",
+    ("three_point", "wide"): "mmmmemeemm",
+    ("three_point", "dense"): "mmmmemeemm",
+    ("two_atom", "equal"): "cccccccccc",
+    ("two_atom", "basis"): "nnmnnnnnnn",
+    ("two_atom", "wide"): "nnmnnnnnnn",
+    ("two_atom", "dense"): "mmmmmmmmmm",
+    ("tail", "equal"): "cccccccccc",
+    ("tail", "basis"): "mmmmmmmmmm",
+    ("tail", "wide"): "mmmmmmmmmm",
+    ("tail", "dense"): "mmmmmmmmmm",
+    ("rademacher+three_point", "equal"): "cccccccccc",
+    ("rademacher+three_point", "basis"): "nnmneneenn",
+    ("rademacher+three_point", "wide"): "nnmneneenn",
+    ("rademacher+three_point", "dense"): "mmmmemeemm",
+    ("rademacher+gaussian", "equal"): "cccccccccc",
+    ("rademacher+gaussian", "basis"): "mmmmemeemm",
+    ("rademacher+gaussian", "wide"): "mmmmemeemm",
+    ("rademacher+gaussian", "dense"): "mmmmemeemm",
+    ("named", "equal"): "cccccccccc",
+    ("named", "basis"): "mmmmemeemm",
+    ("named", "wide"): "mmmmemeemm",
+    ("named", "dense"): "mmmmemeemm",
+    ("rademacher+two_atom", "equal"): "cccccccccc",
+    ("rademacher+two_atom", "basis"): "nnmnnnnnnn",
+    ("rademacher+two_atom", "wide"): "nnmnnnnnnn",
+    ("rademacher+two_atom", "dense"): "mmmmmmmmmm",
+    ("sym_exponential+tail", "equal"): "cccccccccc",
+    ("sym_exponential+tail", "basis"): "mmmmmmmmmm",
+    ("sym_exponential+tail", "wide"): "mmmmmmmmmm",
+    ("sym_exponential+tail", "dense"): "mmmmmmmmmm",
+}
+
+
+def test_method_table():
+    code = {"closed_form": "c", "even_moments": "e", "enumeration": "n",
+            "quadrature": "q", "monte_carlo": "m"}
+    got = {(name, where): "".join(code[metric._method(proc, pts, p)] for p in _TABLE_P)
+           for name, proc in _table_processes().items()
+           for where, pts in _TABLE_POINTS.items()}
+    assert got == _METHOD_TABLE
+
 @pytest.mark.parametrize("make, p", [(rad_proc, 2.0), (rad_proc, 16.0), (rad_proc, 32.0),
                                      (rad_proc, 40.0), (three_point_proc, 1.0),
                                      (three_point_proc, 33.0), (three_point_proc, 40.5)],
@@ -1792,3 +1894,21 @@ def test_exact_engines_keep_one_contract(method, data):
         with pytest.raises(ValueError, match=rf"^{method} d_p at p = {p:g} of a nonzero "
                                              rf"increment is 0 or not finite$"):
             metric.distance_matrix(proc, scaled, p)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: increment_norm(gauss_proc(2), [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], 2.0),
+     "^index vectors must match the process dimension$"),
+    (lambda: metric.distance_matrix(gauss_proc(3), IndexSet(np.eye(3)), 0.5),
+     r"^increment norm requires a finite p >= 1, got 0\.5$"),
+    # ||g||_inf was NaN: the closed form returned NaN norms
+    (lambda: metric.distance_matrix(gauss_proc(3), IndexSet(np.eye(3)), math.inf),
+     "^increment norm requires a finite p >= 1, got inf$"),
+    (lambda: metric.distance_matrix(rad_proc(3), IndexSet(np.eye(3)), math.nan),
+     "^increment norm requires a finite p >= 1, got nan$"),
+    (lambda: latala_norm([1.0, 2.0], rad_proc(3), 4),
+     "^coefficient vector must match the process dimension$"),
+], ids=["increment_dimension", "p_below_one", "infinite_p", "nan_p", "latala_length"])
+def test_guards_refuse(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -700,3 +700,23 @@ def test_estimates_on_scaled_bases_within_4_sigma_of_the_quadrature(name, model,
     mean, stderr = stochlab.estimate_mean(proc, T, 50_000, RngStream(seed, 2),
                                           lambda hi, lo: np.maximum(hi, -lo) ** p)
     assert abs(mean - scale ** p * max_abs_power_oracle(model, n, p)) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: stochlab.paley_zygmund_check(samples=[1.0, -0.5]), "^S must be nonnegative$"),
+    (lambda: stochlab.paley_zygmund_check(), "^provide a discrete law or samples$"),
+    (lambda: stochlab.contraction_check([0.5, 0.5], [1.0, 1.0, 1.0], 2.0),
+     "^coefficient vectors must share a shape$"),
+], ids=["negative_samples", "no_law", "contraction_shapes"])
+def test_guards_refuse(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_paley_zygmund_defaults_to_uniform_probabilities():
+    # S = 0, 1, 5 with probability 1/3 each: E S = 2, E S^2 = 26/3, and
+    # P(S >= 0.5 E S) = 2/3 against (1/2)^2 4 / (26/3) = 3/26
+    out = stochlab.paley_zygmund_check(values=[0.0, 1.0, 5.0], lam=0.5)
+    assert out == stochlab.paley_zygmund_check(values=[0.0, 1.0, 5.0],
+                                               probs=[1 / 3] * 3, lam=0.5)
+    assert out["lhs"] == pytest.approx(2 / 3) and out["rhs"] == pytest.approx(3 / 26)

@@ -182,3 +182,9 @@ class TestEnvelope:
         y = env.quantile(e)
         assert np.all(y >= xt * (1 - 1e-6) - 1e-9)
         assert np.all(xt >= y / consts.L_alpha * (1 - 1e-6) - 1e-9)
+
+
+@pytest.mark.parametrize("t0", [-1.0, -5e-324])
+def test_convex_minorant_refuses_a_negative_t0(t0):
+    with pytest.raises(ValueError, match="^t0 must be >= 0$"):
+        tailkit.convex_minorant(lambda t: np.asarray(t, dtype=float) ** 2, 4.0, t0)

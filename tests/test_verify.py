@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import squareform
 
-from chainsup import dist, gamma, metric, stochlab, verify
+from chainsup import cli, dist, gamma, metric, stochlab, verify
 from chainsup.metric import IndexSet, ProcessSpec
 from chainsup.streams import RngStream
 
@@ -206,6 +206,20 @@ class TestWeakStrong:
         assert passes == [stream.child(1)]
         assert out["esup_abs"] == stochlab.estimate_sup(proc, T, 3_000, stream.child(1),
                                                         target="sup_abs")
+
+    def test_a_nan_denominator_is_a_nan_constant(self, monkeypatch):
+        # a NaN increment norm once gave C_obs = 0.0, under every threshold
+        def nan_norm(proc, s, t, p, samples, seed):
+            return metric.IncrementNormResult(math.nan, 0.0, "closed_form")
+
+        monkeypatch.setattr(verify, "increment_norm", nan_norm)
+        out = verify.weak_strong_experiment(gauss_proc(2), IndexSet.basis(2), p=4.0,
+                                            samples=1_000, stream=RngStream(25, 3))
+        assert math.isnan(out["C_obs"])
+        report = cli.run({"experiment": "weak-strong", "process": {"family": "gaussian"},
+                          "index_set": {"type": "basis", "n": 2},
+                          "params": {"p": 4.0, "seed": 25, "samples": 1_000}})
+        assert report["result"]["report"]["C_obs"] == "nan" and report["passed"] is False
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
